@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import InsufficientSamplesError, StatisticsError
 from repro.stats.descriptive import _as_clean_array
@@ -34,9 +33,10 @@ def z_score(confidence: float) -> float:
         raise StatisticsError(
             f"confidence must be in (0, 1), got {confidence}"
         )
-    known = Z_SCORES.get(round(confidence, 2))
+    known = Z_SCORES.get(confidence)
     if known is not None:
         return known
+    from scipy import stats as scipy_stats
     return float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
 
 
@@ -129,6 +129,7 @@ def parametric_mean_ci(samples: Sequence[float],
     n = array.size
     mean = float(np.mean(array))
     sem = float(np.std(array, ddof=1)) / math.sqrt(n)
+    from scipy import stats as scipy_stats
     t = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return ConfidenceInterval(
         point=mean, lower=mean - t * sem, upper=mean + t * sem,

@@ -13,7 +13,6 @@ import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import InsufficientSamplesError, StatisticsError
 from repro.stats.descriptive import _as_clean_array
@@ -88,5 +87,6 @@ def turning_point_test(samples: Sequence[float],
     if variance <= 0:
         raise InsufficientSamplesError(4, n, "turning point test")
     z = (turning_points - expected) / math.sqrt(variance)
+    from scipy import stats as scipy_stats
     p_value = float(2.0 * (1.0 - scipy_stats.norm.cdf(abs(z))))
     return (p_value >= alpha, p_value)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import StatisticsError
 from repro.stats.descriptive import _as_clean_array
@@ -52,6 +51,7 @@ def anderson_darling_exponential(gaps_us: Sequence[float],
     array = _as_clean_array(gaps_us, 8, "Anderson-Darling")
     if np.any(array < 0):
         raise StatisticsError("gaps must be non-negative")
+    from scipy import stats as scipy_stats
     result = scipy_stats.anderson(array, dist="expon")
     levels = list(result.significance_level)
     if significance_pct not in levels:
@@ -122,6 +122,7 @@ def spearman_independence(samples: Sequence[float], lag: int = 1,
         raise StatisticsError(
             f"lag must be in [1, {array.size - 1}], got {lag}"
         )
+    from scipy import stats as scipy_stats
     rho, p_value = scipy_stats.spearmanr(array[:-lag], array[lag:])
     if np.isnan(rho):
         # Constant input: no evidence of dependence.

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import StatisticsError
 from repro.stats.descriptive import _as_clean_array
@@ -57,6 +56,7 @@ def shapiro_wilk(samples: Sequence[float],
         # non-normal (a point mass), so report a hard fail.
         return NormalityResult(
             statistic=0.0, p_value=0.0, alpha=alpha, normal=False)
+    from scipy import stats as scipy_stats
     statistic, p_value = scipy_stats.shapiro(array)
     return NormalityResult(
         statistic=float(statistic),

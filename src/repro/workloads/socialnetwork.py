@@ -20,9 +20,8 @@ from __future__ import annotations
 import warnings
 
 from functools import lru_cache
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.config.knobs import HardwareConfig
@@ -38,6 +37,9 @@ from repro.sim.engine import Simulator
 from repro.sim.kernel import make_simulator
 from repro.sim.random import RandomStreams
 from repro.workloads.common import server_env_scale
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Reed98 Facebook network scale [36].
 REED98_NODES = 962
@@ -65,6 +67,7 @@ SOCIAL_MESSAGE_KB = 4.0
 @lru_cache(maxsize=4)
 def social_graph(seed: int = 98) -> "nx.Graph":
     """A Reed98-scale power-law clustered social graph."""
+    import networkx as nx
     return nx.powerlaw_cluster_graph(
         REED98_NODES, REED98_EDGES_PER_NODE, 0.3, seed=seed)
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from repro.errors import InsufficientSamplesError, StatisticsError
 from repro.stats.ci import (
+    Z_SCORES,
     ConfidenceInterval,
     intervals_overlap,
     nonparametric_median_ci,
@@ -22,6 +24,17 @@ class TestZScore:
 
     def test_arbitrary_level_via_scipy(self):
         assert z_score(0.98) == pytest.approx(2.326, abs=1e-2)
+
+    def test_table_levels_are_exact(self):
+        for confidence, score in Z_SCORES.items():
+            assert z_score(confidence) == score
+
+    @pytest.mark.parametrize("confidence", [0.8, 0.951, 0.995])
+    def test_off_table_levels_match_normal_quantile(self, confidence):
+        # Levels near a table entry must not snap to it: 0.995 is
+        # 2.807, not the 0.99 score 2.5758.
+        expected = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+        assert z_score(confidence) == expected
 
     def test_invalid_confidence(self):
         with pytest.raises(StatisticsError):
