@@ -48,7 +48,7 @@ from repro.parallel.merge import (  # noqa: E402
     merge_columnar_payloads,
     merged_run_metrics,
 )
-from repro.parallel.runner import _execute_shard  # noqa: E402
+from repro.parallel.runner import _execute_task  # noqa: E402
 from repro.parallel.shard import shard_layout  # noqa: E402
 from repro.telemetry.columns import COLUMN_FIELDS  # noqa: E402
 
@@ -79,10 +79,10 @@ def shard_tasks(plan):
 def execute_placement(tasks, processes):
     started = time.perf_counter()
     if processes == 1:
-        payloads = [_execute_shard(task) for task in tasks]
+        payloads = [_execute_task(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            payloads = list(pool.map(_execute_shard, tasks))
+            payloads = list(pool.map(_execute_task, tasks))
     wall = time.perf_counter() - started
     return payloads, wall
 

@@ -678,16 +678,18 @@ class ExperimentPlan:
     def run(self) -> ExperimentResult:
         """Execute all repetitions; returns the per-run results.
 
-        A policy with ``workers > 1`` dispatches to the sharded
-        multi-core runner (:mod:`repro.parallel`); the default runs
-        the classic single-process repetition loop.
+        Runs through :func:`~repro.parallel.run_sharded` with its
+        default placement: the plan's repetitions (and, with
+        ``workers > 1``, their shards) spread over
+        ``min(tasks, cpu_count)`` processes, inline below
+        :data:`~repro.parallel.runner.POOL_MIN_REQUESTS` simulated
+        requests.  Placement never changes the result: it equals
+        :meth:`experiment`'s serial run field by field.
         """
-        if self.policy.workers > 1:
-            # Deferred import: the parallel runner imports this
-            # module for plan reconstruction in worker processes.
-            from repro.parallel.runner import run_sharded
-            return run_sharded(self)
-        return self.experiment().run()
+        # Deferred import: the parallel runner imports this module
+        # for plan reconstruction in worker processes.
+        from repro.parallel.runner import run_sharded
+        return run_sharded(self)
 
     # ------------------------------------------------------------- sweeps
     def variants(self, *, qps: Optional[Iterable[float]] = None,

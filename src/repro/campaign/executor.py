@@ -4,10 +4,11 @@ The executor walks a campaign's expanded condition list and, for each
 condition, either (a) serves it from the result store (cache hit),
 (b) runs it inline (``max_workers <= 1``, the figure studies' path),
 or (c) ships it to a :class:`concurrent.futures.ProcessPoolExecutor`
-worker.  Each :class:`~repro.core.experiment.Experiment` is
-seed-deterministic and shares no state with any other condition, so
-the sweep is embarrassingly parallel and parallel results are
-bit-identical to serial ones.
+worker, which runs the condition's repetitions inline.  Each
+:class:`~repro.core.experiment.Experiment` is seed-deterministic and
+shares no state with any other condition, so the sweep is
+embarrassingly parallel and parallel results are bit-identical to
+serial ones.
 
 Failures are captured per condition -- a worker returns an error
 payload instead of raising -- so one bad condition never kills the
@@ -48,6 +49,7 @@ from repro.campaign.spec import CampaignSpec, ConditionSpec
 from repro.campaign.store import ResultStore
 from repro.core.experiment import ExperimentResult
 from repro.errors import ExperimentError
+from repro.parallel.runner import run_sharded
 
 #: Condition status values, in lifecycle order.
 STATUS_HIT = "hit"
@@ -153,7 +155,9 @@ def _execute_chunk(payloads: Sequence[Dict[str, Any]]
                     "patched payload reached a worker with no "
                     "installed plan skeleton")
             plan = ExperimentPlan.from_dict(plan_dict)
-            result = plan.run()
+            # Inline: this process is already one of the campaign's
+            # pool workers, so its repetitions never nest another pool.
+            result = run_sharded(plan, processes=1)
             out.append({
                 "hash": payload["hash"],
                 "ok": True,

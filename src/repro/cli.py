@@ -102,9 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "striped full-replica shards at qps/W "
                           "(part of the plan's content hash)")
     run.add_argument("--processes", type=int, default=None,
-                     help="processes to spread shards over (default: "
-                          "min(workers, cores); 1 = serial placement, "
-                          "bit-identical to any other)")
+                     help="processes to place repetitions and shards "
+                          "over (default: min(tasks, cores); 1 runs "
+                          "serially in this process)")
     run.add_argument("--sink", default=None,
                      help="telemetry sink (columnar or streaming)")
     run.add_argument("--engine", default=None,
@@ -353,6 +353,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     """Run one experiment (optionally sharded) and summarize it."""
     from repro.api import experiment
     from repro.errors import ReproError
+    from repro.parallel.runner import run_sharded
 
     try:
         builder = (experiment(args.workload)
@@ -369,11 +370,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                         sink=args.sink, engine=args.engine,
                         workers=args.workers)
                 .build())
-        if plan.policy.workers > 1:
-            from repro.parallel.runner import run_sharded
-            result = run_sharded(plan, processes=args.processes)
-        else:
-            result = plan.run()
+        result = run_sharded(plan, processes=args.processes)
         avg = float(np.median(result.avg_samples()))
         p99 = float(np.median(result.p99_samples()))
         true_p99 = float(np.median(result.true_p99_samples()))

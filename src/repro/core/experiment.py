@@ -131,7 +131,11 @@ class Experiment:
         self.label = str(label)
 
     def run(self) -> ExperimentResult:
-        """Execute all repetitions and collect per-run metrics."""
+        """Execute all repetitions, one after another in this process.
+
+        The serial reference: :func:`repro.parallel.run_sharded`
+        returns a result equal to this one under any placement.
+        """
         metrics: List[RunMetrics] = []
         workload = ""
         qps = 0.0

@@ -1,5 +1,7 @@
-"""Multi-core scale-out: sharded single-run execution.
+"""Multi-core scale-out: repetitions and shards across processes.
 
+Every plan runs through :func:`run_sharded`, which places its
+repetitions (one task each) over a process pool by a default rule.
 ``RunPolicy(workers=W)`` (or ``PlanBuilder.policy(workers=W)``, or
 ``repro run --workers W``) decomposes each repetition into W striped
 shards -- full service replicas at ``qps / W`` -- runs them across

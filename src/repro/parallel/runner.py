@@ -1,28 +1,38 @@
-"""Sharded execution: one plan's repetitions across worker processes.
+"""Placement: one plan's repetitions and shards across processes.
 
-:func:`run_sharded` executes a plan whose policy asks for
-``workers=W`` by decomposing every repetition into the W striped
-shards of :func:`~repro.parallel.shard.shard_layout`, running each
-shard as an ordinary single-process testbed, and folding the shard
-payloads back into one :class:`~repro.core.testbed.RunMetrics` per
-repetition via :mod:`repro.parallel.merge`.
+:func:`run_sharded` is the one runner behind
+:meth:`~repro.api.ExperimentPlan.run`.  It turns a plan into *tasks*,
+one per (repetition, shard) pair, places them over a process pool, and
+folds the results back into one
+:class:`~repro.core.experiment.ExperimentResult`:
+
+* ``workers=1``: one task per repetition, the plain
+  ``plan.builder()(seed).run()`` -- no stream namespace, no id
+  restripe -- returning that repetition's
+  :class:`~repro.core.testbed.RunMetrics` as is;
+* ``workers=W > 1``: W tasks per repetition, the striped shards of
+  :func:`~repro.parallel.shard.shard_layout`, each run as an ordinary
+  single-process testbed (:func:`run_shard`) and merged back into one
+  ``RunMetrics`` per repetition via :mod:`repro.parallel.merge`.
 
 The pinned equivalence contract: the *decomposition* is semantic
 (part of the plan, hash-relevant), the *placement* is not -- running
-with ``processes=P`` for any P >= 1 yields bit-identical merged
-columns, because each shard testbed is deterministic in
-``(plan, seed, shard)`` alone:
+with ``processes=P`` for any P >= 1 yields a result equal field by
+field, every ``RunMetrics`` bit for bit, because every task is
+deterministic in ``(plan, seed, shard)`` alone:
 
-* its random streams live under the shard's
+* a repetition's random streams derive from its root seed only;
+* a shard's streams live under its
   :func:`~repro.sim.random.stream_namespace` prefix, independent of
-  every other shard and of which process hosts it;
-* its request ids are restriped to the shard's global stripe by
-  wrapping the generator's request factory, so merged telemetry is
+  every other shard and of which process hosts it, and its request
+  ids are restriped to the shard's global stripe by wrapping the
+  generator's request factory, so merged telemetry is
   indistinguishable from one global id space.
 
-``processes=1`` is therefore the serial reference the parallel path
-is validated against (``tests/test_parallel.py``,
-``benchmarks/bench_parallel.py``).
+``processes=1`` is therefore the serial reference the parallel
+placement is validated against (``tests/test_parallel.py``,
+``benchmarks/bench_parallel.py``); for ``workers=1`` it is
+:meth:`Experiment.run() <repro.core.experiment.Experiment.run>` itself.
 """
 
 from __future__ import annotations
@@ -44,6 +54,17 @@ from repro.telemetry.columns import COLUMN_FIELDS
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.api.specs import ExperimentPlan
+
+#: Fewest simulated requests (``runs x num_requests``) the default
+#: placement spreads over a process pool; smaller plans run inline.
+#: A fork pool's start, map and shutdown cost ~11 ms, and each fresh
+#: worker pays first-touch costs on its first repetition, against
+#: ~35-60 us of simulation per request.  Measured on a 2-core host
+#: (memcached, 3 and 5 repetitions, 9 alternations each), pool time
+#: over inline time was 1.37 at 2,000 requests, 0.75-0.85 at 3,500
+#: (the 3-repetition split lost 3 of 9), and 0.66-0.78 at 5,000 (won
+#: 9 of 9): the floor is the smallest size where the pool always won.
+POOL_MIN_REQUESTS = 5_000
 
 
 def run_shard(plan: "ExperimentPlan", seed: int,
@@ -105,64 +126,96 @@ def run_shard(plan: "ExperimentPlan", seed: int,
     return payload
 
 
-def _execute_shard(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: rebuild the plan and run one shard.
+def _execute_task(task: Dict[str, Any]) -> Dict[str, Any]:
+    """Worker entry point: rebuild the plan and run one task.
 
-    Top-level (picklable) and fed plain dicts, so it crosses the
-    process boundary under any start method.
+    A task without a shard is one plain repetition; its result carries
+    the testbed's workload name and offered load, the fields
+    :meth:`~repro.core.experiment.Experiment.run` reads from its
+    testbeds.  Top-level (picklable) and fed plain dicts, so it
+    crosses the process boundary under any start method.
     """
     from repro.api.specs import ExperimentPlan
 
     plan = ExperimentPlan.from_dict(task["plan"])
+    seed = int(task["seed"])
+    if task["shard"] is None:
+        testbed = plan.builder()(seed)
+        return {"workload": testbed.workload, "qps": testbed.qps,
+                "metrics": testbed.run()}
     shard = ShardSpec(index=int(task["shard"]["index"]),
                       workers=int(task["shard"]["workers"]),
                       total_requests=int(
                           task["shard"]["total_requests"]))
-    return run_shard(plan, int(task["seed"]), shard)
+    return run_shard(plan, seed, shard)
 
 
-def run_sharded(plan: "ExperimentPlan",
-                processes: Optional[int] = None) -> ExperimentResult:
-    """Execute *plan*'s repetition protocol with sharded runs.
-
-    Args:
-        plan: the plan to run; ``plan.policy.workers`` fixes the
-            decomposition width W.
-        processes: worker processes to spread shards over.  Default:
-            ``min(W, cpu_count)``.  ``1`` runs every shard inline in
-            this process -- the serial placement the parallel one is
-            bit-identical to.
-
-    Returns:
-        An :class:`~repro.core.experiment.ExperimentResult` with one
-        merged :class:`~repro.core.testbed.RunMetrics` per repetition
-        and ``metadata={"workers": W}``.
-    """
-    workers = int(plan.policy.workers)
-    if workers <= 1:
-        return plan.experiment().run()
-    layout = shard_layout(plan.load.num_requests, workers)
-    seeds = plan.policy.seed_schedule()
-    plan_dict = plan.to_dict()
-    tasks = [
-        {"plan": plan_dict, "seed": int(seed),
-         "shard": {"index": shard.index, "workers": shard.workers,
-                   "total_requests": shard.total_requests}}
-        for seed in seeds for shard in layout]
+def _process_count(plan: "ExperimentPlan", tasks: int,
+                   processes: Optional[int]) -> int:
+    """How many processes *tasks* go over (1 means inline)."""
     if processes is None:
-        processes = min(workers, os.cpu_count() or 1)
+        if plan.policy.runs * plan.load.num_requests < POOL_MIN_REQUESTS:
+            return 1
+        processes = os.cpu_count() or 1
     processes = int(processes)
     if processes < 1:
         raise ExperimentError(
             f"processes must be >= 1, got {processes}")
+    return min(processes, tasks)
+
+
+def run_sharded(plan: "ExperimentPlan",
+                processes: Optional[int] = None) -> ExperimentResult:
+    """Execute *plan*'s repetition protocol, placed over processes.
+
+    Args:
+        plan: the plan to run; ``plan.policy.workers`` fixes the
+            decomposition width W (``1``: plain repetitions).
+        processes: worker processes to place the ``runs x W`` tasks
+            over.  Default: ``min(tasks, cpu_count)``, except that a
+            plan under :data:`POOL_MIN_REQUESTS` simulated requests
+            runs inline.  ``1`` runs every task serially in this
+            process -- the reference every other placement equals.
+
+    Returns:
+        An :class:`~repro.core.experiment.ExperimentResult` with one
+        :class:`~repro.core.testbed.RunMetrics` per repetition, in
+        seed order.  ``metadata`` is ``{}`` for ``workers=1`` and
+        ``{"workers": W}`` for a sharded plan.
+
+    Raises:
+        ExperimentError: when *processes* is below 1.
+    """
+    workers = int(plan.policy.workers)
+    seeds = plan.policy.seed_schedule()
+    processes = _process_count(plan, len(seeds) * workers, processes)
+    if processes == 1 and workers == 1:
+        return plan.experiment().run()
+    plan_dict = plan.to_dict()
+    layout = ([None] if workers == 1
+              else shard_layout(plan.load.num_requests, workers))
+    tasks = [
+        {"plan": plan_dict, "seed": int(seed),
+         "shard": None if shard is None else {
+             "index": shard.index, "workers": shard.workers,
+             "total_requests": shard.total_requests}}
+        for seed in seeds for shard in layout]
     if processes == 1:
-        payloads = [_execute_shard(task) for task in tasks]
+        outputs = [_execute_task(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            payloads = list(pool.map(_execute_shard, tasks))
+            outputs = list(pool.map(_execute_task, tasks))
+    if workers == 1:
+        last = outputs[-1]
+        return ExperimentResult(
+            label=plan.policy.label or last["workload"],
+            workload=last["workload"],
+            qps=last["qps"],
+            runs=[output["metrics"] for output in outputs],
+        )
     metrics: List[Any] = [
         merged_run_metrics(
-            payloads[index * workers:(index + 1) * workers],
+            outputs[index * workers:(index + 1) * workers],
             seed=int(seed))
         for index, seed in enumerate(seeds)]
     return ExperimentResult(

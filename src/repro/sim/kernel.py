@@ -76,6 +76,7 @@ __all__ = [
     "ENGINES",
     "KERNEL_JIT",
     "KernelSimulator",
+    "RECORD_CHUNK",
     "describe_engine",
     "engine_names",
     "make_simulator",
@@ -90,6 +91,11 @@ BATCH_MAX = 64
 #: runs go through the fused scalar handler (array setup would cost
 #: more than it saves).
 VECTOR_MIN = 8
+
+#: Most deferred completion records buffered before a flush into the
+#: run's samples (the streaming sink ingests in chunks of the same
+#: size).  Bounds how many finished requests a fused run keeps alive.
+RECORD_CHUNK = 256
 
 #: Serialization cost per KB (mirrors repro.net.link.US_PER_KB_10GBE;
 #: asserted equal at dispatch build).
@@ -642,6 +648,9 @@ class KernelSimulator(Simulator):
                 # else probes the dispatch dict or runs scalar.
                 h = entry[2]
                 if from_train:
+                    # Release the launched entry: its request now lives
+                    # only in flight, as on the reference heap.
+                    train[ti] = None
                     ti += 1
                     head = train[ti] if ti < tn else None
                     op = 0  # _OP_LAUNCH
@@ -1379,8 +1388,13 @@ class KernelSimulator(Simulator):
                     if rb is not None:
                         # Deferred columnar recording: buffered here,
                         # flushed in completion order before any
-                        # foreign call can observe the samples.
+                        # foreign call can observe the samples, and
+                        # every RECORD_CHUNK completions so a fused
+                        # run never holds its finished requests.
                         rb.append(request)
+                        if len(rb) >= RECORD_CHUNK:
+                            gcm.rs.record_batch(rb)
+                            del rb[:]
                     else:
                         self._now = now
                         gcm.record(request)

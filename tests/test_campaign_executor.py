@@ -252,6 +252,30 @@ class TestFailureIsolation:
         assert len(outcome.failures) == 4
 
 
+class TestPoolWorkersNeverNest:
+    def test_worker_entry_runs_repetitions_inline(self, monkeypatch):
+        """A campaign pool worker is already one of the campaign's
+        processes: a condition the default placement would spread over
+        a pool must run its repetitions inline there instead."""
+        from repro.campaign.executor import _execute_chunk
+        from repro.parallel import runner
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("opened a process pool")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        plan = small_spec(
+            qps_list=(50_000,), runs=2,
+            num_requests=runner.POOL_MIN_REQUESTS // 2,
+        ).expand()[0].to_plan()
+        with pytest.raises(AssertionError, match="process pool"):
+            plan.run()
+        [payload] = _execute_chunk([{"hash": "h", "plan": plan.to_dict()}])
+        assert payload["ok"], payload.get("error")
+        assert len(payload["result"]["runs"]) == 2
+
+
 class TestProgress:
     def test_callback_sees_every_condition(self):
         spec = small_spec(qps_list=(10_000, 50_000))

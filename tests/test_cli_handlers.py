@@ -1,5 +1,5 @@
-"""End-to-end tests for the ``capacity`` and ``tune --apply`` CLI
-handlers, plus the ``--seed`` threading added with the campaign PR."""
+"""End-to-end tests for the ``capacity``, ``tune --apply`` and ``run``
+CLI handlers, plus ``--seed`` threading through ``study``."""
 
 from repro.cli import main as cli_main
 
@@ -91,3 +91,19 @@ class TestStudySeed:
         unseeded = capsys.readouterr().out
         assert seeded.splitlines()[0] == unseeded.splitlines()[0]
         assert seeded != unseeded
+
+
+class TestRunPlacement:
+    RUN = ["run", "--workload", "memcached", "--qps", "40000",
+           "--requests", "200", "--runs", "3"]
+
+    def test_serial_and_pooled_placements_print_the_same(self, capsys):
+        assert cli_main(self.RUN + ["--processes", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert cli_main(self.RUN + ["--processes", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert "(3 runs x 200 requests, seed 0)" in serial
+
+    def test_nonpositive_processes_fail_cleanly(self, capsys):
+        assert cli_main(self.RUN + ["--processes", "0"]) == 1
+        assert "processes must be >= 1" in capsys.readouterr().err

@@ -5,9 +5,9 @@ The contract under test has two halves:
 * the **decomposition** is semantic: ``workers=W`` stripes the global
   request-id space into W full-replica shards at ``qps / W`` each, and
   is part of the plan's content hash whenever ``W != 1``;
-* the **placement** is not: running the W shards across P processes is
-  bit-identical to running them sequentially in one process, for both
-  registered sinks.
+* the **placement** is not: running a plan's repetitions and shards
+  across P processes is bit-identical to running them sequentially in
+  one process, for both registered sinks and every topology.
 """
 
 import hashlib
@@ -26,7 +26,8 @@ from repro.parallel import (
     run_sharded,
     shard_layout,
 )
-from repro.parallel.runner import _execute_shard
+from repro.parallel import runner
+from repro.parallel.runner import _execute_task
 from repro.sim.random import RandomStreams, stream_namespace
 from repro.telemetry.columns import COLUMN_FIELDS
 
@@ -142,9 +143,9 @@ class TestShardedColumnarRun:
     def test_parallel_placement_is_bit_identical(self):
         plan = small_plan(workers=2, requests=160)
         tasks = shard_tasks(plan)
-        inline = [_execute_shard(task) for task in tasks]
+        inline = [_execute_task(task) for task in tasks]
         with ProcessPoolExecutor(max_workers=2) as pool:
-            remote = list(pool.map(_execute_shard, tasks))
+            remote = list(pool.map(_execute_task, tasks))
         for local, shipped in zip(inline, remote):
             for name in COLUMN_FIELDS:
                 assert np.array_equal(local["columns"][name],
@@ -201,6 +202,105 @@ class TestShardedStreamingRun:
             streaming.runs[0].avg_us, rel=0.02)
         assert (columnar.runs[0].requests
                 == streaming.runs[0].requests)
+
+
+@pytest.fixture
+def pool_widths(monkeypatch):
+    """The width of every process pool the runner opens."""
+    widths = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            widths.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    return widths
+
+
+def repetition_plan(topology):
+    """A ``workers=1`` plan of three small repetitions."""
+    builder = (experiment("memcached").client("LP")
+               .load(qps=40_000, num_requests=120)
+               .policy(runs=3, base_seed=5))
+    if topology == "p2c-cluster":
+        builder = builder.cluster(nodes=4, lb_policy="power-of-two")
+    elif topology == "cached-graph":
+        builder = builder.graph("memcached-cached")
+    elif topology == "streaming-counters":
+        builder = builder.policy(metrics=True, sink="streaming")
+    return builder.build()
+
+
+def _counter_names(run):
+    return {name for name, _ in run.obs_metrics}
+
+
+#: What each topology's runs must carry back from a pool worker.
+CARRIED = {
+    "single": lambda run: run.node_utilizations == () == run.obs_metrics,
+    "p2c-cluster": lambda run: len(run.node_utilizations) == 4,
+    "cached-graph": lambda run: run.requests == 120 - 12,
+    "streaming-counters": lambda run: (
+        "engine.events_dispatched" in _counter_names(run)
+        and any(name.startswith("sink.") for name in _counter_names(run))),
+}
+
+
+class TestRepetitionPlacement:
+    """``workers=1``: one task per repetition, placed like shards."""
+
+    @pytest.mark.parametrize("topology", sorted(CARRIED))
+    def test_placements_return_equal_results(self, topology, pool_widths):
+        plan = repetition_plan(topology)
+        serial = run_sharded(plan, processes=1)
+        pooled = run_sharded(plan, processes=2)
+        default = plan.run()
+        # Only the explicit processes=2 opened a pool: the default
+        # keeps a plan this small inline.
+        assert pool_widths == [2]
+        assert serial == pooled == default
+        assert pooled.metadata == {}
+        assert pooled.label == "memcached"
+        assert [run.seed for run in pooled.runs] == [5, 6, 7]
+        assert all(CARRIED[topology](run) for run in pooled.runs)
+
+    def test_processes_must_be_positive(self):
+        with pytest.raises(ExperimentError):
+            run_sharded(small_plan(workers=1, requests=60), processes=0)
+
+
+class TestDefaultPlacement:
+    """``processes=None``: ``min(tasks, cores)``, inline below the
+    floor or with a single task."""
+
+    def test_small_plans_stay_inline(self, pool_widths):
+        plan = small_plan(workers=2, requests=120, runs=3)
+        assert (plan.policy.runs * plan.load.num_requests
+                < runner.POOL_MIN_REQUESTS)
+        plan.run()
+        small_plan(workers=1, requests=120, runs=3).run()
+        assert pool_widths == []
+
+    def test_plans_above_the_floor_use_every_core(self, pool_widths,
+                                                  monkeypatch):
+        monkeypatch.setattr(runner, "POOL_MIN_REQUESTS", 0)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        plan = small_plan(workers=1, requests=60, runs=3)
+        assert plan.run() == run_sharded(plan, processes=1)
+        assert pool_widths == [2]
+
+    def test_pool_is_no_wider_than_the_task_list(self, pool_widths,
+                                                 monkeypatch):
+        monkeypatch.setattr(runner, "POOL_MIN_REQUESTS", 0)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
+        small_plan(workers=1, requests=60, runs=2).run()
+        small_plan(workers=1, requests=60, runs=1).run()
+        # Every (repetition, shard) pair is a task.
+        small_plan(workers=2, requests=60, runs=2).run()
+        run_sharded(small_plan(workers=1, requests=60, runs=2),
+                    processes=8)
+        assert pool_widths == [2, 4, 2]
 
 
 class TestWorkersByteStability:

@@ -11,6 +11,7 @@ to cross-process full-payload hashes under a hostile
 ``PYTHONHASHSEED``.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -30,9 +31,11 @@ from repro.campaign.serialize import (
 from repro.campaign.spec import ConditionSpec
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
 from repro.errors import ExperimentError, SpecValidationError
+from repro.server.request import Request
 from repro.sim.engine import Simulator
 from repro.sim.kernel import (
     DEFAULT_ENGINE,
+    RECORD_CHUNK,
     KernelSimulator,
     engine_names,
     make_simulator,
@@ -272,6 +275,40 @@ def _column_digest(testbed):
     for name in COLUMN_FIELDS:
         digest.update(columns.column(name).tobytes())
     return digest.hexdigest()
+
+
+def test_fused_run_keeps_requests_in_flight_only():
+    """Completed requests wait in the kernel's record buffer for at
+    most RECORD_CHUNK completions, and a launched request is held by
+    nothing but its in-flight events; neither changes a column."""
+    num_requests = 3 * RECORD_CHUNK + 17
+    testbeds = {
+        engine: builder_by_name("memcached")(
+            seed=5, client_config=LP_CLIENT,
+            server_config=SERVER_BASELINE,
+            qps=100_000, num_requests=num_requests, engine=engine)
+        for engine in ENGINES}
+    samples = testbeds["vectorized"].generator.samples
+    batches = []
+    excess_live = []
+    record_batch = samples.record_batch
+
+    def recording_batch(requests):
+        # Every request not yet recorded may be alive (queued to
+        # launch, in flight, or in this batch); no recorded one may.
+        live = sum(type(obj) is Request for obj in gc.get_objects())
+        excess_live.append(live - (num_requests - len(samples)))
+        batches.append(len(requests))
+        record_batch(requests)
+
+    samples.record_batch = recording_batch
+    for testbed in testbeds.values():
+        testbed.run()
+    assert max(batches) == RECORD_CHUNK
+    assert sum(batches) == len(samples) == num_requests
+    assert max(excess_live) <= 0
+    assert (_column_digest(testbeds["vectorized"])
+            == _column_digest(testbeds["reference"]))
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
