@@ -462,7 +462,6 @@ def time_kernel(seed, qps, num_requests, repetitions):
     assert ref_hash == kern_hash, (
         "kernel run is not bit-identical to the reference "
         f"(payload hashes {ref_hash[:12]} != {kern_hash[:12]})")
-    counters = kernel_testbed.sim.kernel_counters()
     return {
         "reference_loop_seconds": round(ref_s, 4),
         "reference_events_per_sec": round(ref_events / ref_s, 1),
@@ -471,7 +470,7 @@ def time_kernel(seed, qps, num_requests, repetitions):
         "kernel_speedup": round(ref_s / kern_s, 3),
         "bit_identical": True,
         "events": ref_events,
-        "counters": counters,
+        "scalar_fallbacks": kernel_testbed.sim.kernel_scalar_fallbacks,
     }
 
 
@@ -545,7 +544,7 @@ def main(argv=None) -> int:
           f"({kernel['kernel_events_per_sec']:>10.0f} ev/s, "
           f"{kernel['kernel_speedup']:.2f}x vs reference loop "
           f"{kernel['reference_loop_seconds']:.3f}s, bit-identical, "
-          f"mean batch {kernel['counters']['mean_batch_len']:.1f})")
+          f"{kernel['scalar_fallbacks']} scalar fallbacks)")
 
     payload = {
         "benchmark": "hotpath",

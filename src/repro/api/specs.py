@@ -284,9 +284,9 @@ class RunPolicy:
             without tracing or a custom sink (cache hit rates,
             retry/hedge counts, dispatch tallies).
         engine: event-loop engine name (see
-            :mod:`repro.sim.kernel`); the default ``"reference"`` is
-            the pure-Python loop, ``"vectorized"`` the bit-identical
-            batch-dequeue kernel.
+            :mod:`repro.sim.kernel`); the default ``"vectorized"`` is
+            the fused-handler kernel, ``"reference"`` the pure-Python
+            loop it is bit-identical to and checked against.
         workers: shard width for multi-core execution (see
             :mod:`repro.parallel`).  ``workers=W > 1`` decomposes
             each repetition into W striped full-replica shards at
@@ -627,7 +627,7 @@ class ExperimentPlan:
                 # single-use like testbeds.  The kwarg is only passed
                 # when observability is on, so builders that predate
                 # it keep working untouched.  Same for the engine:
-                # the default reference loop is spelled by absence.
+                # the default kernel is spelled by absence.
                 extra = dict(kwargs)
                 obs = policy.observability()
                 if obs is not None:

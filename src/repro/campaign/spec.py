@@ -115,8 +115,8 @@ class ConditionSpec:
             same deployment always produces the same key, and any
             non-default cluster field (nodes, lb_policy, shards, ...)
             produces a distinct one.
-        engine: event-loop engine name, or ``None`` for the reference
-            loop.  Normalized exactly like ``cluster``: naming the
+        engine: event-loop engine name, or ``None`` for the default
+            kernel.  Normalized exactly like ``cluster``: naming the
             default engine explicitly is stored as ``None`` and
             omitted from the dict form, so every pre-engine condition
             hash -- and every store row keyed by one -- is unchanged.
@@ -354,7 +354,7 @@ class CampaignSpec:
         cluster: server-side topology every condition deploys on
             (spec, dict, or ``None`` for single-server).
         engine: event-loop engine every condition runs on (``None``
-            for the reference loop).  Validated here, before any
+            for the default kernel).  Validated here, before any
             condition executes, with a did-you-mean hint.
         graph: service-graph topology every condition deploys on
             (spec, dict, or ``None``); validated here, before

@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="telemetry sink (columnar or streaming)")
     run.add_argument("--engine", default=None,
                      help="event-loop engine (reference or "
-                          "vectorized)")
+                          "vectorized; default: vectorized)")
 
     study = commands.add_parser(
         "study", help="run a client-vs-server study grid")
@@ -199,8 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the campaign base seed")
         sub.add_argument("--engine", default=None,
                          help="event-loop engine (reference or "
-                              "vectorized; validated before any "
-                              "condition runs)")
+                              "vectorized; default: vectorized; "
+                              "validated before any condition runs)")
         if verb == "run":
             parallelism = sub.add_mutually_exclusive_group()
             parallelism.add_argument(
@@ -255,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            "tracing on")
     plan.add_argument("--engine", default=None,
                       help="event-loop engine the conditions would "
-                           "run on (reference or vectorized)")
+                           "run on (reference or vectorized; "
+                           "default: vectorized)")
     plan.add_argument("--graph", default=None, metavar="PRESET",
                       help="service-graph preset for an ad-hoc "
                            "--workload campaign (validated with "
@@ -322,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="base seed for the repetition protocol")
     graph.add_argument("--engine", default=None,
                        help="event-loop engine (reference or "
-                            "vectorized)")
+                            "vectorized; default: vectorized)")
 
     trace = commands.add_parser(
         "trace", help="run one traced experiment and export a "
@@ -342,8 +343,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="telemetry sink (columnar or streaming)")
     trace.add_argument("--engine", default=None,
                        help="event-loop engine (reference or "
-                            "vectorized); the engine.kernel.* metrics "
-                            "report batch-dequeue engagement")
+                            "vectorized; default: vectorized); a "
+                            "traced run adopts nothing, so "
+                            "engine.kernel.scalar_fallbacks counts "
+                            "every event")
     trace.add_argument("--output", "-o", default="trace.json",
                        help="Chrome trace JSON output path")
     return parser
@@ -868,14 +871,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                   f"{tracer.max_spans} span cap")
         print()
         print(render_breakdown_table(breakdown, request_total))
-        kernel_metrics = [(name, value)
-                          for name, value in metrics.obs_metrics
-                          if name.startswith("engine.kernel.")]
-        if kernel_metrics:
+        counters = dict(metrics.obs_metrics)
+        if "engine.kernel.scalar_fallbacks" in counters:
             print()
-            print("vectorized kernel engagement:")
-            for name, value in kernel_metrics:
-                print(f"  {name:<34} {value:>12g}")
+            print("vectorized kernel engagement (tracing adopts "
+                  "nothing):")
+            for name in ("engine.events_dispatched",
+                         "engine.kernel.scalar_fallbacks"):
+                print(f"  {name:<34} {counters[name]:>12g}")
         return 0
     except (ReproError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

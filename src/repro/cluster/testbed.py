@@ -266,9 +266,9 @@ def build_cluster_testbed(
         params: machine timing constants.
         obs: optional :class:`~repro.obs.Observability` context,
             installed on the simulator before any component builds.
-        engine: event-loop engine name (``None`` keeps the reference
-            loop; ``"vectorized"`` selects the bit-identical
-            batch-dequeue kernel).
+        engine: event-loop engine name (``None`` selects the
+            default fused kernel; ``"reference"`` the pure-Python
+            loop it is bit-identical to).
         arrival: optional :class:`~repro.loadgen.interarrival.
             ArrivalSpec` (or dict / shape name) selecting a
             time-varying arrival process; ``None`` keeps the stock

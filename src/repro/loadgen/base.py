@@ -96,7 +96,7 @@ class LoadGenerator:
         if obs is not None:
             obs.on_generator(self)
             self._trace = obs.tracer
-        # Accelerated-kernel handshake: the batch-dequeue engine fuses
+        # Accelerated-kernel handshake: the default engine fuses
         # this generator's hot-path callbacks when they are the stock
         # implementations (see repro.sim.kernel).
         adopt = getattr(sim, "adopt_generator", None)

@@ -155,19 +155,11 @@ class Observability:
         reg.counter("engine.events_dispatched").add(sim.events_processed)
         reg.counter("engine.heap_compactions").add(
             getattr(sim, "compactions", 0))
-        kernel_counters = getattr(sim, "kernel_counters", None)
-        if kernel_counters is not None:
-            # The vectorized engine: batch-dequeue engagement telemetry
+        fallbacks = getattr(sim, "kernel_scalar_fallbacks", None)
+        if fallbacks is not None:
+            # The vectorized engine: events it could not fuse
             # (duck-typed so the reference engine pays nothing).
-            counters = kernel_counters()
-            reg.counter("engine.kernel.batches").add(
-                counters["batches"])
-            reg.counter("engine.kernel.batched_events").add(
-                counters["batched_events"])
-            reg.counter("engine.kernel.scalar_fallbacks").add(
-                counters["scalar_fallbacks"])
-            reg.gauge("engine.kernel.mean_batch_len").set(
-                counters["mean_batch_len"])
+            reg.counter("engine.kernel.scalar_fallbacks").add(fallbacks)
         totals = {"blocks_drawn": 0, "batched_served": 0,
                   "scalar_served": 0, "reconciles": 0}
         for stats in testbed.streams.batched_stats().values():

@@ -1,17 +1,19 @@
-"""Accelerated event kernel: batch-dequeue + fused event handlers.
+"""Accelerated event kernel: fused event handlers.
 
-:class:`KernelSimulator` is an opt-in drop-in for
-:class:`~repro.sim.engine.Simulator` (``RunPolicy(engine="vectorized")``)
-that attacks the residual cost of the event loop: pure-Python dispatch.
-The reference loop pays a chain of 4-6 Python calls per event
-(callback -> component method -> hardware model -> ``post_at``); the
-kernel recognises the handful of callbacks that dominate the stationary
-phase of every workload -- arrival admission (``_launch``), client core
-event handling (``_do_send`` / ``_at_client_nic``),
-link transit (``_sent``), station service completion
-(``ServerPool._finish``) and measurement (``_measured``) -- and runs a
-*fused*, fully inlined handler for each, with the exact float
-arithmetic and draw sequence of the reference components.
+:class:`KernelSimulator` is the default engine
+(``RunPolicy(engine="vectorized")``), a drop-in for
+:class:`~repro.sim.engine.Simulator` -- which stays as
+``engine="reference"``, the oracle the goldens and determinism suites
+compare against.  It attacks the residual cost of the event loop:
+pure-Python dispatch.  The reference loop pays a chain of 4-6 Python
+calls per event (callback -> component method -> hardware model ->
+``post_at``); the kernel recognises the handful of callbacks that
+dominate the stationary phase of every workload -- arrival admission
+(``_launch``), client core event handling (``_do_send`` /
+``_at_client_nic``), link transit (``_sent``), station service
+completion (``ServerPool._finish``) and measurement (``_measured``) --
+and runs a *fused*, fully inlined handler for each, with the exact
+float arithmetic and draw sequence of the reference components.
 
 Three mechanisms stack:
 
@@ -24,17 +26,9 @@ Three mechanisms stack:
   that callback), so entries left in the heap when ``run()`` exits
   convert back to plain reference format losslessly.
 
-* **Batching.**  The main loop tracks runs of same-continuation
-  entries.  Link-transit runs are lifted into ``(times, seq, payload)``
-  arrays and their next-event times are computed with array math over
-  the network stream's active draw-ahead block; a batch is *validated*
-  incrementally -- the moment a processed item schedules work before
-  the next item's timestamp, the unprocessed tail is pushed back
-  untouched (no draws were made for it), so event order -- and
-  therefore every random stream -- is bit-identical to the reference
-  loop.  Open-loop launch trains are lifted out of the heap into a
-  sorted flat list and merged back lazily, so heap operations run on a
-  heap that only holds the in-flight working set.
+* **Launch-train lifting.**  Open-loop launch trains are lifted out of
+  the heap into a sorted flat list and merged back lazily, so heap
+  operations run on a heap that only holds the in-flight working set.
 
 * **Inline draw serving.**  The fused handlers serve the two cheap
   :class:`~repro.sim.sampling.BatchedStream` cases in place -- a
@@ -45,36 +39,29 @@ Three mechanisms stack:
   and the served value sequence are unchanged.
 
 Fallback: anything the kernel does not recognise -- a cancellable
-:class:`~repro.sim.engine.Event`, an obs-traced component, a custom
-subclass overriding a hot-path method, a balancer/fanout/tiered
-service -- is executed through the ordinary scalar path (and counted
-in ``kernel_scalar_fallbacks``).  Correctness never depends on
-adoption; adoption only removes interpreter overhead.
-
-numpy is the only requirement.  numba, when importable, accelerates
-the batch-validation scan opportunistically; it is never required
-(:data:`KERNEL_JIT` reports whether it engaged).
+:class:`~repro.sim.engine.Event`, an obs-traced component, a hot-path
+method overridden by a subclass or assigned on the instance, a
+balancer/fanout/tiered service -- is executed through the ordinary
+scalar path (and counted in ``kernel_scalar_fallbacks``).  A run that
+adopts nothing (a traced run, say) skips the fused loop and runs the
+reference loop outright.  Correctness never depends on adoption;
+adoption only removes interpreter overhead.
 """
 
 from __future__ import annotations
 
 import difflib
-import importlib.util
 import math
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import SimulationError, SpecValidationError
 from repro.sim.engine import Simulator
 from repro.sim.sampling import _NORMAL, _UNIFORM, BatchedStream
 
 __all__ = [
-    "BATCH_MAX",
     "DEFAULT_ENGINE",
     "ENGINES",
-    "KERNEL_JIT",
     "KernelSimulator",
     "RECORD_CHUNK",
     "describe_engine",
@@ -82,15 +69,6 @@ __all__ = [
     "make_simulator",
     "validate_engine_name",
 ]
-
-#: Longest same-callback prefix the kernel will dequeue as one batch.
-#: Bounds the push-back cost when a batch is cut short by validation.
-BATCH_MAX = 64
-
-#: Minimum link-transit run length worth lifting into arrays; shorter
-#: runs go through the fused scalar handler (array setup would cost
-#: more than it saves).
-VECTOR_MIN = 8
 
 #: Most deferred completion records buffered before a flush into the
 #: run's samples (the streaming sink ingests in chunks of the same
@@ -119,38 +97,13 @@ if _UNIFORM != 0 or _NORMAL != 1:  # pragma: no cover - import guard
     raise AssertionError("BatchedStream kind encoding changed")
 
 
-def _commit_length_py(times: Any, push_times: Any, n: int) -> int:
-    """Longest batch prefix whose scheduled work never precedes the
-    next batch item.
-
-    ``times`` are the batch items' own timestamps, ``push_times`` the
-    timestamps of the events each item will schedule.  Item ``i`` is
-    safe when no event pushed by items ``0..i`` lands strictly before
-    ``times[i + 1]``; the running minimum implements that exactly.
-    """
-    floor = push_times[0]
-    for i in range(1, n):
-        if floor < times[i]:
-            return i
-        pt = push_times[i]
-        if pt < floor:
-            floor = pt
-    return n
-
-
-#: True when numba compiled the validation scan (never required).
-KERNEL_JIT = False
-_commit_length_nb: Any = None
-if importlib.util.find_spec("numba") is not None:  # pragma: no cover
-    try:
-        import numba
-
-        _commit_length_nb = numba.njit(cache=True)(_commit_length_py)
-        _commit_length_nb(np.zeros(1), np.zeros(1), 1)  # force compile
-        KERNEL_JIT = True
-    except Exception:
-        _commit_length_nb = None
-        KERNEL_JIT = False
+def _stock(obj: Any, name: str, base: type) -> bool:
+    """True when ``obj.<name>`` -- the attribute the reference path
+    calls -- is *base*'s own function bound to *obj*: overridden by
+    neither a subclass nor an assignment on the instance."""
+    method = getattr(obj, name)
+    return (getattr(method, "__func__", None) is getattr(base, name)
+            and method.__self__ is obj)
 
 
 # Handler opcodes.  DO_SEND/AT_NIC share one fused client-core body.
@@ -374,7 +327,7 @@ class _SC:
 
 # ------------------------------------------------------------------ kernel
 class KernelSimulator(Simulator):
-    """Batch-dequeue accelerated simulator (``engine="vectorized"``).
+    """Fused-dispatch accelerated simulator (``engine="vectorized"``).
 
     Bit-identical to :class:`~repro.sim.engine.Simulator` by
     construction: adopted components run through fused handlers that
@@ -384,15 +337,12 @@ class KernelSimulator(Simulator):
 
     def __init__(self) -> None:
         super().__init__()
-        #: same-callback runs of length >= 2 processed by the kernel.
-        self.kernel_batches = 0
-        #: events processed inside those runs.
-        self.kernel_batched_events = 0
         #: events executed through the scalar fallback path.
         self.kernel_scalar_fallbacks = 0
         self._adopted_generators: list = []
         self._adopted_stations: list = []
         self._dispatch: Optional[Dict[Any, Tuple[int, Any]]] = None
+        self._contexts: list = []
         self._minfo: Dict[Any, _MC] = {}
         self._served_map: Dict[Any, _GC] = {}
         self._rec_gcs: list = []
@@ -421,16 +371,24 @@ class KernelSimulator(Simulator):
         self._adopted_stations.append(station)
         self._dispatch = None
 
-    def kernel_counters(self) -> Dict[str, float]:
-        """Snapshot of the kernel's engagement telemetry."""
-        batches = self.kernel_batches
-        batched = self.kernel_batched_events
-        return {
-            "batches": float(batches),
-            "batched_events": float(batched),
-            "scalar_fallbacks": float(self.kernel_scalar_fallbacks),
-            "mean_batch_len": (batched / batches) if batches else 0.0,
-        }
+    def _release(self) -> None:
+        """Forget every adoption once the heap has drained.
+
+        Contexts and their continuations point at each other and at
+        the components, which point back at this simulator; emptying
+        them breaks every such cycle, so a finished testbed is freed
+        by reference counting, as a reference-engine one is.
+        """
+        for ctx in self._contexts:
+            for name in type(ctx).__slots__:
+                setattr(ctx, name, None)
+        self._contexts = []
+        self._adopted_generators = []
+        self._adopted_stations = []
+        self._dispatch = None
+        self._minfo = {}
+        self._served_map = {}
+        self._rec_gcs = []
 
     # ------------------------------------------------------------- build
     def _build_dispatch(self) -> Dict[Any, Tuple[int, Any]]:
@@ -458,9 +416,11 @@ class KernelSimulator(Simulator):
         assert US_PER_KB_10GBE == _US_PER_KB
 
         dispatch: Dict[Any, Tuple[int, Any]] = {}
+        contexts: list = []
         minfo: Dict[Any, _MC] = {}
         served: Dict[Any, _GC] = {}
         rec_gcs: list = []
+        self._contexts = contexts
         self._minfo = minfo
         self._served_map = served
         self._rec_gcs = rec_gcs
@@ -472,28 +432,31 @@ class KernelSimulator(Simulator):
                 continue
             if station._trace is not None:
                 continue
-            cls = type(station)
             pool = station._pool
-            if not (cls.submit is ServiceStation.submit
-                    and cls._pool_done is ServiceStation._pool_done
-                    and cls._service_time is ServiceStation._service_time
-                    and cls._sample_occupancy_us
-                    is ServiceStation._sample_occupancy_us
+            if not (all(_stock(station, name, ServiceStation)
+                        for name in ("submit", "_pool_done",
+                                     "_service_time",
+                                     "_sample_occupancy_us"))
                     and type(pool) is ServerPool
+                    and all(_stock(pool, name, ServerPool)
+                            for name in ("submit", "_dispatch",
+                                         "_finish"))
                     and pool.queue.capacity is None
                     and type(station._cstates) is CStateGovernor):
                 continue
             sc = _SC(station)
+            contexts.append(sc)
             dispatch[station.submit] = (_OP_SUBMIT, sc)
             dispatch[sc.finish_cb] = (_OP_FINISH, sc)
 
         def machine_ok(machine: Any) -> bool:
-            cls = type(machine)
             core = machine.core
-            return (cls.begin_send is ClientMachine.begin_send
-                    and cls._do_send is ClientMachine._do_send
-                    and cls.deliver_response is ClientMachine.deliver_response
+            return (all(_stock(machine, name, ClientMachine)
+                        for name in ("begin_send", "_do_send",
+                                     "deliver_response"))
                     and type(core) is SimCore
+                    and _stock(core, "timed_sleep_until", SimCore)
+                    and _stock(core, "handle_event_finish_us", SimCore)
                     and type(core.cstates) is CStateGovernor
                     and type(core.frequency) is FrequencyModel
                     and type(core.timer) is TimerModel
@@ -502,10 +465,10 @@ class KernelSimulator(Simulator):
         for gen in self._adopted_generators:
             if not isinstance(gen, LoadGenerator) or gen._trace is not None:
                 continue
-            cls = type(gen)
             for machine in gen.machines:
                 if machine not in minfo and machine_ok(machine):
                     mc = _MC(machine)
+                    contexts.append(mc)
                     minfo[machine] = mc
                     dispatch[mc.do_send] = (_OP_DO_SEND, mc)
             link_s = gen._link_to_server
@@ -521,28 +484,30 @@ class KernelSimulator(Simulator):
             if type(stream_c) is not BatchedStream:
                 stream_c = None
             after: Optional[Callable[..., None]] = gen._after_completion
-            if cls._after_completion is LoadGenerator._after_completion:
+            if _stock(gen, "_after_completion", LoadGenerator):
                 after = None
             gc = _GC(gen, after, stream_s, stream_c)
-            if cls._launch is LoadGenerator._launch:
+            contexts.append(gc)
+            if _stock(gen, "_launch", LoadGenerator):
                 dispatch[gc.gen._launch] = (_OP_LAUNCH, gc)
-            if cls._sent is LoadGenerator._sent:
+            if _stock(gen, "_sent", LoadGenerator):
                 dispatch[gc.sent] = (_OP_SENT, gc)
                 gc.push_sent = gc.k_sent
-            if cls._at_client_nic is LoadGenerator._at_client_nic:
+            if _stock(gen, "_at_client_nic", LoadGenerator):
                 dispatch[gc.at_nic] = (_OP_AT_NIC, gc)
                 gc.push_at_nic = gc.k_at_nic
-            if cls._measured is LoadGenerator._measured:
+            if _stock(gen, "_measured", LoadGenerator):
                 dispatch[gc.measured] = (_OP_MEASURED, gc)
                 gc.push_measured = gc.k_measured
                 samples = gen.samples
                 if (after is None
                         and type(samples) is RunSamples
+                        and _stock(samples, "record", RunSamples)
                         and type(samples._columns) is SampleColumns):
                     gc.rs = samples
                     gc.rbuf = []
                     rec_gcs.append(gc)
-            if cls._served is LoadGenerator._served:
+            if _stock(gen, "_served", LoadGenerator):
                 served[gc.served] = gc
             sub = dispatch.get(gc.submit_cb)
             if sub is not None and sub[0] == _OP_SUBMIT:
@@ -558,7 +523,15 @@ class KernelSimulator(Simulator):
         dispatch = self._dispatch
         if dispatch is None:
             dispatch = self._build_dispatch()
-        return self._run_kernel(dispatch)
+        if dispatch:
+            fired = self._run_kernel(dispatch)
+        else:
+            # A run that adopted nothing (every component traced, say)
+            # gains nothing from the fused loop: run the reference one.
+            fired = super().run()
+            self.kernel_scalar_fallbacks += fired
+        self._release()
+        return fired
 
     def _run_kernel(self, dispatch: Dict[Any, Tuple[int, Any]]) -> int:
         # The fused main loop.  Structural notes:
@@ -582,16 +555,7 @@ class KernelSimulator(Simulator):
         #   finally block, and ``now``/``heap`` are refetched after
         #   every foreign call (a callback may cancel events, and
         #   _note_cancelled's compaction *rebinds* self._heap).
-        #
-        # * Run continuation.  Consecutive entries sharing one _K keep
-        #   flowing through one fused handler without re-entering
-        #   dispatch.  An event scheduled by item i that lands before
-        #   item i+1 displaces it from the heap top, ending the run
-        #   naturally -- exactly the reference's interleaving, with no
-        #   draw ever rewound.
         fired = 0
-        batches = 0
-        batched = 0
         scalar = 0
         now = self._now
         seqc = self._seq
@@ -622,8 +586,6 @@ class KernelSimulator(Simulator):
         ti = 0
         tn = len(train)
         head = train[0] if tn else None
-        prev_key = None
-        run_len = 0
         try:
             while True:
                 # Train-aware selection: strict heap order over both
@@ -655,11 +617,9 @@ class KernelSimulator(Simulator):
                     head = train[ti] if ti < tn else None
                     op = 0  # _OP_LAUNCH
                     data = train_d[ti - 1]
-                    key = data
                 elif type(h) is Kt:
                     op = h.op
                     data = h.data
-                    key = h
                 elif len(entry) == 3:
                     event = h
                     if event.cancelled:
@@ -673,11 +633,6 @@ class KernelSimulator(Simulator):
                         raise SimulationError(
                             f"event at t={time} is behind clock t={now}"
                         )
-                    if run_len >= 2:
-                        batches += 1
-                        batched += run_len
-                    run_len = 0
-                    prev_key = None
                     fired += 1
                     scalar += 1
                     self._now = now
@@ -696,11 +651,6 @@ class KernelSimulator(Simulator):
                             raise SimulationError(
                                 f"event at t={time} is behind clock t={now}"
                             )
-                        if run_len >= 2:
-                            batches += 1
-                            batched += run_len
-                        run_len = 0
-                        prev_key = None
                         fired += 1
                         scalar += 1
                         self._now = now
@@ -711,7 +661,6 @@ class KernelSimulator(Simulator):
                         continue
                     op = handler[0]
                     data = handler[1]
-                    key = h
 
                 time = entry[0]
                 args = entry[3]
@@ -722,14 +671,6 @@ class KernelSimulator(Simulator):
                         f"event at t={time} is behind clock t={now}"
                     )
                 fired += 1
-                if key is prev_key:
-                    run_len += 1
-                else:
-                    if run_len >= 2:
-                        batches += 1
-                        batched += run_len
-                    prev_key = key
-                    run_len = 1
 
                 if op == 1 or op == 2:  # _OP_DO_SEND / _OP_AT_NIC
                     # Client core event: one fused
@@ -746,8 +687,6 @@ class KernelSimulator(Simulator):
                     else:
                         mc = minfo_get(args[0])
                         if mc is None:
-                            run_len = 0
-                            prev_key = None
                             scalar += 1
                             self._now = now
                             flushrec()
@@ -856,20 +795,8 @@ class KernelSimulator(Simulator):
                                         data.push_measured,
                                         (args[0], args[1], finish)))
                 elif op == 3:  # _OP_SENT
-                    # Link transit client->server.  Runs long enough
-                    # to amortize array setup are lifted whole into
-                    # (times, seq, payload) arrays.
+                    # Link transit client->server.
                     gcs = data
-                    if run_len == 1 and len(heap) >= VECTOR_MIN - 1:
-                        if (heap[0][2] is key
-                                and self._sent_batch(
-                                    gcs, key, heap, entry, now, nseq,
-                                    head)):
-                            processed = self._sent_batch_n
-                            fired += processed - 1
-                            run_len = processed
-                            now = self._now
-                            continue
                     request = args[1]
                     request.actual_send_us = args[2]
                     draw = gcs.draw_s
@@ -1312,8 +1239,6 @@ class KernelSimulator(Simulator):
                             if depth > pool.peak_queue_depth:
                                 pool.peak_queue_depth = depth
                     else:  # pragma: no cover - invariant guard
-                        run_len = 0
-                        prev_key = None
                         scalar += 1
                         self._now = now
                         flushrec()
@@ -1327,8 +1252,6 @@ class KernelSimulator(Simulator):
                     request = args[1]
                     mc = minfo_get(machine)
                     if mc is None:
-                        run_len = 0
-                        prev_key = None
                         scalar += 1
                         self._now = now
                         flushrec()
@@ -1429,108 +1352,13 @@ class KernelSimulator(Simulator):
             for idx, e in enumerate(heap):
                 if len(e) == 4 and type(e[2]) is Kt:
                     heap[idx] = (e[0], e[1], e[2].cb, e[3])
-            if run_len >= 2:
-                batches += 1
-                batched += run_len
             self._events_processed += fired
-            self.kernel_batches += batches
-            self.kernel_batched_events += batched
             self.kernel_scalar_fallbacks += scalar
         return fired
 
-    # ----------------------------------------------------- vectorized SENT
-    _sent_batch_n = 0
-
-    def _sent_batch(self, gc: _GC, key: Any, heap: list, first: tuple,
-                    now: float, nseq: Callable[[], int],
-                    limit: Optional[tuple]) -> bool:
-        """Array-lift a run of link-transit events.
-
-        Pops the maximal same-continuation prefix (up to
-        :data:`BATCH_MAX`, bounded by *limit* -- the launch-train
-        head, which must fire in between), serves its latency draws
-        straight off the network stream's active standard-normal
-        block, computes every next-event time with array math,
-        validates the batch with a running-minimum scan, and
-        re-inserts the committed entries via the heapify bulk path.
-        Uncommitted items are pushed back exactly as popped (their
-        draws were never consumed: the block cursor advances only by
-        the committed prefix).
-
-        Returns False when the run is too short or the stream has no
-        suitable block (nothing was consumed -- the caller then runs
-        the fused scalar handler on ``first``).
-        """
-        stream = gc.stream_s
-        if stream is None:
-            return False
-        if stream._kind != _NORMAL or stream._buf is None:
-            return False
-        if first[0] != now:
-            # Epsilon-behind entry: the reference adds delays onto the
-            # (larger) clock, not the entry time; take the scalar path.
-            return False
-        entries = [first]
-        while (len(entries) < BATCH_MAX and heap
-               and heap[0][2] is key
-               and (limit is None or heap[0] < limit)):
-            entries.append(heappop(heap))
-        n = len(entries)
-        cursor = stream._cursor
-        if n < VECTOR_MIN or stream._buflen - cursor < n:
-            # Put the extras back untouched; scalar handler takes over.
-            for extra in entries[1:]:
-                heappush(heap, extra)
-            return False
-
-        mu = gc.s_mu
-        sigma = gc.s_sigma
-        buf = stream._buf
-        times = [e[0] for e in entries]
-        # Next-event times for the whole batch with array math; the
-        # transcendental stays scalar libm so each committed value is
-        # bit-identical to the reference draw.
-        zs = np.asarray(buf[cursor:cursor + n])
-        exponents = (mu + sigma * zs).tolist()
-        bases = [_exp(v) for v in exponents]
-        sizes = np.asarray([e[3][1].size_kb for e in entries])
-        delays = np.asarray(bases) + np.where(
-            sizes > 0.0, sizes * _US_PER_KB, 0.0)
-        times_arr = np.asarray(times)
-        push_arr = times_arr + delays
-        if _commit_length_nb is not None:  # pragma: no cover - numba
-            commit = int(_commit_length_nb(times_arr, push_arr, n))
-        else:
-            commit = _commit_length_py(times, push_arr.tolist(), n)
-
-        stream._cursor = cursor + commit
-        stream.batched_served += commit
-        push_times = push_arr.tolist()
-        observer = gc.obs_s
-        push_submit = gc.push_submit
-        served_cb = gc.served
-        new_entries = []
-        for i in range(commit):
-            e_args = entries[i][3]
-            request = e_args[1]
-            request.actual_send_us = e_args[2]
-            if observer is not None:
-                observer.messages += 1
-                observer.kb += request.size_kb
-            new_entries.append((push_times[i], nseq(), push_submit,
-                                (request, served_cb, e_args[0])))
-        # Re-insert via the post_at_batch path: extend + one heapify.
-        heap.extend(new_entries)
-        for i in range(commit, n):
-            heap.append(entries[i])
-        heapify(heap)
-        self._now = times[commit - 1]
-        self._sent_batch_n = commit
-        return True
-
 
 # ----------------------------------------------------------------- registry
-DEFAULT_ENGINE = "reference"
+DEFAULT_ENGINE = "vectorized"
 
 ENGINES: Dict[str, Tuple[Callable[[], Simulator], str]] = {
     "reference": (
@@ -1539,8 +1367,8 @@ ENGINES: Dict[str, Tuple[Callable[[], Simulator], str]] = {
     ),
     "vectorized": (
         KernelSimulator,
-        "batch-dequeue kernel with fused handlers; bit-identical, "
-        "opt-in",
+        "fused-handler event kernel; bit-identical to the reference, "
+        "the default",
     ),
 }
 
@@ -1573,6 +1401,7 @@ def describe_engine(name: str) -> str:
 
 
 def make_simulator(name: Optional[str] = None) -> Simulator:
-    """Construct the simulator for *name* (default: the reference)."""
+    """Construct the simulator for *name* (default: the fused kernel;
+    ``"reference"`` is the pure-Python loop it is checked against)."""
     key = DEFAULT_ENGINE if name is None else validate_engine_name(name)
     return ENGINES[key][0]()

@@ -140,9 +140,9 @@ def _hdsearch_testbed(
         warmup_fraction: leading samples to discard.
         params: machine timing constants.
         obs: optional :class:`~repro.obs.Observability` context.
-        engine: event-loop engine name (``None`` keeps the
-            reference loop; ``"vectorized"`` selects the
-            bit-identical batch-dequeue kernel).
+        engine: event-loop engine name (``None`` selects the
+            default fused kernel; ``"reference"`` the pure-Python
+            loop it is bit-identical to).
         arrival: optional arrival-shape spec (or dict / shape name);
             ``None`` keeps the stock Poisson process.
     """

@@ -118,9 +118,9 @@ def _memcached_testbed(
         obs: optional :class:`~repro.obs.Observability` context,
             installed on the simulator before any component builds so
             every hook sees it.
-        engine: event-loop engine name (``None`` keeps the
-            reference loop; ``"vectorized"`` selects the
-            bit-identical batch-dequeue kernel).
+        engine: event-loop engine name (``None`` selects the
+            default fused kernel; ``"reference"`` the pure-Python
+            loop it is bit-identical to).
         arrival: optional arrival-shape spec (or dict / shape name);
             ``None`` keeps the stock Poisson process.
     """

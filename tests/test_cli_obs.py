@@ -43,6 +43,8 @@ class TestTraceCommand:
         output = capsys.readouterr().out
         assert "trace events" in output
         assert "stage" in output and "request" in output
+        # The default kernel adopts nothing in a traced run.
+        assert "engine.kernel.scalar_fallbacks" in output
         payload = json.loads(out_path.read_text())
         assert validate_chrome_trace(payload) > 0
         names = {event["name"] for event in payload["traceEvents"]}
@@ -73,6 +75,7 @@ class TestPlanObservabilityPreview:
         assert "observability: sink=columnar" in out
         assert "tracing=off" in out
         assert "hot path runs unobserved" in out
+        assert "engine: vectorized (fused-handler" in out
 
     def test_sink_and_trace_flags(self, capsys):
         assert cli_main(["plan", "--workload", "memcached",

@@ -20,22 +20,25 @@ def drop_one_request(testbed, victim_id=3):
     testbed.generator._measured = lossy
 
 
+# The fault is injected on the generator instance, so the fused kernel
+# must honour the override exactly as the reference loop does.
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
 class TestTestbedFailures:
-    def test_incomplete_run_detected(self):
+    def test_incomplete_run_detected(self, engine):
         """If a request goes missing (lost packet, wiring bug), run()
         must raise rather than return statistics over a partial
         sample."""
         testbed = build_memcached_testbed(
             seed=1, client_config=HP_CLIENT, qps=50_000,
-            num_requests=50)
+            num_requests=50, engine=engine)
         drop_one_request(testbed)
         with pytest.raises(ExperimentError):
             testbed.run()
 
-    def test_single_use_enforced_even_after_failure(self):
+    def test_single_use_enforced_even_after_failure(self, engine):
         testbed = build_memcached_testbed(
             seed=1, client_config=HP_CLIENT, qps=50_000,
-            num_requests=50)
+            num_requests=50, engine=engine)
         drop_one_request(testbed)
         with pytest.raises(ExperimentError):
             testbed.run()

@@ -1,10 +1,10 @@
-"""Tests for the vectorized batch-dequeue kernel (repro.sim.kernel).
+"""Tests for the vectorized fused-dispatch kernel (repro.sim.kernel).
 
 The acceptance bar throughout is **bit-identity with the reference
 engine**: same firing order, same RNG draw order, same float
 arithmetic, for any workload and any mix of fast-path and cancellable
-events -- including events cancelled while the kernel is mid-batch.
-The kernel is an opt-in replacement (``engine="vectorized"``), so a
+events -- including events cancelled while the kernel is mid-run.
+The kernel is the default engine (``engine="vectorized"``), so a
 correctness bug here silently corrupts stored campaign results; these
 tests pin the equivalence from the event-loop primitives all the way
 to cross-process full-payload hashes under a hostile
@@ -17,6 +17,8 @@ import json
 import os
 import subprocess
 import sys
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -55,10 +57,10 @@ ENGINES = ("reference", "vectorized")
 class TestEngineRegistry:
     def test_both_engines_registered(self):
         assert set(ENGINES) == set(engine_names())
-        assert DEFAULT_ENGINE == "reference"
+        assert DEFAULT_ENGINE == "vectorized"
 
     def test_make_simulator_types(self):
-        assert type(make_simulator()) is Simulator
+        assert type(make_simulator()) is KernelSimulator
         assert type(make_simulator("reference")) is Simulator
         assert type(make_simulator("vectorized")) is KernelSimulator
 
@@ -75,9 +77,9 @@ class TestEngineRegistry:
         assert RunPolicy.from_dict(policy.to_dict()).engine == DEFAULT_ENGINE
 
     def test_run_policy_round_trips_non_default_engine(self):
-        policy = RunPolicy(runs=1, base_seed=7, engine="vectorized")
+        policy = RunPolicy(runs=1, base_seed=7, engine="reference")
         data = policy.to_dict()
-        assert data["engine"] == "vectorized"
+        assert data["engine"] == "reference"
         assert RunPolicy.from_dict(data) == policy
 
     def test_run_policy_rejects_unknown_engine(self):
@@ -86,7 +88,10 @@ class TestEngineRegistry:
 
     def test_condition_spec_engine_hash_stability(self):
         """An explicit default engine must not perturb content hashes:
-        stored pre-engine campaign results stay addressable."""
+        stored pre-engine campaign results stay addressable.  Both
+        engines produce the same numbers, so the reference engine's
+        distinct key never serves a result the model did not
+        produce."""
         def condition(**overrides):
             fields = dict(
                 workload="memcached", client_label="LP",
@@ -97,21 +102,21 @@ class TestEngineRegistry:
             return ConditionSpec(**fields)
 
         base = condition()
-        explicit = condition(engine="reference")
+        explicit = condition(engine="vectorized")
         assert explicit.engine is None
         assert content_hash(explicit.to_dict()) == content_hash(base.to_dict())
-        vectorized = condition(engine="vectorized")
-        assert vectorized.to_dict()["engine"] == "vectorized"
-        assert (content_hash(vectorized.to_dict())
+        reference = condition(engine="reference")
+        assert reference.to_dict()["engine"] == "reference"
+        assert (content_hash(reference.to_dict())
                 != content_hash(base.to_dict()))
 
     def test_builder_threads_engine_into_plan(self):
         plan = (experiment("memcached")
                 .client("LP")
                 .load(qps=50_000.0, num_requests=40)
-                .policy(runs=1, base_seed=7, engine="vectorized")
+                .policy(runs=1, base_seed=7, engine="reference")
                 .build())
-        assert plan.policy.engine == "vectorized"
+        assert plan.policy.engine == "reference"
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +202,7 @@ class TestCancellationMidRun:
 
     def test_cancellation_mid_batch_in_workload(self):
         """Cancellable events injected into a real workload run: the
-        kernel must fall back to scalar for them mid-batch and still
+        kernel must fall back to scalar for them mid-run and still
         reproduce the reference metrics bit-identically."""
         results = {}
         for engine in ENGINES:
@@ -207,7 +212,7 @@ class TestCancellationMidRun:
                 qps=50_000, num_requests=400, engine=engine)
             fired = []
             # Interleave foreign cancellable events with the workload's
-            # batched traffic; one cancels the other mid-run.
+            # fused traffic; one cancels the other mid-run.
             victim = testbed.sim.schedule_at(
                 4_000.0, fired.append, "victim")
             testbed.sim.schedule_at(2_000.0, lambda v=victim: v.cancel())
@@ -217,10 +222,11 @@ class TestCancellationMidRun:
             assert victim.cancelled and not victim.fired
             results[engine] = metrics
             if engine == "vectorized":
-                counters = testbed.sim.kernel_counters()
-                # The kernel really engaged around the foreign events.
-                assert counters["batches"] > 0
-                assert counters["scalar_fallbacks"] >= 2
+                # The kernel really engaged around the foreign events:
+                # the two that fired fell back, the traffic was fused.
+                sim = testbed.sim
+                assert sim.kernel_scalar_fallbacks == 2
+                assert sim.events_processed > 2
         assert results["reference"] == results["vectorized"]
 
 
@@ -264,6 +270,51 @@ class TestTestbedDrain:
         sim.run()
         assert fired == ["post-run"]
         assert sim.now == end + 10.0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_finished_testbed_freed_by_reference_counting(self, engine):
+        """A drained run leaves no reference cycle behind: with the
+        cyclic collector off, the simulator dies with its testbed."""
+        gc.disable()
+        try:
+            testbed = builder_by_name("memcached")(
+                seed=11, client_config=LP_CLIENT,
+                server_config=SERVER_BASELINE,
+                qps=50_000, num_requests=200, engine=engine)
+            testbed.run()
+            sim = weakref.ref(testbed.sim)
+            del testbed
+            assert sim() is None
+        finally:
+            gc.enable()
+
+
+def test_traced_run_skips_the_fused_loop(monkeypatch):
+    """Tracing adopts nothing, so the kernel runs the reference loop
+    outright, counts every event as a fallback, and otherwise matches
+    the reference engine exactly."""
+    def traced(engine):
+        return (experiment("memcached")
+                .client("LP")
+                .load(qps=100_000.0, num_requests=300)
+                .policy(runs=1, base_seed=3, trace=True, engine=engine)
+                .build()
+                .testbed())
+
+    reference = traced("reference").run()
+
+    def refuse(self, dispatch):
+        raise AssertionError("a traced run entered the fused loop")
+
+    monkeypatch.setattr(KernelSimulator, "_run_kernel", refuse)
+    testbed = traced("vectorized")
+    metrics = testbed.run()
+    fallbacks = {"engine.kernel.scalar_fallbacks":
+                 float(testbed.sim.events_processed)}
+    assert dict(metrics.obs_metrics) == {**dict(reference.obs_metrics),
+                                         **fallbacks}
+    assert (replace(metrics, obs_metrics=())
+            == replace(reference, obs_metrics=()))
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +404,8 @@ def _make_plans():
 
 def _reference_hash(plan):
     """The same plan executed on the reference engine, in-process."""
-    spec = json.loads(plan.to_json())
-    spec["policy"].pop("engine", None)
-    from repro.api import ExperimentPlan
-    reference = ExperimentPlan.from_json(json.dumps(spec))
-    assert reference.policy.engine == DEFAULT_ENGINE
+    reference = plan.with_policy(engine="reference")
+    assert json.loads(reference.to_json())["policy"]["engine"] == "reference"
     return content_hash(experiment_result_to_dict(reference.run()))
 
 
