@@ -58,7 +58,10 @@ class CacheTier:
         self.name = name
         self.hits = 0
         self.misses = 0
+        # Observability (null-object contract): the tracer is cached
+        # once, so untraced completions pay a single None test.
         obs = getattr(sim, "obs", None)
+        self._trace = obs.tracer if obs is not None else None
         if obs is not None:
             obs.on_cache(self)
 
@@ -106,10 +109,9 @@ class CacheTier:
                     started_us: float) -> None:
         sim = self._sim
         request.server_departure_us = sim.now
-        obs = getattr(sim, "obs", None)
-        if obs is not None and obs.tracer is not None:
-            obs.tracer.span("cache.hit", started_us, sim.now,
-                            request.request_id, self.name)
+        if self._trace is not None:
+            self._trace.span("cache.hit", started_us, sim.now,
+                             request.request_id, self.name)
         done_fn(request)
 
     def _filled(self, request: Request, done_fn: Callable,
@@ -122,10 +124,9 @@ class CacheTier:
                      started_us: float) -> None:
         sim = self._sim
         request.server_departure_us = sim.now
-        obs = getattr(sim, "obs", None)
-        if obs is not None and obs.tracer is not None:
-            obs.tracer.span("cache.miss", started_us, sim.now,
-                            request.request_id, self.name)
+        if self._trace is not None:
+            self._trace.span("cache.miss", started_us, sim.now,
+                             request.request_id, self.name)
         done_fn(request)
 
     # ------------------------------------------------------- metrics

@@ -61,7 +61,10 @@ class ResilientDispatcher:
         self.timeouts = 0
         self.attempts_issued = 0
         self.attempts_completed = 0
+        # Observability (null-object contract): the tracer is cached
+        # once, so untraced timeouts and hedges pay a single None test.
         obs = getattr(sim, "obs", None)
+        self._trace = obs.tracer if obs is not None else None
         if obs is not None:
             obs.on_resilience(self)
 
@@ -107,12 +110,11 @@ class ResilientDispatcher:
         state.retries_used += 1
         self.retries += 1
         state.timeout_event = None
-        obs = getattr(sim, "obs", None)
-        if obs is not None and obs.tracer is not None:
-            obs.tracer.span("retry",
-                            sim.now - self.policy.timeout_us,
-                            sim.now, state.root.request_id,
-                            self.name)
+        if self._trace is not None:
+            self._trace.span("retry",
+                             sim.now - self.policy.timeout_us,
+                             sim.now, state.root.request_id,
+                             self.name)
         if self.policy.backoff_us:
             sim.post(self.policy.backoff_us, self._retry, state)
         else:
@@ -131,12 +133,11 @@ class ResilientDispatcher:
         sim = self._sim
         state.hedges_used += 1
         self.hedges += 1
-        obs = getattr(sim, "obs", None)
-        if obs is not None and obs.tracer is not None:
-            obs.tracer.span("hedge",
-                            sim.now - self.policy.hedge_after_us,
-                            sim.now, state.root.request_id,
-                            self.name)
+        if self._trace is not None:
+            self._trace.span("hedge",
+                             sim.now - self.policy.hedge_after_us,
+                             sim.now, state.root.request_id,
+                             self.name)
         # Hedged duplicates never arm timeouts: retries govern the
         # primary attempt chain, hedges race it.
         self._launch_attempt(state, arm_timeout=False)

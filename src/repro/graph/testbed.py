@@ -50,7 +50,10 @@ class GraphStage:
     Honors the ``submit(request, done_fn, *ctx)`` contract: the local
     service runs first (stamping arrival and accumulating service
     time), then the request forwards downstream; the downstream's
-    completion is the stage's completion.
+    completion is the stage's completion.  The caller's callback and
+    context ride through the local service as data, so no per-request
+    closure is built (and the accelerated kernel can fuse an entry
+    stage's station, see :mod:`repro.sim.kernel`).
     """
 
     def __init__(self, local, downstream=None,
@@ -63,15 +66,10 @@ class GraphStage:
         if self.downstream is None:
             self.local.submit(request, done_fn, *ctx)
             return
-        if ctx:
-            inner = done_fn
-            def done(req, _inner=inner, _ctx=ctx):
-                _inner(req, *_ctx)
-            done_fn = done
-        self.local.submit(request, self._forward, done_fn)
+        self.local.submit(request, self._forward, done_fn, *ctx)
 
-    def _forward(self, request, done_fn: Callable) -> None:
-        self.downstream.submit(request, done_fn)
+    def _forward(self, request, done_fn: Callable, *ctx: Any) -> None:
+        self.downstream.submit(request, done_fn, *ctx)
 
     # ------------------------------------------------------- metrics
     def node_utilizations(self) -> List[float]:
@@ -229,9 +227,10 @@ def build_graph_testbed(
         warmup_fraction: leading samples to discard.
         params: machine timing constants.
         obs: optional :class:`~repro.obs.Observability` context.
-        engine: event-loop engine name; the vectorized kernel takes
-            its scalar-fallback path at graph fronts, staying
-            bit-identical to the reference loop.
+        engine: event-loop engine name.  The vectorized kernel fuses
+            the entry stage's station; balancer fronts and the cache,
+            resilience and fanout tiers take its scalar-fallback path.
+            Either way the run is bit-identical to the reference loop.
         arrival: optional arrival-shape spec (or dict / shape name)
             selecting a time-varying process.
         **workload_params: workload-specific parameters.

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import difflib
 import math
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 try:  # pragma: no cover - import guard exercised implicitly
     from typing import Protocol
@@ -102,101 +102,109 @@ class P2Quantile:
         self._desired = [0.0, 2 * p, 4 * p, 2 + 2 * p, 4.0]
         self._rate = [0.0, p / 2, p, (1 + p) / 2, 1.0]
 
-    def observe_many(self, values: List[float]) -> None:
-        """Observe *values* in order; identical markers to calling
-        :meth:`observe` per value, with the estimator state hoisted
-        into locals once per batch instead of once per observation."""
-        count = self.count
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe *values* in order: the estimator's one update body.
+
+        Marker heights, positions and desired positions stay in locals
+        for the whole batch and are written back once.  The cell search
+        and the marker 1, 2, 3 adjustments (in that order, each seeing
+        the previous one's update) are unrolled with the textbook
+        per-value float expressions, so any chunking of a stream leaves
+        identical markers (pinned against a per-value reference in
+        ``tests/test_obs_sinks.py``).
+        """
         q = self._q
-        n = self._n
-        desired = self._desired
-        rate = self._rate
+        count = self.count
+        if count < 5:
+            # The first five observations seed the markers.
+            head = 5 - count
+            q.extend(values[:head])
+            self.count = len(q)
+            if self.count < 5:
+                return
+            q.sort()
+            values = values[head:]
+            count = 5
+        q0, q1, q2, q3, q4 = q
+        n0, n1, n2, n3, n4 = self._n
+        d0, d1, d2, d3, d4 = self._desired
+        _, r1, r2, r3, r4 = self._rate
         for x in values:
-            count += 1
-            if count <= 5:
-                q.append(x)
-                if count == 5:
-                    q.sort()
-                continue
-            if x < q[0]:
-                q[0] = x
-                k = 0
-            elif x >= q[4]:
-                q[4] = x
-                k = 3
-            else:
-                k = 0
-                while x >= q[k + 1]:
-                    k += 1
-            for i in range(k + 1, 5):
-                n[i] += 1
-            desired[0] += rate[0]
-            desired[1] += rate[1]
-            desired[2] += rate[2]
-            desired[3] += rate[3]
-            desired[4] += rate[4]
-            for i in (1, 2, 3):
-                d = desired[i] - n[i]
-                if ((d >= 1.0 and n[i + 1] - n[i] > 1)
-                        or (d <= -1.0 and n[i - 1] - n[i] < -1)):
-                    step = 1 if d >= 1.0 else -1
-                    candidate = self._parabolic(i, step)
-                    if q[i - 1] < candidate < q[i + 1]:
-                        q[i] = candidate
-                    else:
-                        q[i] = self._linear(i, step)
-                    n[i] += step
-        self.count = count
+            # Locate the cell -- the search ``while x >= q[k + 1]``,
+            # unrolled test for test -- and clamp the extremes.
+            if x < q0:
+                q0 = x
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif x >= q4:
+                q4 = x
+            elif not x >= q1:
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif not x >= q2:
+                n2 += 1
+                n3 += 1
+            elif not x >= q3:
+                n3 += 1
+            n4 += 1
+            # The first marker's rate is 0: d0 never moves.
+            d1 += r1
+            d2 += r2
+            d3 += r3
+            d4 += r4
+            # Markers 1, 2, 3 in order; each sees the previous update.
+            d = d1 - n1
+            if ((d >= 1.0 and n2 - n1 > 1)
+                    or (d <= -1.0 and n0 - n1 < -1)):
+                step = 1 if d >= 1.0 else -1
+                c = q1 + step / (n2 - n0) * (
+                    (n1 - n0 + step) * (q2 - q1) / (n2 - n1)
+                    + (n2 - n1 - step) * (q1 - q0) / (n1 - n0))
+                if q0 < c < q2:
+                    q1 = c
+                elif step > 0:
+                    q1 = q1 + step * (q2 - q1) / (n2 - n1)
+                else:
+                    q1 = q1 + step * (q0 - q1) / (n0 - n1)
+                n1 += step
+            d = d2 - n2
+            if ((d >= 1.0 and n3 - n2 > 1)
+                    or (d <= -1.0 and n1 - n2 < -1)):
+                step = 1 if d >= 1.0 else -1
+                c = q2 + step / (n3 - n1) * (
+                    (n2 - n1 + step) * (q3 - q2) / (n3 - n2)
+                    + (n3 - n2 - step) * (q2 - q1) / (n2 - n1))
+                if q1 < c < q3:
+                    q2 = c
+                elif step > 0:
+                    q2 = q2 + step * (q3 - q2) / (n3 - n2)
+                else:
+                    q2 = q2 + step * (q1 - q2) / (n1 - n2)
+                n2 += step
+            d = d3 - n3
+            if ((d >= 1.0 and n4 - n3 > 1)
+                    or (d <= -1.0 and n2 - n3 < -1)):
+                step = 1 if d >= 1.0 else -1
+                c = q3 + step / (n4 - n2) * (
+                    (n3 - n2 + step) * (q4 - q3) / (n4 - n3)
+                    + (n4 - n3 - step) * (q3 - q2) / (n3 - n2))
+                if q2 < c < q4:
+                    q3 = c
+                elif step > 0:
+                    q3 = q3 + step * (q4 - q3) / (n4 - n3)
+                else:
+                    q3 = q3 + step * (q2 - q3) / (n2 - n3)
+                n3 += step
+        q[:] = (q0, q1, q2, q3, q4)
+        self._n = [n0, n1, n2, n3, n4]
+        self._desired = [d0, d1, d2, d3, d4]
+        self.count = count + len(values)
 
     def observe(self, x: float) -> None:
-        self.count += 1
-        q = self._q
-        if self.count <= 5:
-            q.append(x)
-            if self.count == 5:
-                q.sort()
-            return
-        n = self._n
-        # Locate the cell; clamp extremes to the new observation.
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._rate[i]
-        # Adjust the three interior markers toward desired positions.
-        for i in (1, 2, 3):
-            d = desired[i] - n[i]
-            if ((d >= 1.0 and n[i + 1] - n[i] > 1)
-                    or (d <= -1.0 and n[i - 1] - n[i] < -1)):
-                step = 1 if d >= 1.0 else -1
-                candidate = self._parabolic(i, step)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
-                else:
-                    q[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, step: int) -> float:
-        q, n = self._q, self._n
-        return q[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (q[i + 1] - q[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (q[i] - q[i - 1])
-            / (n[i] - n[i - 1]))
-
-    def _linear(self, i: int, step: int) -> float:
-        q, n = self._q, self._n
-        return q[i] + step * (q[i + step] - q[i]) / (n[i + step] - n[i])
+        """Observe one value."""
+        self.observe_many((x,))
 
     def value(self) -> float:
         """The current quantile estimate.
@@ -335,11 +343,6 @@ class _Channel:
         self.moments = _RunningMoments()
         self.quantiles: Dict[float, P2Quantile] = {
             pct: P2Quantile(pct / 100.0) for pct in quantiles}
-
-    def observe(self, x: float) -> None:
-        self.moments.observe(x)
-        for estimator in self.quantiles.values():
-            estimator.observe(x)
 
     def observe_chunk(self, values: "np.ndarray") -> None:
         """Batch ingest: chunk-merged moments, ordered P2 updates."""

@@ -38,14 +38,21 @@ Three mechanisms stack:
   else (refill, reconcile, promotion), so block-formation decisions
   and the served value sequence are unchanged.
 
+A service graph's entry (``ServiceGraph.submit`` -> stock
+:class:`~repro.graph.testbed.GraphStage` -> adopted station) is fused
+too: the generator's submit continuation rewrites its args to the
+stage's ``(request, stage._forward, done_fn, *ctx)`` and runs the
+station's fused submit.
+
 Fallback: anything the kernel does not recognise -- a cancellable
 :class:`~repro.sim.engine.Event`, an obs-traced component, a hot-path
 method overridden by a subclass or assigned on the instance, a
-balancer/fanout/tiered service -- is executed through the ordinary
-scalar path (and counted in ``kernel_scalar_fallbacks``).  A run that
-adopts nothing (a traced run, say) skips the fused loop and runs the
-reference loop outright.  Correctness never depends on adoption;
-adoption only removes interpreter overhead.
+balancer/fanout front or a graph's cache, resilience and fanout tiers
+-- is executed through the ordinary scalar path (and counted in
+``kernel_scalar_fallbacks``).  A run that adopts nothing (a traced
+run, say) skips the fused loop and runs the reference loop outright.
+Correctness never depends on adoption; adoption only removes
+interpreter overhead.
 """
 
 from __future__ import annotations
@@ -114,6 +121,9 @@ _OP_SENT = 3
 _OP_SUBMIT = 4
 _OP_FINISH = 5
 _OP_MEASURED = 6
+#: A graph's entry stage: rewrites ``(request, done_fn, *ctx)`` to
+#: ``(request, stage._forward, done_fn, *ctx)``, then runs SUBMIT.
+_OP_STAGE = 7
 
 
 class _K:
@@ -400,6 +410,7 @@ class KernelSimulator(Simulator):
         method, no bounded queue).  Anything that fails a check simply
         keeps its scalar path.
         """
+        from repro.graph.testbed import GraphStage, ServiceGraph
         from repro.hardware.core import SimCore
         from repro.hardware.cstates import CStateGovernor
         from repro.hardware.frequency import FrequencyModel
@@ -512,6 +523,20 @@ class KernelSimulator(Simulator):
             sub = dispatch.get(gc.submit_cb)
             if sub is not None and sub[0] == _OP_SUBMIT:
                 gc.push_submit = _K(_OP_SUBMIT, sub[1], gc.submit_cb)
+            elif (type(gen.service) is ServiceGraph
+                    and _stock(gen.service, "submit", ServiceGraph)):
+                # ServiceGraph.submit -> GraphStage.submit -> the entry
+                # station: fuse the chain into the station's SUBMIT.
+                stage = gen.service._entry
+                if (type(stage) is GraphStage
+                        and _stock(stage, "submit", GraphStage)
+                        and _stock(stage, "_forward", GraphStage)
+                        and stage.downstream is not None):
+                    sub = dispatch.get(stage.local.submit)
+                    if sub is not None and sub[0] == _OP_SUBMIT:
+                        gc.push_submit = _K(_OP_STAGE,
+                                            (sub[1], stage._forward),
+                                            gc.submit_cb)
 
         self._dispatch = dispatch
         return dispatch
@@ -617,9 +642,16 @@ class KernelSimulator(Simulator):
                     head = train[ti] if ti < tn else None
                     op = 0  # _OP_LAUNCH
                     data = train_d[ti - 1]
+                    args = entry[3]
                 elif type(h) is Kt:
                     op = h.op
                     data = h.data
+                    args = entry[3]
+                    if op == 7:  # _OP_STAGE: GraphStage.submit's
+                        # forwarding as data, then the station's SUBMIT.
+                        data, fwd = data
+                        args = (args[0], fwd) + args[1:]
+                        op = 4
                 elif len(entry) == 3:
                     event = h
                     if event.cancelled:
@@ -661,9 +693,9 @@ class KernelSimulator(Simulator):
                         continue
                     op = handler[0]
                     data = handler[1]
+                    args = entry[3]
 
                 time = entry[0]
-                args = entry[3]
                 if time > now:
                     now = time
                 elif time < now - 1e-9:
@@ -1239,11 +1271,11 @@ class KernelSimulator(Simulator):
                             if depth > pool.peak_queue_depth:
                                 pool.peak_queue_depth = depth
                     else:  # pragma: no cover - invariant guard
+                        # Not h.cb: an _OP_STAGE entry has rewritten args.
                         scalar += 1
                         self._now = now
                         flushrec()
-                        cbx = h.cb if type(h) is Kt else h
-                        cbx(*args)
+                        sc.station.submit(*args)
                         now = self._now
                         heap = self._heap
                 elif op == 0:  # _OP_LAUNCH

@@ -16,7 +16,7 @@ from repro.obs import (
     sink_names,
     validate_sink_name,
 )
-from repro.obs.sinks import _RunningMoments
+from repro.obs.sinks import DEFAULT_QUANTILES, _RunningMoments
 
 
 class TestRegistry:
@@ -96,6 +96,112 @@ class TestP2QuantileProperties:
             P2Quantile(1.0)
         with pytest.raises(ValueError):
             P2Quantile(0.0)
+
+
+def _reference_observe(estimator, x):
+    """The per-value P2 update, one marker list access at a time: the
+    oracle :meth:`P2Quantile.observe_many` must reproduce exactly."""
+    estimator.count += 1
+    q = estimator._q
+    if estimator.count <= 5:
+        q.append(x)
+        if estimator.count == 5:
+            q.sort()
+        return
+    n = estimator._n
+    if x < q[0]:
+        q[0] = x
+        k = 0
+    elif x >= q[4]:
+        q[4] = x
+        k = 3
+    else:
+        k = 0
+        while x >= q[k + 1]:
+            k += 1
+    for i in range(k + 1, 5):
+        n[i] += 1
+    desired = estimator._desired
+    for i in range(5):
+        desired[i] += estimator._rate[i]
+    for i in (1, 2, 3):
+        d = desired[i] - n[i]
+        if ((d >= 1.0 and n[i + 1] - n[i] > 1)
+                or (d <= -1.0 and n[i - 1] - n[i] < -1)):
+            step = 1 if d >= 1.0 else -1
+            candidate = q[i] + step / (n[i + 1] - n[i - 1]) * (
+                (n[i] - n[i - 1] + step) * (q[i + 1] - q[i])
+                / (n[i + 1] - n[i])
+                + (n[i + 1] - n[i] - step) * (q[i] - q[i - 1])
+                / (n[i] - n[i - 1]))
+            if q[i - 1] < candidate < q[i + 1]:
+                q[i] = candidate
+            else:
+                q[i] = q[i] + step * (q[i + step] - q[i]) / (
+                    n[i + step] - n[i])
+            n[i] += step
+
+
+def _marker_bits(estimator):
+    """Estimator state, floats by bit pattern (NaN and -0.0 count)."""
+    return (estimator.count,
+            [float(v).hex() for v in estimator._q],
+            list(estimator._n),
+            [v.hex() for v in estimator._desired])
+
+
+#: Streams of constant runs: ties, long plateaus, any float, and
+#: lengths from empty up through the five-value marker seeding.
+_RUN_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1.0, max_value=1e4),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e3]))
+_STREAMS = st.lists(
+    st.tuples(_RUN_VALUES, st.integers(min_value=1, max_value=12)),
+    max_size=80).map(
+        lambda runs: [value for value, length in runs
+                      for _ in range(length)])
+
+
+class TestP2ChunkedIngestMatchesPerValue:
+    """``observe_many`` keeps the markers in locals and unrolls the
+    cell search and the three marker adjustments; any chunking must
+    leave bit-for-bit the state of the per-value reference update."""
+
+    @staticmethod
+    def _assert_matches_reference(values):
+        for pct in DEFAULT_QUANTILES:
+            expected = P2Quantile(pct / 100.0)
+            for value in values:
+                _reference_observe(expected, value)
+            for chunk in (1, 7, 256):
+                estimator = P2Quantile(pct / 100.0)
+                for start in range(0, len(values), chunk):
+                    estimator.observe_many(values[start:start + chunk])
+                assert _marker_bits(estimator) == _marker_bits(expected), (
+                    pct, chunk)
+
+    @given(_STREAMS)
+    @settings(max_examples=150, deadline=None)
+    def test_any_stream_any_chunking(self, values):
+        self._assert_matches_reference(values)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lognormal_stream(self, seed):
+        # Long enough that all three interior markers move on the same
+        # observation many times, so their update order is exercised.
+        rng = np.random.default_rng(seed)
+        self._assert_matches_reference(
+            rng.lognormal(mean=4.0, sigma=0.5, size=3_000).tolist())
+
+    def test_single_value_observe_is_the_same_body(self):
+        values = np.random.default_rng(2).exponential(size=500).tolist()
+        expected = P2Quantile(0.99)
+        estimator = P2Quantile(0.99)
+        for value in values:
+            _reference_observe(expected, value)
+            estimator.observe(value)
+        assert _marker_bits(estimator) == _marker_bits(expected)
 
 
 class TestStreamingSinkUnit:

@@ -33,6 +33,8 @@ from repro.campaign.serialize import (
 from repro.campaign.spec import ConditionSpec
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
 from repro.errors import ExperimentError, SpecValidationError
+from repro.graph.spec import GraphTierSpec, ServiceGraphSpec
+from repro.graph.testbed import GraphStage, ServiceGraph
 from repro.server.request import Request
 from repro.sim.engine import Simulator
 from repro.sim.kernel import (
@@ -315,6 +317,121 @@ def test_traced_run_skips_the_fused_loop(monkeypatch):
                                          **fallbacks}
     assert (replace(metrics, obs_metrics=())
             == replace(reference, obs_metrics=()))
+
+
+# ---------------------------------------------------------------------------
+# Service-graph entry: ServiceGraph.submit -> GraphStage -> station, fused
+# ---------------------------------------------------------------------------
+_GRAPH_REQUESTS = 600
+
+
+#: name -> (workload, qps, topology).
+_GRAPHS = {
+    "memcached-cached": ("memcached", 200_000.0, "memcached-cached"),
+    "hdsearch-graph": ("hdsearch", 1_000.0, "hdsearch-graph"),
+    "frontend-only": ("memcached", 200_000.0, ServiceGraphSpec(
+        tiers=(GraphTierSpec(name="frontend"),))),
+}
+
+
+def _graph_testbed(engine, graph="memcached-cached", **policy):
+    workload, qps, topology = _GRAPHS[graph]
+    return (experiment(workload)
+            .client("LP")
+            .graph(topology)
+            .load(qps=qps, num_requests=_GRAPH_REQUESTS)
+            .policy(runs=1, base_seed=0, engine=engine, **policy)
+            .build()
+            .testbed())
+
+
+def _fallbacks(metrics):
+    return dict(metrics.obs_metrics)["engine.kernel.scalar_fallbacks"]
+
+
+def _without_fallbacks(metrics):
+    pairs = tuple((name, value) for name, value in metrics.obs_metrics
+                  if name != "engine.kernel.scalar_fallbacks")
+    return replace(metrics, obs_metrics=pairs)
+
+
+class _CountingStage(GraphStage):
+    """A GraphStage subclass: its submit is no longer the stock one."""
+
+    def submit(self, request, done_fn, *ctx):
+        self.calls.append(request.request_id)
+        super().submit(request, done_fn, *ctx)
+
+
+# Each override defeats the entry fusion in one way and returns the
+# list it appends one request id to per call.
+def _override_graph_submit(testbed):
+    graph, calls = testbed.service, []
+
+    def submit(request, done_fn, *ctx):
+        calls.append(request.request_id)
+        ServiceGraph.submit(graph, request, done_fn, *ctx)
+
+    graph.submit = submit
+    return calls
+
+
+def _override_stage_forward(testbed):
+    stage, calls = testbed.service._entry, []
+
+    def forward(request, done_fn, *ctx):
+        calls.append(request.request_id)
+        GraphStage._forward(stage, request, done_fn, *ctx)
+
+    stage._forward = forward
+    return calls
+
+
+def _subclass_stage(testbed):
+    stage = testbed.service._entry
+    stage.__class__ = _CountingStage
+    stage.calls = []
+    return stage.calls
+
+
+class TestGraphEntryFusion:
+    @pytest.mark.parametrize("override", [
+        _override_graph_submit, _override_stage_forward, _subclass_stage])
+    def test_fused_entry_saves_one_fallback_per_request(self, override):
+        """The generator's submit into the graph runs as the entry
+        station's fused SUBMIT.  Defeating the fusion -- an assigned
+        graph.submit or stage._forward, a GraphStage subclass -- costs
+        exactly one scalar fallback per request, calls the override
+        once per request on both engines, and changes no number."""
+        stock = _graph_testbed("vectorized", metrics=True).run()
+        results = {}
+        for engine in ENGINES:
+            testbed = _graph_testbed(engine, metrics=True)
+            calls = override(testbed)
+            results[engine] = testbed.run()
+            assert sorted(calls) == list(range(_GRAPH_REQUESTS))
+        assert (_fallbacks(results["vectorized"])
+                == _fallbacks(stock) + _GRAPH_REQUESTS)
+        assert (_without_fallbacks(results["vectorized"])
+                == results["reference"])
+
+    @pytest.mark.parametrize("graph", ["memcached-cached", "hdsearch-graph"])
+    def test_streaming_graph_plans_bit_identical_across_engines(self, graph):
+        """The columnar graph goldens run on both engines; this is the
+        streaming sink, which the kernel records through undeferred."""
+        results = {
+            engine: _graph_testbed(engine, graph, sink="streaming").run()
+            for engine in ENGINES}
+        assert results["reference"].requests > 0
+        assert (_without_fallbacks(results["vectorized"])
+                == results["reference"])
+
+    def test_entry_without_downstream_is_not_rewritten(self):
+        """A single-tier graph's stage hands the caller's callback
+        straight to its station -- there is no hop to forward to."""
+        results = {engine: _graph_testbed(engine, "frontend-only").run()
+                   for engine in ENGINES}
+        assert results["vectorized"] == results["reference"]
 
 
 # ---------------------------------------------------------------------------
