@@ -115,13 +115,16 @@ def _apply_patch(skeleton: Dict[str, Any],
 
 
 def run_condition(spec: ConditionSpec) -> ExperimentResult:
-    """Run one condition's experiment to completion (any process).
+    """Run one condition's experiment to completion in this process.
 
     Conditions compile into :class:`~repro.api.ExperimentPlan`s; the
     plan layer resolves the workload registry and validates the
-    parameters before anything simulates.
+    parameters before anything simulates.  The repetitions run
+    serially here, as in a pool worker: a campaign places conditions,
+    never a condition's repetitions (``plan.run()`` would pool a
+    large plan).
     """
-    return spec.to_plan().run()
+    return run_sharded(spec.to_plan(), processes=1)
 
 
 def _execute_chunk(payloads: Sequence[Dict[str, Any]]

@@ -64,7 +64,12 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import SimulationError, SpecValidationError
 from repro.sim.engine import Simulator
-from repro.sim.sampling import _NORMAL, _UNIFORM, BatchedStream
+from repro.sim.sampling import (
+    _NORMAL,
+    _UNIFORM,
+    BatchedStream,
+    scalar_samplers,
+)
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -161,7 +166,7 @@ class _MC:
                  "core", "rng", "oscale", "polling", "slack", "freq",
                  "cpoll", "ctable", "tick", "unc_dyn", "unc_pen",
                  "twake", "nghz", "ramp", "gramps", "sfn_u", "sfn_n",
-                 "k_do_send")
+                 "draw_u", "draw_n", "k_do_send")
 
     def __init__(self, machine: Any) -> None:
         core = machine.core
@@ -194,6 +199,12 @@ class _MC:
                      else (None, None))
         self.sfn_u = sfns[0]
         self.sfn_n = sfns[1]
+        # Every other draw: numpy's C samplers on a raw generator (the
+        # client-{m}-{t} streams), the facade's own methods otherwise.
+        draws: Any = (scalar_samplers(rng) if rng is not None
+                      else (None, None))
+        self.draw_u = draws[0]
+        self.draw_n = draws[1]
         self.k_do_send = _K(_OP_DO_SEND, self, self.do_send)
 
 
@@ -360,9 +371,9 @@ class KernelSimulator(Simulator):
     def _flush_records(self) -> None:
         """Drain deferred completion records into their RunSamples.
 
-        Called before every foreign call and at kernel exit so that
-        code outside the fused loop always observes fully recorded
-        samples, in exact completion order.
+        Called before every foreign call of a run that defers records,
+        and at kernel exit, so that code outside the fused loop always
+        observes fully recorded samples, in exact completion order.
         """
         for gc in self._rec_gcs:
             buf = gc.rbuf
@@ -589,6 +600,9 @@ class KernelSimulator(Simulator):
         dispatch_get = dispatch.get
         served_get = self._served_map.get
         flushrec = self._flush_records
+        # Only deferred records need flushing before a foreign call;
+        # runs without them (streaming sink, hooks) skip every flush.
+        defer = bool(self._rec_gcs)
         Kt = _K
 
         heap = self._heap
@@ -668,7 +682,8 @@ class KernelSimulator(Simulator):
                     fired += 1
                     scalar += 1
                     self._now = now
-                    flushrec()
+                    if defer:
+                        flushrec()
                     event.callback(*event.args)
                     now = self._now
                     heap = self._heap
@@ -686,7 +701,8 @@ class KernelSimulator(Simulator):
                         fired += 1
                         scalar += 1
                         self._now = now
-                        flushrec()
+                        if defer:
+                            flushrec()
                         h(*entry[3])
                         now = self._now
                         heap = self._heap
@@ -721,7 +737,8 @@ class KernelSimulator(Simulator):
                         if mc is None:
                             scalar += 1
                             self._now = now
-                            flushrec()
+                            if defer:
+                                flushrec()
                             cbx = h.cb if type(h) is Kt else h
                             cbx(*args)
                             now = self._now
@@ -766,16 +783,16 @@ class KernelSimulator(Simulator):
                                         if r < rng._threshold:
                                             rng._run = r
                                             rng.scalar_served += 1
-                                            sn = float(sfn())
+                                            sn = sfn()
                                         else:
                                             sn = rng.standard_normal()
                                     else:
                                         rng._kind = 1
                                         rng._run = 1
                                         rng.scalar_served += 1
-                                        sn = float(sfn())
+                                        sn = sfn()
                                 else:
-                                    sn = rng.standard_normal()
+                                    sn = mc.draw_n()
                                 noise = 1.0 + _PRED_NOISE * sn
                                 if noise < 0.0:
                                     noise = 0.0
@@ -906,13 +923,15 @@ class KernelSimulator(Simulator):
                                             (rctx[0], job)))
                         else:
                             self._now = now
-                            flushrec()
+                            if defer:
+                                flushrec()
                             real_done(job, *rctx)
                             now = self._now
                             heap = self._heap
                     else:
                         self._now = now
-                        flushrec()
+                        if defer:
+                            flushrec()
                         done_fn(job, args[2], *args[4])
                         now = self._now
                         heap = self._heap
@@ -955,14 +974,14 @@ class KernelSimulator(Simulator):
                                         if r < st._threshold:
                                             st._run = r
                                             st.scalar_served += 1
-                                            z = float(sc.ssfn_n())
+                                            z = sc.ssfn_n()
                                         else:
                                             z = float(st.standard_normal())
                                 elif st._buf is None:
                                     st._kind = 1
                                     st._run = 1
                                     st.scalar_served += 1
-                                    z = float(sc.ssfn_n())
+                                    z = sc.ssfn_n()
                                 else:
                                     z = float(st.standard_normal())
                                 base = _exp(sc.smu + sc.ssigma * z)
@@ -970,7 +989,8 @@ class KernelSimulator(Simulator):
                                     base += job2.size_kb * sc.sukb
                             else:
                                 self._now = now
-                                flushrec()
+                                if defer:
+                                    flushrec()
                                 base = sc.sample(rng, job2)
                                 heap = self._heap
                             base = (base + sc.kstack) * sc.env
@@ -1007,14 +1027,14 @@ class KernelSimulator(Simulator):
                                             if r < st._threshold:
                                                 st._run = r
                                                 st.scalar_served += 1
-                                                uu = float(sc.ssfn_u())
+                                                uu = sc.ssfn_u()
                                             else:
                                                 uu = st.random()
                                     elif st._buf is None:
                                         st._kind = 0
                                         st._run = 1
                                         st.scalar_served += 1
-                                        uu = float(sc.ssfn_u())
+                                        uu = sc.ssfn_u()
                                     else:
                                         uu = st.random()
                                     if uu < probability:
@@ -1046,14 +1066,14 @@ class KernelSimulator(Simulator):
                                             if r < st._threshold:
                                                 st._run = r
                                                 st.scalar_served += 1
-                                                sn = float(sc.ssfn_n())
+                                                sn = sc.ssfn_n()
                                             else:
                                                 sn = st.standard_normal()
                                     elif st._buf is None:
                                         st._kind = 1
                                         st._run = 1
                                         st.scalar_served += 1
-                                        sn = float(sc.ssfn_n())
+                                        sn = sc.ssfn_n()
                                     else:
                                         sn = st.standard_normal()
                                     noise = 1.0 + _PRED_NOISE * sn
@@ -1084,7 +1104,8 @@ class KernelSimulator(Simulator):
                                              item[2], item[3])))
                             if items and idle:
                                 self._now = now
-                                flushrec()
+                                if defer:
+                                    flushrec()
                                 pool._dispatch()
                                 now = self._now
                                 heap = self._heap
@@ -1092,7 +1113,8 @@ class KernelSimulator(Simulator):
                             idle.append(server2)
                             items.appendleft((enq, item))
                             self._now = now
-                            flushrec()
+                            if defer:
+                                flushrec()
                             pool._dispatch()
                             now = self._now
                             heap = self._heap
@@ -1132,14 +1154,14 @@ class KernelSimulator(Simulator):
                                     if r < st._threshold:
                                         st._run = r
                                         st.scalar_served += 1
-                                        z = float(sc.ssfn_n())
+                                        z = sc.ssfn_n()
                                     else:
                                         z = float(st.standard_normal())
                             elif st._buf is None:
                                 st._kind = 1
                                 st._run = 1
                                 st.scalar_served += 1
-                                z = float(sc.ssfn_n())
+                                z = sc.ssfn_n()
                             else:
                                 z = float(st.standard_normal())
                             base = _exp(sc.smu + sc.ssigma * z)
@@ -1147,7 +1169,8 @@ class KernelSimulator(Simulator):
                                 base += request.size_kb * sc.sukb
                         else:
                             self._now = now
-                            flushrec()
+                            if defer:
+                                flushrec()
                             base = sc.sample(rng, request)
                             heap = self._heap
                         base = (base + sc.kstack) * sc.env
@@ -1184,14 +1207,14 @@ class KernelSimulator(Simulator):
                                         if r < st._threshold:
                                             st._run = r
                                             st.scalar_served += 1
-                                            uu = float(sc.ssfn_u())
+                                            uu = sc.ssfn_u()
                                         else:
                                             uu = st.random()
                                 elif st._buf is None:
                                     st._kind = 0
                                     st._run = 1
                                     st.scalar_served += 1
-                                    uu = float(sc.ssfn_u())
+                                    uu = sc.ssfn_u()
                                 else:
                                     uu = st.random()
                                 if uu < probability:
@@ -1223,14 +1246,14 @@ class KernelSimulator(Simulator):
                                         if r < st._threshold:
                                             st._run = r
                                             st.scalar_served += 1
-                                            sn = float(sc.ssfn_n())
+                                            sn = sc.ssfn_n()
                                         else:
                                             sn = st.standard_normal()
                                 elif st._buf is None:
                                     st._kind = 1
                                     st._run = 1
                                     st.scalar_served += 1
-                                    sn = float(sc.ssfn_n())
+                                    sn = sc.ssfn_n()
                                 else:
                                     sn = st.standard_normal()
                                 noise = 1.0 + _PRED_NOISE * sn
@@ -1274,7 +1297,8 @@ class KernelSimulator(Simulator):
                         # Not h.cb: an _OP_STAGE entry has rewritten args.
                         scalar += 1
                         self._now = now
-                        flushrec()
+                        if defer:
+                            flushrec()
                         sc.station.submit(*args)
                         now = self._now
                         heap = self._heap
@@ -1286,7 +1310,8 @@ class KernelSimulator(Simulator):
                     if mc is None:
                         scalar += 1
                         self._now = now
-                        flushrec()
+                        if defer:
+                            flushrec()
                         cbx = h.cb if type(h) is Kt else h
                         cbx(*args)
                         now = self._now
@@ -1308,16 +1333,16 @@ class KernelSimulator(Simulator):
                                         if r < rng._threshold:
                                             rng._run = r
                                             rng.scalar_served += 1
-                                            u = float(sfn())
+                                            u = sfn()
                                         else:
                                             u = rng.random()
                                     else:
                                         rng._kind = 0
                                         rng._run = 1
                                         rng.scalar_served += 1
-                                        u = float(sfn())
+                                        u = sfn()
                                 else:
-                                    u = rng.random()
+                                    u = mc.draw_u()
                                 overshoot = mc.slack * u
                             wake = target + overshoot * mc.oscale
                             # post_at arithmetic: now + (t - now).
@@ -1357,7 +1382,8 @@ class KernelSimulator(Simulator):
                     gen.completed += 1
                     if gcm.after is not None:
                         self._now = now
-                        flushrec()
+                        if defer:
+                            flushrec()
                         gcm.after(args[0], request)
                         now = self._now
                         heap = self._heap
@@ -1365,7 +1391,8 @@ class KernelSimulator(Simulator):
                         all_done = gen._on_all_done
                         if all_done:
                             self._now = now
-                            flushrec()
+                            if defer:
+                                flushrec()
                             all_done()
                             now = self._now
                             heap = self._heap

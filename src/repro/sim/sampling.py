@@ -34,7 +34,7 @@ if a foreign draw does interrupt an active block it *reconciles*: the
 bit generator state is rewound to the block start and re-advanced past
 exactly the values already served, leaving the stream where scalar
 code would have left it (then promotion backs off so a genuinely mixed
-stream settles into plain scalar serving, paying only a bound-method
+stream settles into plain scalar serving, paying only a scalar
 forward per draw).  The result is safe to wire everywhere: homogeneous
 streams (arrival trains, network latency, think times) reach full
 block speed, mixed streams (a station's service + SMT + C-state draws)
@@ -42,12 +42,28 @@ keep their exact scalar sequence.
 
 ``BatchedStream`` mirrors the ``Generator`` method names it serves, so
 call sites accept either a raw generator or a batched stream.
+
+**Scalar forward.**  A draw that cannot come from a block calls
+numpy's C sampler directly (:func:`scalar_samplers`):
+``random_standard_uniform``, ``random_standard_normal`` or
+``random_standard_exponential`` from numpy's C API for random
+(``numpy/random/distributions.h``), through ``ctypes`` on the
+generator's own bit generator.  Those are the per-element samplers
+behind ``Generator.random()``, ``.standard_normal()`` and
+``.standard_exponential()``, so every value and the bit-generator
+state afterwards are the method's, bit for bit; only the method
+dispatch around a few nanoseconds of C goes.  Where the samplers
+cannot be loaded, or disagree with the methods on a self-check, the
+generator's bound methods serve instead.  The C path
+skips ``Generator.lock``: one generator must never be drawn from on
+two threads at once, which no simulator component does.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from math import exp, expm1
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +78,93 @@ _NEVER_PROMOTE = 1 << 20
 #: Primitive kinds (indices into the per-kind dispatch tuples).
 _UNIFORM, _NORMAL, _EXPONENTIAL = 0, 1, 2
 _NO_KIND = -1
+
+#: numpy's per-element primitive samplers, in kind order.
+_C_SAMPLER_NAMES = ("random_standard_uniform", "random_standard_normal",
+                    "random_standard_exponential")
+
+Draw = Callable[[], float]
+
+
+def scalar_samplers(generator: np.random.Generator
+                    ) -> Tuple[Draw, Draw, Draw]:
+    """Zero-argument uniform, normal and exponential draws on *generator*.
+
+    Each call returns what ``generator.random()``,
+    ``.standard_normal()`` or ``.standard_exponential()`` would, from
+    the same bits, and leaves the same bit-generator state; the draws
+    call numpy's C samplers without the method dispatch (see the
+    module docstring).  They hold *generator* alive.  Anything but a
+    plain ``numpy.random.Generator``, or a platform where the C
+    samplers fail to load or to pass the self-check, gets the bound
+    methods themselves.  Not thread-safe: the C path skips
+    ``Generator.lock``.
+    """
+    api = _c_samplers()
+    if api is None or type(generator) is not np.random.Generator:
+        return (generator.random, generator.standard_normal,
+                generator.standard_exponential)
+    return _bind(api, generator)
+
+
+def _bind(api: Tuple[Any, Any, Any], generator: np.random.Generator
+          ) -> Tuple[Draw, Draw, Draw]:
+    fns, get_pointer, c_void_p = api
+    # The bit generator's bitgen_t; the pointer object carries the
+    # reference that keeps the memory it points at alive.
+    pointer = c_void_p(get_pointer(generator.bit_generator.capsule,
+                                   b"BitGenerator"))
+    pointer.generator = generator
+    uniform, normal, exponential = (partial(fn, pointer) for fn in fns)
+    return uniform, normal, exponential
+
+
+@lru_cache(maxsize=None)
+def _c_samplers() -> Optional[Tuple[Any, Any, Any]]:
+    """Load numpy's C samplers once, or ``None`` when unavailable.
+
+    Loaded on first use, not at import: ``import repro`` does not
+    import ``numpy.random``.  ``PyDLL`` keeps the GIL across the call,
+    which is cheaper than releasing it for a few nanoseconds of work.
+    """
+    try:
+        import ctypes
+
+        from numpy.random import _generator
+
+        lib = ctypes.PyDLL(_generator.__file__)
+        fns = tuple(getattr(lib, name) for name in _C_SAMPLER_NAMES)
+        get_pointer = ctypes.PYFUNCTYPE(
+            ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+                ("PyCapsule_GetPointer", ctypes.pythonapi))
+    except (ImportError, OSError, AttributeError, TypeError):
+        return None
+    for fn in fns:
+        fn.argtypes = [ctypes.c_void_p]
+        fn.restype = ctypes.c_double
+    api = (fns, get_pointer, ctypes.c_void_p)
+    return api if _agrees(api) else None
+
+
+def _agrees(api: Tuple[Any, Any, Any]) -> bool:
+    """Self-check: an interleaved uniform/normal/exponential sequence
+    through *api* equals the ``Generator`` methods', value for value,
+    and leaves the same bit-generator state."""
+    seed = 20240917
+    through_c = np.random.Generator(np.random.PCG64(seed))
+    methods = np.random.Generator(np.random.PCG64(seed))
+    reference = (methods.random, methods.standard_normal,
+                 methods.standard_exponential)
+    # Runs of one, two, three and five; every switch between kinds.
+    kinds = [i * i // 5 % 3 for i in range(96)]
+    try:
+        draws = _bind(api, through_c)
+        got = [draws[kind]() for kind in kinds]
+    except Exception:  # noqa: BLE001 -- any failure means "unusable"
+        return False
+    want = [reference[kind]() for kind in kinds]
+    return (got == want
+            and through_c.bit_generator.state == methods.bit_generator.state)
 
 
 class BatchedStream:
@@ -109,9 +212,9 @@ class BatchedStream:
         self._buflen = 0
         self._cursor = 0
         self._saved_state: Any = None
-        self._scalar_fns = (generator.random, generator.standard_normal,
-                            generator.standard_exponential)
-        self._block_fns = self._scalar_fns  # same callables, size arg
+        self._scalar_fns = scalar_samplers(generator)
+        self._block_fns = (generator.random, generator.standard_normal,
+                           generator.standard_exponential)
         #: Telemetry: draws served from blocks / scalar forwards /
         #: blocks drawn / reconcile (rewind) events.
         self.batched_served = 0
@@ -222,7 +325,7 @@ class BatchedStream:
         else:
             self._rekind(_UNIFORM)
         self.scalar_served += 1
-        return float(self._scalar_fns[_UNIFORM]())
+        return self._scalar_fns[_UNIFORM]()
 
     def standard_normal(self, size=None):
         """Ziggurat standard normal draw."""
@@ -244,7 +347,7 @@ class BatchedStream:
         else:
             self._rekind(_NORMAL)
         self.scalar_served += 1
-        return float(self._scalar_fns[_NORMAL]())
+        return self._scalar_fns[_NORMAL]()
 
     def standard_exponential(self, size=None):
         """Ziggurat standard exponential draw."""
@@ -266,7 +369,7 @@ class BatchedStream:
         else:
             self._rekind(_EXPONENTIAL)
         self.scalar_served += 1
-        return float(self._scalar_fns[_EXPONENTIAL]())
+        return self._scalar_fns[_EXPONENTIAL]()
 
     def _rekind(self, kind: int) -> None:
         """Account a primitive switch (reconciling any active block)."""
@@ -299,7 +402,7 @@ class BatchedStream:
         else:
             self._rekind(_EXPONENTIAL)
         self.scalar_served += 1
-        return scale * float(self._scalar_fns[_EXPONENTIAL]())
+        return scale * self._scalar_fns[_EXPONENTIAL]()
 
     def lognormal(self, mean: float = 0.0, sigma: float = 1.0, size=None):
         """Match ``Generator.lognormal``: ``exp(normal(mean, sigma))``."""
@@ -321,7 +424,7 @@ class BatchedStream:
         else:
             self._rekind(_NORMAL)
         self.scalar_served += 1
-        return exp(mean + sigma * float(self._scalar_fns[_NORMAL]()))
+        return exp(mean + sigma * self._scalar_fns[_NORMAL]())
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
         """Match ``Generator.normal``: ``loc + scale * std_normal``."""

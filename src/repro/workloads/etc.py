@@ -14,9 +14,11 @@ we model:
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
+
+from repro.sim.sampling import scalar_samplers
 
 #: GET fraction of the ETC operation mix.
 ETC_GET_FRACTION = 30.0 / 31.0
@@ -71,3 +73,27 @@ class EtcWorkload:
         value = self.sample_value_size_b()
         overhead = 48  # protocol framing
         return (key + value + overhead) / 1024.0
+
+    def sample_messages_kb(self, count: int) -> List[float]:
+        """The next *count* :meth:`sample_message_kb` values, in order.
+
+        One flat loop over the stream's scalar samplers: the same draws
+        and float expressions as *count* calls, bit for bit, without
+        the per-draw method dispatch (request synthesis makes three
+        draws per simulated request).
+        """
+        if self._rng is None:
+            return [self.sample_message_kb()] * count
+        uniform, normal, exponential = scalar_samplers(self._rng)
+        exp, expm1 = math.exp, math.expm1
+        sizes = []
+        for _ in range(count):
+            key = int(exp(3.4 + 0.35 * normal())) + _KEY_MIN_B
+            key = min(_KEY_MAX_B, max(_KEY_MIN_B, key))
+            if uniform() < 0.95:
+                value = int(exp(4.8 + 1.0 * normal()))
+            else:
+                value = int(1000 * (1.0 + expm1(exponential() / 1.5)))
+            value = min(_VALUE_MAX_B, max(1, value))
+            sizes.append((key + value + 48) / 1024.0)
+        return sizes

@@ -10,6 +10,7 @@ paper's most client-sensitive one.
 from __future__ import annotations
 
 import warnings
+from typing import List
 
 from repro.config.knobs import HardwareConfig
 from repro.config.presets import SERVER_BASELINE
@@ -33,6 +34,8 @@ MEMCACHED_WORKERS = 10
 #: utilization range with 10 workers.
 MEMCACHED_SERVICE_US = 6.0
 MEMCACHED_SERVICE_SIGMA = 0.35
+#: Request sizes the request factory draws per refill.
+SIZE_BATCH = 256
 
 
 class EtcServiceModel:
@@ -81,11 +84,19 @@ def _memcached_service(sim: Simulator, streams: RandomStreams,
 
 def _memcached_request_factory(streams: RandomStreams):
     """Request factory drawing ETC value sizes (client side, shared
-    across all server nodes of a run)."""
+    across all server nodes of a run).
+
+    Sizes are drawn :data:`SIZE_BATCH` at a time and handed out in
+    call order.  Nothing else reads the ``etc`` stream, so drawing
+    ahead changes no request's size.
+    """
     etc = EtcWorkload(streams.get("etc"))
+    pending: List[float] = []
 
     def request_factory(index: int) -> Request:
-        return Request(request_id=index, size_kb=etc.sample_message_kb())
+        if not pending:
+            pending.extend(reversed(etc.sample_messages_kb(SIZE_BATCH)))
+        return Request(index, pending.pop())
 
     return request_factory
 

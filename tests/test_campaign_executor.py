@@ -275,6 +275,27 @@ class TestPoolWorkersNeverNest:
         assert payload["ok"], payload.get("error")
         assert len(payload["result"]["runs"]) == 2
 
+    def test_inline_campaign_never_constructs_a_pool(self, monkeypatch):
+        """``max_workers <= 1`` runs in this process: a condition over
+        the runner's pool floor keeps its repetitions inline too."""
+        from repro.parallel import runner
+
+        pools = []
+        real_pool = runner.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", spy)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        spec = small_spec(clients={"LP": LP_CLIENT}, qps_list=(50_000,),
+                          runs=3, num_requests=2_000)
+        assert 3 * 2_000 >= runner.POOL_MIN_REQUESTS
+        outcome = execute_campaign(spec, max_workers=1)
+        assert len(outcome.executed) == 2
+        assert pools == []
+
 
 class TestProgress:
     def test_callback_sees_every_condition(self):

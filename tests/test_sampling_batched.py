@@ -7,10 +7,16 @@ produced -- across refill boundaries, across primitive switches
 (reconciliation), and for degenerate block sizes.
 """
 
+import gc
 import math
+import sys
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
 from repro.hardware.core import SimCore
@@ -20,8 +26,9 @@ from repro.server.service import (
     ExponentialService,
     LognormalService,
 )
+from repro.sim import sampling
 from repro.sim.random import RandomStreams
-from repro.sim.sampling import BatchedStream, as_stream
+from repro.sim.sampling import BatchedStream, as_stream, scalar_samplers
 
 SEED = 20240917
 #: Enough draws to cross an 8192 block boundary.
@@ -341,3 +348,100 @@ class TestNextIndex:
         assert stream.next_index(1) == 0
         assert stream.next_index(0) == 0
         assert stream.batched_served + stream.scalar_served == 0
+
+
+# --------------------------------------------------------------------------
+# The scalar forward: numpy's C samplers, bit for bit the methods.
+KIND_METHODS = ("random", "standard_normal", "standard_exponential")
+#: Runs of (kind, length): long same-kind runs, every switch, and the
+#: empty schedule.
+RUNS = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 150)),
+                max_size=8)
+
+
+@pytest.mark.parametrize("fallback", [False, True],
+                         ids=["c-samplers", "fallback"])
+@given(seed=st.integers(0, 2**64 - 1), runs=RUNS)
+@settings(max_examples=40, deadline=None)
+def test_scalar_samplers_match_generator_methods(fallback, seed, runs):
+    with pytest.MonkeyPatch.context() as mp:
+        if fallback:
+            mp.setattr(sampling, "_c_samplers", lambda: None)
+        through = np.random.default_rng(seed)
+        draws = scalar_samplers(through)
+    if fallback:
+        assert draws == (through.random, through.standard_normal,
+                         through.standard_exponential)
+    methods = np.random.default_rng(seed)
+    kinds = [kind for kind, length in runs for _ in range(length)]
+    got = [draws[kind]() for kind in kinds]
+    want = [getattr(methods, KIND_METHODS[kind])() for kind in kinds]
+    assert got == want
+    assert all(type(value) is float for value in got)
+    assert through.bit_generator.state == methods.bit_generator.state
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the C samplers must load on Linux; "
+                           "elsewhere the fallback may serve")
+def test_c_samplers_engage_for_a_stock_generator():
+    draws = scalar_samplers(fresh())
+    assert all(isinstance(draw, partial) for draw in draws)
+    assert all(isinstance(draw, partial)
+               for draw in BatchedStream(fresh())._scalar_fns)
+
+
+def test_non_generator_gets_its_own_methods():
+    facade = BatchedStream(fresh())
+    assert scalar_samplers(facade) == (
+        facade.random, facade.standard_normal,
+        facade.standard_exponential)
+
+
+@pytest.mark.parametrize("fallback", [False, True],
+                         ids=["c-samplers", "fallback"])
+def test_mixed_facade_stream_equals_raw_generator(fallback, monkeypatch):
+    """Promotion, reconcile and flush on a mixed-kind stream whose
+    scalar forward is the C path (or, forced, the methods)."""
+    if fallback:
+        monkeypatch.setattr(sampling, "_c_samplers", lambda: None)
+    generator = fresh()
+    batched = BatchedStream(generator, block_size=16, promote_after=4)
+    methods = (generator.random, generator.standard_normal,
+               generator.standard_exponential)
+    assert (batched._scalar_fns == methods) \
+        == (sampling._c_samplers() is None)
+    mirror = fresh()
+    schedule = (["standard_normal"] * 30 + ["random"]
+                + ["standard_exponential"] * 3 + ["random"] * 40
+                + ["standard_normal", "standard_exponential"] * 10
+                + ["random"] * 7)
+    served = [getattr(batched, m)() for m in schedule]
+    assert served == [getattr(mirror, m)() for m in schedule]
+    assert batched.blocks_drawn > 0
+    assert batched.reconciles > 0
+    assert batched.scalar_served > 0
+    batched.flush()
+    assert (batched.generator.bit_generator.state
+            == mirror.bit_generator.state)
+    assert batched.generator.random() == mirror.random()
+
+
+class _WeakablePCG64(np.random.PCG64):
+    """PCG64 that takes weak references (numpy's own types do not)."""
+
+
+def test_samplers_keep_their_generator_alive():
+    bit_generator = _WeakablePCG64(SEED)
+    draws = scalar_samplers(np.random.Generator(bit_generator))
+    alive = weakref.ref(bit_generator)
+    del bit_generator
+    gc.collect()
+    assert alive() is not None
+    mirror = fresh()
+    assert [draws[1]() for _ in range(5)] \
+        == [mirror.standard_normal() for _ in range(5)]
+    assert draws[0]() == mirror.random()
+    del draws
+    gc.collect()
+    assert alive() is None

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.sim.random import RandomStreams
 from repro.workloads.etc import ETC_GET_FRACTION, EtcWorkload
 from repro.workloads.hdsearch_lsh import (
     LshConfig,
@@ -41,6 +44,36 @@ class TestEtcWorkload:
         assert etc.sample_key_size_b() == 31
         assert etc.sample_value_size_b() == 125
         assert etc.sample_is_get()
+
+    def test_batch_without_rng_is_deterministic(self):
+        etc = EtcWorkload(None)
+        assert etc.sample_messages_kb(3) == [etc.sample_message_kb()] * 3
+
+    @pytest.mark.parametrize("count", [1, 255, 256, 257])
+    @given(seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_batch_equals_per_call_reference(self, count, seed):
+        batched = np.random.default_rng(seed)
+        scalar = np.random.default_rng(seed)
+        sizes = EtcWorkload(batched).sample_messages_kb(count)
+        reference = EtcWorkload(scalar)
+        assert sizes == [reference.sample_message_kb()
+                         for _ in range(count)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    def test_memcached_factory_matches_per_call_reference(self):
+        from repro.workloads.memcached import (
+            SIZE_BATCH,
+            _memcached_request_factory,
+        )
+
+        factory = _memcached_request_factory(RandomStreams(11))
+        count = 2 * SIZE_BATCH + 3
+        requests = [factory(index) for index in range(count)]
+        reference = EtcWorkload(RandomStreams(11).get("etc"))
+        assert [r.request_id for r in requests] == list(range(count))
+        assert [r.size_kb for r in requests] \
+            == [reference.sample_message_kb() for _ in range(count)]
 
 
 class TestLshIndex:
