@@ -31,9 +31,10 @@ Quickstart::
               .run())
     print(result.median_avg_ci().format("us"))
 
-The legacy ``build_*_testbed`` / ``run_experiment`` entry points
-remain as deprecated shims; see the README's "Public API" migration
-table.
+Testbeds come from plans too: ``plan.testbed(seed)`` builds one
+single-use testbed.  The pre-plan ``build_*_testbed`` /
+``run_experiment`` entry points are gone; the README's migration table
+maps each to its plan equivalent.
 """
 
 from repro.api import (
@@ -66,7 +67,6 @@ from repro.core import (
     detect_conflicts,
     estimate_evaluation_time,
     recommend,
-    run_experiment,
     scenario_table,
 )
 from repro.loadgen import GeneratorDesign, PointOfMeasurement
@@ -77,12 +77,6 @@ from repro.stats import (
     parametric_mean_ci,
     parametric_repetitions,
     shapiro_wilk,
-)
-from repro.workloads import (
-    build_hdsearch_testbed,
-    build_memcached_testbed,
-    build_socialnetwork_testbed,
-    build_synthetic_testbed,
 )
 
 #: Kept in sync with ``version`` in pyproject.toml.
@@ -116,7 +110,6 @@ __all__ = [
     "RunMetrics",
     "Experiment",
     "ExperimentResult",
-    "run_experiment",
     "compare_conditions",
     "detect_conflicts",
     "estimate_evaluation_time",
@@ -130,9 +123,4 @@ __all__ = [
     "shapiro_wilk",
     "parametric_repetitions",
     "confirm_repetitions",
-    # workloads
-    "build_memcached_testbed",
-    "build_hdsearch_testbed",
-    "build_socialnetwork_testbed",
-    "build_synthetic_testbed",
 ]

@@ -6,10 +6,12 @@ This package turns those ad-hoc loops into *campaigns*:
 
 * :mod:`repro.campaign.spec` -- :class:`CampaignSpec` describes a
   cartesian sweep as data (dict/JSON-loadable) and expands it into
-  content-hashed :class:`ConditionSpec` experiments.
+  :class:`ConditionSpec` cells, each holding the validated
+  :class:`~repro.api.ExperimentPlan` that runs it.
 * :mod:`repro.campaign.store` -- :class:`ResultStore` persists each
-  condition's result in SQLite keyed by its hash, enabling cache
-  hits, mid-run resume and store-backed analysis.
+  condition's result in SQLite keyed by its plan's content hash and
+  stamped with the model epoch that produced it, enabling cache hits,
+  mid-run resume and store-backed analysis.
 * :mod:`repro.campaign.executor` -- :class:`CampaignExecutor` fans
   conditions out over a process pool (each experiment is
   seed-deterministic and embarrassingly parallel) with per-condition

@@ -18,7 +18,7 @@ next invocation.
 Two scale-out mechanics keep large campaigns efficient:
 
 * **Warm workers** -- the pool initializer installs the campaign's
-  *plan skeleton* (the first plannable condition's full plan dict)
+  *plan skeleton* (the first pending condition's full plan dict)
   once per worker process and pre-compiles it, so the heavy imports
   (workload registry, assembly modules) and registry validation are
   paid once per worker, not once per condition.  Conditions then ship
@@ -115,16 +115,13 @@ def _apply_patch(skeleton: Dict[str, Any],
 
 
 def run_condition(spec: ConditionSpec) -> ExperimentResult:
-    """Run one condition's experiment to completion in this process.
+    """Run one condition's plan to completion in this process.
 
-    Conditions compile into :class:`~repro.api.ExperimentPlan`s; the
-    plan layer resolves the workload registry and validates the
-    parameters before anything simulates.  The repetitions run
-    serially here, as in a pool worker: a campaign places conditions,
-    never a condition's repetitions (``plan.run()`` would pool a
-    large plan).
+    The repetitions run serially here, as in a pool worker: a
+    campaign places conditions, never a condition's repetitions
+    (``plan.run()`` would pool a large plan).
     """
-    return run_sharded(spec.to_plan(), processes=1)
+    return run_sharded(spec.plan, processes=1)
 
 
 def _execute_chunk(payloads: Sequence[Dict[str, Any]]
@@ -434,41 +431,21 @@ class CampaignExecutor:
     def _run_pool(self, pending: List[ConditionSpec],
                   record: Callable[[ConditionOutcome], None],
                   persist: _PersistBuffer) -> None:
-        # Compile conditions to plan dicts before shipping, computing
-        # each condition hash exactly once; a condition that fails to
-        # plan (unknown workload, bad parameter) is a recorded
-        # failure, not a dead campaign.
-        by_hash: Dict[str, ConditionSpec] = {}
-        plannable: List[ConditionSpec] = []
-        plan_dicts: List[Dict[str, Any]] = []
-        for condition in pending:
-            condition_hash = condition.content_hash()
-            try:
-                plan_dict = condition.to_plan().to_dict()
-            except Exception as exc:  # noqa: BLE001 -- isolation boundary
-                if self.fail_fast:
-                    raise
-                record(ConditionOutcome(
-                    spec=condition, status=STATUS_FAILED,
-                    error=f"{type(exc).__name__}: {exc}"))
-                continue
-            by_hash[condition_hash] = condition
-            plannable.append(condition)
-            plan_dicts.append(plan_dict)
-        if not plannable:
-            return
-        # The first plannable condition's plan is the campaign's
+        hashes = [condition.content_hash() for condition in pending]
+        by_hash = dict(zip(hashes, pending))
+        plan_dicts = [condition.plan.to_dict() for condition in pending]
+        # The first pending condition's plan is the campaign's
         # skeleton: warm workers install it once at pool start, and
         # every condition ships as a section-level patch against it
         # (typically just the load/hardware sections that vary).
         skeleton = plan_dicts[0]
         payloads = [
-            {"hash": condition.content_hash(),
+            {"hash": condition_hash,
              "patch": _plan_patch(skeleton, plan_dict)}
-            for condition, plan_dict in zip(plannable, plan_dicts)]
-        chunks = [(plannable[i:i + self.chunksize],
+            for condition_hash, plan_dict in zip(hashes, plan_dicts)]
+        chunks = [(pending[i:i + self.chunksize],
                    payloads[i:i + self.chunksize])
-                  for i in range(0, len(plannable), self.chunksize)]
+                  for i in range(0, len(pending), self.chunksize)]
         workers = min(self.max_workers, len(chunks))
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_warm_init,

@@ -42,8 +42,9 @@ def _assemble_grid(spec: CampaignSpec,
                      conditions=dict(spec.conditions),
                      qps_list=spec.qps_list)
     for condition in conditions:
+        hardware = condition.plan.hardware
         cell = grid.cells.setdefault(
-            (condition.client_label, condition.condition_label), {})
+            (hardware.client_label, hardware.server_label), {})
         cell[condition.qps] = results[condition.content_hash()]
     return grid
 
@@ -99,6 +100,10 @@ def render_campaign_status(spec: CampaignSpec,
         f"server conditions x {len(spec.qps_list)} QPS points)",
         f"  complete:   {len(stored)}/{total}",
     ]
+    stale = store.stale_count() if store is not None else 0
+    if stale:
+        lines.append(f"  {stale} stored rows from another model epoch "
+                     "(re-run on next invocation)")
     if missing:
         lines.append("  missing:")
         for condition in missing:

@@ -1,44 +1,22 @@
-"""Serialization for campaign specs and results.
+"""Serialization for campaign results.
 
-Everything a campaign touches must survive two boundaries: the pickle
-boundary into worker processes and the JSON boundary into the result
-store.  This module provides the dict round-trips for
+Every result a campaign produces must survive two boundaries: the
+pickle boundary out of worker processes and the JSON boundary into
+the result store.  This module provides the dict round-trips for
 :class:`~repro.core.testbed.RunMetrics` and
-:class:`~repro.core.experiment.ExperimentResult`, and re-exports the
-lower-level :class:`~repro.config.knobs.HardwareConfig` round-trip
-and canonical-JSON/hash primitives from
-:mod:`repro.config.serialize` (shared with the :mod:`repro.api` spec
-layer).
-
-Canonical form: sorted keys, no whitespace, enums as their ``.value``
-strings, C-states as a sorted list.  Two specs with equal canonical
-JSON are the same condition, regardless of which process or session
-built them.
+:class:`~repro.core.experiment.ExperimentResult`.  Specs serialize
+through :mod:`repro.config.serialize` and the plan layer.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.config.serialize import (
-    canonical_json,
-    content_hash,
-    hardware_config_from_dict,
-    hardware_config_to_dict,
-)
 from repro.core.experiment import ExperimentResult
 from repro.core.testbed import RunMetrics
 from repro.errors import ExperimentError
 
 __all__ = [
-    # Low-level primitives, re-exported from repro.config.serialize
-    # (moved there so the repro.api spec layer can hash and
-    # round-trip hardware configs without touching this package).
-    "canonical_json",
-    "content_hash",
-    "hardware_config_from_dict",
-    "hardware_config_to_dict",
-    # Result serialization, defined here.
     "run_metrics_to_dict",
     "run_metrics_from_dict",
     "experiment_result_to_dict",

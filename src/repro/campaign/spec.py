@@ -5,8 +5,9 @@ cartesian sweep of workloads x client configurations x server knob
 conditions x offered loads, each cell repeated N times from a
 deterministic seed block.  :class:`CampaignSpec` describes the sweep;
 :meth:`CampaignSpec.expand` flattens it into an ordered list of
-:class:`ConditionSpec` -- one experiment each -- with stable content
-hashes that key the result store and make re-runs, resumes and
+:class:`ConditionSpec` cells, each holding the validated
+:class:`~repro.api.ExperimentPlan` that runs it.  The plan's content
+hash keys the result store, which makes re-runs, resumes and
 cross-campaign sharing possible.
 
 Specs are data, not code: :meth:`CampaignSpec.from_dict` accepts plain
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     List,
@@ -31,13 +31,12 @@ from typing import (
     Union,
 )
 
-if TYPE_CHECKING:
-    from repro.api.specs import ExperimentPlan
-
-from repro.campaign.serialize import (
-    content_hash,
-    hardware_config_from_dict,
-    hardware_config_to_dict,
+from repro.api.specs import (
+    ExperimentPlan,
+    HardwareSpec,
+    LoadSpec,
+    RunPolicy,
+    WorkloadSpec,
 )
 from repro.cluster.spec import ClusterSpec, as_cluster_spec
 from repro.config.knobs import HardwareConfig
@@ -46,6 +45,11 @@ from repro.config.presets import (
     LP_CLIENT,
     server_with_c1e,
     server_with_smt,
+)
+from repro.config.serialize import (
+    content_hash,
+    hardware_config_from_dict,
+    hardware_config_to_dict,
 )
 from repro.core.experiment import DEFAULT_RUNS
 from repro.errors import ExperimentError
@@ -93,208 +97,39 @@ def cell_seed(base_seed: int, client: str, condition: str,
 
 @dataclass(frozen=True)
 class ConditionSpec:
-    """One fully-resolved experimental condition.
+    """One campaign cell: the validated plan that runs it.
+
+    The plan is the condition's whole identity.  Its content hash is
+    the result-store key, so every plan field that changes the
+    simulation (topology, engine, arrival shape, shard width, ...)
+    changes the key, and fields at their defaults, which plans omit
+    from their serialized form, never do.
 
     Attributes:
-        workload: registered workload name (see
-            :mod:`repro.workloads.registry`).
-        client_label: client sweep label, e.g. ``"LP"``.
-        client_config: the client hardware configuration.
-        condition_label: server condition label, e.g. ``"SMToff"``.
-        server_config: the server hardware configuration.
-        qps: offered load.
-        runs: repetitions (the paper: 50).
-        num_requests: requests per run.
-        base_seed: first root seed of this condition's seed block.
-        extra: extra builder kwargs as sorted ``(name, value)`` pairs
-            (e.g. the synthetic workload's ``added_delay_us``).
-        cluster: server-side topology, or ``None`` for the paper's
-            single-server testbed.  A default (single-server) spec is
-            normalized to ``None`` so the condition's content hash --
-            the result-store memoization key -- is canonical: the
-            same deployment always produces the same key, and any
-            non-default cluster field (nodes, lb_policy, shards, ...)
-            produces a distinct one.
-        engine: event-loop engine name, or ``None`` for the default
-            kernel.  Normalized exactly like ``cluster``: naming the
-            default engine explicitly is stored as ``None`` and
-            omitted from the dict form, so every pre-engine condition
-            hash -- and every store row keyed by one -- is unchanged.
-        graph: multi-tier service-graph topology, or ``None`` for the
-            cluster / single-server paths.  Omitted from the dict form
-            when ``None``, preserving every pre-graph condition hash.
-        arrival: time-varying arrival shape, or ``None`` for the
-            stock Poisson process (the default spec normalizes to
-            ``None``, same canonicalization as ``cluster``).
-        workers: shard count for the sharded-execution path, or
-            ``None`` for a plain single-process run.  ``workers=1``
-            normalizes to ``None`` and is omitted from the dict form,
-            so every pre-parallel condition hash is unchanged; the
-            autotuner uses this field to search ``policy.workers``.
+        plan: the experiment this cell runs.  Its policy label is the
+            cell's series label (``"LP-SMToff"``) and its hardware
+            labels are the sweep's client and condition labels.
     """
 
-    workload: str
-    client_label: str
-    client_config: HardwareConfig
-    condition_label: str
-    server_config: HardwareConfig
-    qps: float
-    runs: int
-    num_requests: int
-    base_seed: int
-    extra: Tuple[Tuple[str, Any], ...] = ()
-    cluster: Optional[ClusterSpec] = None
-    engine: Optional[str] = None
-    graph: Optional[ServiceGraphSpec] = None
-    arrival: Optional[ArrivalSpec] = None
-    workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "extra",
-            tuple(sorted(_normalize_extra(dict(self.extra)).items())))
-        if self.cluster is not None:
-            cluster = as_cluster_spec(self.cluster)
-            object.__setattr__(
-                self, "cluster",
-                None if cluster.is_single_server else cluster)
-        if self.engine is not None:
-            engine = validate_engine_name(self.engine)
-            object.__setattr__(
-                self, "engine",
-                None if engine == DEFAULT_ENGINE else engine)
-        object.__setattr__(self, "graph", as_graph_spec(self.graph))
-        object.__setattr__(self, "arrival",
-                           as_arrival_spec(self.arrival))
-        if self.workers is not None:
-            workers = int(self.workers)
-            if workers < 1:
-                raise ExperimentError(
-                    f"workers must be >= 1, got {workers}")
-            object.__setattr__(self, "workers",
-                               None if workers == 1 else workers)
-        if self.graph is not None and self.cluster is not None:
-            raise ExperimentError(
-                "a condition deploys either a service graph or a "
-                "cluster, not both")
+    plan: ExperimentPlan
 
     @property
     def label(self) -> str:
         """The condition's series label, e.g. ``"LP-SMToff"``."""
-        return f"{self.client_label}-{self.condition_label}"
+        return self.plan.label
 
-    def extra_kwargs(self) -> Dict[str, Any]:
-        """The extra builder kwargs as a dict."""
-        return dict(self.extra)
+    @property
+    def qps(self) -> float:
+        """The condition's offered load."""
+        return self.plan.load.qps
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON form (the hash input and pickle payload).
-
-        The cluster key appears only for non-default topologies, so
-        every single-server condition hash -- and therefore every
-        result already sitting in a store -- is unchanged.
-        """
-        data = {
-            "workload": self.workload,
-            "client_label": self.client_label,
-            "client_config": hardware_config_to_dict(self.client_config),
-            "condition_label": self.condition_label,
-            "server_config": hardware_config_to_dict(self.server_config),
-            "qps": self.qps,
-            "runs": self.runs,
-            "num_requests": self.num_requests,
-            "base_seed": self.base_seed,
-            "extra": dict(self.extra),
-        }
-        if self.cluster is not None:
-            data["cluster"] = self.cluster.to_dict()
-        if self.engine is not None:
-            data["engine"] = self.engine
-        if self.graph is not None:
-            data["graph"] = self.graph.to_dict()
-        if self.arrival is not None:
-            data["arrival"] = self.arrival.to_dict()
-        if self.workers is not None:
-            data["workers"] = self.workers
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ConditionSpec":
-        """Rebuild a condition from its dict form."""
-        try:
-            return cls(
-                workload=str(data["workload"]),
-                client_label=str(data["client_label"]),
-                client_config=hardware_config_from_dict(
-                    data["client_config"]),
-                condition_label=str(data["condition_label"]),
-                server_config=hardware_config_from_dict(
-                    data["server_config"]),
-                qps=float(data["qps"]),
-                runs=int(data["runs"]),
-                num_requests=int(data["num_requests"]),
-                base_seed=int(data["base_seed"]),
-                extra=tuple(sorted(dict(data.get("extra", {})).items())),
-                cluster=(ClusterSpec.from_dict(data["cluster"])
-                         if "cluster" in data else None),
-                engine=data.get("engine"),
-                graph=(ServiceGraphSpec.from_dict(data["graph"])
-                       if "graph" in data else None),
-                arrival=(ArrivalSpec.from_dict(data["arrival"])
-                         if "arrival" in data else None),
-                workers=(int(data["workers"])
-                         if "workers" in data else None),
-            )
-        except KeyError as exc:
-            raise ExperimentError(
-                f"invalid condition spec: missing {exc}") from exc
+    def to_plan(self) -> ExperimentPlan:
+        """The plan this condition runs."""
+        return self.plan
 
     def content_hash(self) -> str:
-        """Stable identity of this condition across processes/sessions."""
-        return content_hash(self.to_dict())
-
-    def to_plan(self) -> "ExperimentPlan":
-        """Compile this condition into an :class:`~repro.api.ExperimentPlan`.
-
-        The plan is what actually executes -- executor workers receive
-        plans, not label/kwargs tuples.  ``warmup_fraction``, if a
-        legacy ``extra`` carries it, moves into the plan's
-        :class:`~repro.api.LoadSpec`; everything else in ``extra`` is
-        a workload parameter validated against the registry schema.
-        The condition's :meth:`content_hash` stays the store key, so
-        stored campaign results keep their identity.
-        """
-        from repro.api.specs import (
-            ExperimentPlan,
-            HardwareSpec,
-            LoadSpec,
-            RunPolicy,
-            WorkloadSpec,
-        )
-
-        extra = self.extra_kwargs()
-        # Every universal builder param maps to the LoadSpec field of
-        # the same name (the contract a new UNIVERSAL_BUILDER_PARAMS
-        # entry must uphold); everything left is a workload param.
-        load_kwargs = {spec.name: extra.pop(spec.name)
-                       for spec in UNIVERSAL_BUILDER_PARAMS
-                       if spec.name in extra}
-        return ExperimentPlan(
-            workload=WorkloadSpec.create(self.workload, **extra),
-            load=LoadSpec(qps=self.qps, num_requests=self.num_requests,
-                          arrival=self.arrival, **load_kwargs),
-            hardware=HardwareSpec(
-                client=self.client_config, server=self.server_config,
-                client_label=self.client_label,
-                server_label=self.condition_label),
-            policy=RunPolicy(runs=self.runs, base_seed=self.base_seed,
-                             label=self.label,
-                             engine=self.engine or DEFAULT_ENGINE,
-                             workers=self.workers or 1),
-            cluster=self.cluster,
-            graph=self.graph,
-        )
+        """The result-store key: the plan's content hash."""
+        return self.plan.content_hash()
 
 
 def _coerce_server_condition(
@@ -410,9 +245,9 @@ class CampaignSpec:
         self.extra = _normalize_extra(self.extra)
         # Validate extra against the workload's registered parameter
         # schema *now*, naming the offending key -- not at execution
-        # time deep inside a worker process.  A workload the driving
-        # process has not registered (a plugin the executor imports)
-        # defers validation to plan-build time.
+        # time deep inside a worker process.  A workload this process
+        # has not registered yet (a plugin imported later) defers
+        # validation to expansion.
         definition = find_workload(self.workload)
         if definition is not None:
             self.extra = definition.validate_params(
@@ -420,35 +255,52 @@ class CampaignSpec:
 
     # ------------------------------------------------------------------
     def expand(self) -> List[ConditionSpec]:
-        """The sweep, flattened in deterministic paper order.
+        """The sweep as validated plans, in deterministic paper order.
 
         Order is clients x conditions x qps -- the same nesting the
         serial figure studies use, so a campaign-built grid renders
-        its series in the same order.
+        its series in the same order.  Each cell's plan carries the
+        cell's labels and its :func:`cell_seed` block.  A
+        ``warmup_fraction`` in ``extra`` moves into the plan's
+        :class:`~repro.api.LoadSpec`; everything else in ``extra`` is
+        a workload parameter.
+
+        Raises:
+            SpecValidationError: if the workload is not registered.
         """
-        extra = tuple(sorted(self.extra.items()))
+        extra = dict(self.extra)
+        # Every universal builder param maps to the LoadSpec field of
+        # the same name (the contract a new UNIVERSAL_BUILDER_PARAMS
+        # entry must uphold); everything left is a workload param.
+        load_kwargs = {spec.name: extra.pop(spec.name)
+                       for spec in UNIVERSAL_BUILDER_PARAMS
+                       if spec.name in extra}
+        workload = WorkloadSpec.create(self.workload, **extra)
+        engine = self.engine or DEFAULT_ENGINE
         out: List[ConditionSpec] = []
         for client_label, client_config in self.clients.items():
             for condition_label, server_config in self.conditions.items():
+                hardware = HardwareSpec(
+                    client=client_config, server=server_config,
+                    client_label=client_label,
+                    server_label=condition_label)
                 for qps in self.qps_list:
-                    out.append(ConditionSpec(
-                        workload=self.workload,
-                        client_label=client_label,
-                        client_config=client_config,
-                        condition_label=condition_label,
-                        server_config=server_config,
-                        qps=qps,
-                        runs=self.runs,
-                        num_requests=self.num_requests,
-                        base_seed=cell_seed(
-                            self.base_seed, client_label,
-                            condition_label, qps),
-                        extra=extra,
+                    out.append(ConditionSpec(ExperimentPlan(
+                        workload=workload,
+                        load=LoadSpec(
+                            qps=qps, num_requests=self.num_requests,
+                            arrival=self.arrival, **load_kwargs),
+                        hardware=hardware,
+                        policy=RunPolicy(
+                            runs=self.runs,
+                            base_seed=cell_seed(
+                                self.base_seed, client_label,
+                                condition_label, qps),
+                            label=f"{client_label}-{condition_label}",
+                            engine=engine),
                         cluster=self.cluster,
-                        engine=self.engine,
                         graph=self.graph,
-                        arrival=self.arrival,
-                    ))
+                    )))
         return out
 
     def size(self) -> int:

@@ -1,8 +1,9 @@
-"""Durable result store: SQLite rows keyed by condition hash.
+"""Durable result store: SQLite rows keyed by plan content hash.
 
-Every completed condition is persisted as (condition hash, condition
-spec JSON, result payload JSON).  The hash is content-derived
-(:meth:`ConditionSpec.content_hash`), so:
+Every completed condition is persisted as (plan hash, plan JSON,
+result payload JSON, model epoch).  The key is content-derived
+(:meth:`~repro.api.ExperimentPlan.content_hash` of the condition's
+plan), so:
 
 * re-running a campaign skips every condition already in the store
   (a cache hit is byte-identical to a fresh run);
@@ -11,6 +12,14 @@ spec JSON, result payload JSON).  The hash is content-derived
 * different campaigns that share conditions share results;
 * the analysis layer can rebuild figures and tables from the store
   without re-simulating anything.
+
+A plan hash names the experiment, not the model that ran it, so every
+row also records the :data:`~repro.core.experiment.MODEL_EPOCH` that
+produced it, and reads serve only rows of the current epoch.  Bumping
+the epoch retires every older row without touching keys: the rows stay
+in the file and are counted, but their conditions re-run.  Rows
+written before epochs existed carry no epoch (and a pre-plan key), so
+they are never served either.
 
 Only successful conditions are stored; failures stay pending so the
 next invocation retries them.  One writer (the campaign parent
@@ -34,13 +43,14 @@ from typing import (
     Tuple,
 )
 
+from repro.api.specs import ExperimentPlan
 from repro.campaign.serialize import (
-    canonical_json,
     experiment_result_from_dict,
     experiment_result_to_dict,
 )
 from repro.campaign.spec import ConditionSpec
-from repro.core.experiment import ExperimentResult
+from repro.config.serialize import canonical_json
+from repro.core.experiment import MODEL_EPOCH, ExperimentResult
 from repro.errors import ExperimentError
 
 _SCHEMA = """
@@ -56,7 +66,8 @@ CREATE TABLE IF NOT EXISTS results (
     created_at      REAL NOT NULL,
     elapsed_s       REAL NOT NULL DEFAULT 0.0,
     queue_wait_s    REAL NOT NULL DEFAULT 0.0,
-    worker_pid      INTEGER
+    worker_pid      INTEGER,
+    model_epoch     INTEGER
 );
 CREATE INDEX IF NOT EXISTS idx_results_campaign
     ON results (campaign);
@@ -65,8 +76,8 @@ CREATE INDEX IF NOT EXISTS idx_results_campaign
 _INSERT = (
     "INSERT OR REPLACE INTO results (condition_hash, campaign, "
     "workload, label, qps, runs, spec_json, payload_json, "
-    "created_at, elapsed_s, queue_wait_s, worker_pid) "
-    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)")
+    "created_at, elapsed_s, queue_wait_s, worker_pid, model_epoch) "
+    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)")
 
 
 class ResultStore:
@@ -102,7 +113,8 @@ class ResultStore:
         ``CREATE TABLE IF NOT EXISTS`` never alters an existing
         table, so columns added after a store was created (the
         per-condition ``elapsed_s`` timing) are patched in here;
-        pre-migration rows read back as 0.0 ("timing unknown").
+        pre-migration rows read back as 0.0 ("timing unknown").  A
+        store already at the current schema is left untouched.
         """
         columns = {row[1] for row in self._conn.execute(
             "PRAGMA table_info(results)")}
@@ -119,6 +131,12 @@ class ResultStore:
             # before worker attribution existed.
             self._conn.execute(
                 "ALTER TABLE results ADD COLUMN worker_pid INTEGER")
+        if "model_epoch" not in columns:
+            # Nullable: rows stored before model epochs existed read
+            # back as NULL, which matches no epoch, so they are
+            # counted but never served.
+            self._conn.execute(
+                "ALTER TABLE results ADD COLUMN model_epoch INTEGER")
 
     # ------------------------------------------------------------------
     def put(self, spec: ConditionSpec, result: ExperimentResult,
@@ -168,62 +186,74 @@ class ResultStore:
         rows = []
         for entry in entries:
             spec = entry["spec"]
+            plan = spec.plan
             result_dict = entry.get("result_dict")
             if result_dict is None:
                 result_dict = experiment_result_to_dict(
                     entry["result"])
             worker_pid = entry.get("worker_pid")
             rows.append((
-                spec.content_hash(), str(campaign), spec.workload,
-                spec.label, spec.qps, spec.runs,
-                canonical_json(spec.to_dict()),
+                spec.content_hash(), str(campaign), plan.workload.name,
+                spec.label, spec.qps, plan.policy.runs,
+                canonical_json(plan.to_dict()),
                 canonical_json(result_dict), now,
                 float(entry.get("elapsed_s", 0.0)),
                 float(entry.get("queue_wait_s", 0.0)),
-                None if worker_pid is None else int(worker_pid)))
+                None if worker_pid is None else int(worker_pid),
+                MODEL_EPOCH))
         with self._conn:
             self._conn.executemany(_INSERT, rows)
 
+    def _current(self, columns: str,
+                 condition_hash: str) -> Optional[Tuple[Any, ...]]:
+        """*columns* of the current-epoch row under *condition_hash*."""
+        return self._conn.execute(
+            f"SELECT {columns} FROM results "
+            "WHERE condition_hash = ? AND model_epoch = ?",
+            (condition_hash, MODEL_EPOCH)).fetchone()
+
     def get(self, condition_hash: str) -> Optional[ExperimentResult]:
         """The stored result for *condition_hash*, or None."""
-        row = self._conn.execute(
-            "SELECT payload_json FROM results WHERE condition_hash = ?",
-            (condition_hash,)).fetchone()
+        row = self._current("payload_json", condition_hash)
         if row is None:
             return None
         return experiment_result_from_dict(json.loads(row[0]))
 
     def get_spec(self, condition_hash: str) -> Optional[ConditionSpec]:
-        """The stored condition spec for *condition_hash*, or None."""
-        row = self._conn.execute(
-            "SELECT spec_json FROM results WHERE condition_hash = ?",
-            (condition_hash,)).fetchone()
+        """The stored condition for *condition_hash*, or None."""
+        row = self._current("spec_json", condition_hash)
         if row is None:
             return None
-        return ConditionSpec.from_dict(json.loads(row[0]))
+        return ConditionSpec(ExperimentPlan.from_json(row[0]))
 
     def __contains__(self, condition_hash: str) -> bool:
-        row = self._conn.execute(
-            "SELECT 1 FROM results WHERE condition_hash = ?",
-            (condition_hash,)).fetchone()
-        return row is not None
+        return self._current("1", condition_hash) is not None
 
     def hashes(self) -> frozenset:
-        """All stored condition hashes."""
+        """All stored condition hashes of the current model epoch."""
         rows = self._conn.execute(
-            "SELECT condition_hash FROM results").fetchall()
+            "SELECT condition_hash FROM results WHERE model_epoch = ?",
+            (MODEL_EPOCH,)).fetchall()
         return frozenset(row[0] for row in rows)
 
     def count(self) -> int:
-        """Number of stored conditions."""
+        """Number of stored rows, stale ones included."""
         return int(self._conn.execute(
             "SELECT COUNT(*) FROM results").fetchone()[0])
 
+    def stale_count(self) -> int:
+        """Rows from another model epoch (or from before epochs)."""
+        return int(self._conn.execute(
+            "SELECT COUNT(*) FROM results WHERE model_epoch IS NOT ?",
+            (MODEL_EPOCH,)).fetchone()[0])
+
     def rows(self) -> Iterator[Tuple[str, str, str, float, int, float]]:
-        """(hash, campaign, label, qps, runs, created_at) per row."""
+        """(hash, campaign, label, qps, runs, created_at) per
+        current-epoch row."""
         cursor = self._conn.execute(
             "SELECT condition_hash, campaign, label, qps, runs, "
-            "created_at FROM results ORDER BY created_at")
+            "created_at FROM results WHERE model_epoch = ? "
+            "ORDER BY created_at", (MODEL_EPOCH,))
         yield from cursor
 
     def timings_for(self, conditions: List[ConditionSpec]
@@ -239,12 +269,12 @@ class ResultStore:
         out: Dict[str, Tuple[str, float, int, float, float,
                              Optional[int]]] = {}
         for condition in conditions:
-            row = self._conn.execute(
-                "SELECT label, qps, runs, elapsed_s, queue_wait_s, "
-                "worker_pid FROM results WHERE condition_hash = ?",
-                (condition.content_hash(),)).fetchone()
+            key = condition.content_hash()
+            row = self._current(
+                "label, qps, runs, elapsed_s, queue_wait_s, worker_pid",
+                key)
             if row is not None:
-                out[condition.content_hash()] = (
+                out[key] = (
                     str(row[0]), float(row[1]), int(row[2]),
                     float(row[3]), float(row[4]),
                     None if row[5] is None else int(row[5]))
@@ -262,9 +292,10 @@ class ResultStore:
         """hash -> result for every stored member of *conditions*."""
         out: Dict[str, ExperimentResult] = {}
         for condition in conditions:
-            result = self.get(condition.content_hash())
+            key = condition.content_hash()
+            result = self.get(key)
             if result is not None:
-                out[condition.content_hash()] = result
+                out[key] = result
         return out
 
     def delete(self, condition_hash: str) -> bool:

@@ -658,20 +658,19 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             from repro.tune.cli import space_from_tunable_args
             tune_space = space_from_tunable_args(args.tunable)
         spec = _plan_campaign_spec(args)
-        conditions = spec.expand()
-        plans = [c.to_plan() for c in conditions]
+        plans = [c.plan for c in spec.expand()]
         if tune_space is not None:
             # Prove the space applies to this campaign's plans (field
             # paths, workload params, graph presets) -- still a dry
             # run; nothing simulates.
             tune_space.validate_against(plans[0])
-        total_runs = sum(c.runs for c in conditions)
-        total_requests = sum(c.runs * c.num_requests
-                             for c in conditions)
+        total_runs = sum(p.policy.runs for p in plans)
+        total_requests = sum(p.policy.runs * p.load.num_requests
+                             for p in plans)
         print(f"campaign {spec.name!r}: workload={spec.workload}, "
               f"{len(spec.clients)} clients x "
               f"{len(spec.conditions)} conditions x "
-              f"{len(spec.qps_list)} loads = {len(conditions)} "
+              f"{len(spec.qps_list)} loads = {len(plans)} "
               f"experiments")
         print(f"totals: {total_runs} runs, {total_requests} "
               f"simulated requests")
@@ -705,19 +704,15 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         print(f"engine: {policy.engine} "
               f"({describe_engine(policy.engine)})")
         print()
-        header = (f"{'#':>4} {'label':<16}{'qps':>10}  "
-                  f"{'seed schedule':<24}{'condition hash':<16}"
-                  f"{'plan hash':<16}")
-        print(header)
-        for index, (condition, plan) in enumerate(
-                zip(conditions, plans), start=1):
+        print(f"{'#':>4} {'label':<16}{'qps':>10}  "
+              f"{'seed schedule':<24}plan hash (store key)")
+        for index, plan in enumerate(plans, start=1):
             seeds = plan.policy.seed_schedule()
             schedule = (f"{seeds[0]}" if len(seeds) == 1
                         else f"{seeds[0]}..{seeds[-1]}")
-            print(f"{index:>4} {condition.label:<16}"
-                  f"{condition.qps:>10g}  {schedule:<24}"
-                  f"{condition.content_hash()[:12]:<16}"
-                  f"{plan.content_hash()[:12]:<16}")
+            print(f"{index:>4} {plan.label:<16}"
+                  f"{plan.load.qps:>10g}  {schedule:<24}"
+                  f"{plan.content_hash()[:12]}")
         print()
         print(f"dry run: validated {len(plans)} plans; "
               "nothing executed")

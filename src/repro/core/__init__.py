@@ -10,11 +10,7 @@ recommendations.
 """
 
 from repro.core.testbed import Testbed, RunMetrics
-from repro.core.experiment import (
-    Experiment,
-    ExperimentResult,
-    run_experiment,
-)
+from repro.core.experiment import Experiment, ExperimentResult
 from repro.core.scenarios import Scenario, scenario_table
 from repro.core.comparison import (
     Comparison,
@@ -48,7 +44,6 @@ __all__ = [
     "RunMetrics",
     "Experiment",
     "ExperimentResult",
-    "run_experiment",
     "Scenario",
     "scenario_table",
     "Comparison",

@@ -10,7 +10,6 @@ latencies.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
@@ -24,6 +23,13 @@ from repro.stats.descriptive import SummaryStats, describe
 #: Default repetition count (the paper: "each experiment is the
 #: average of 50 runs").
 DEFAULT_RUNS = 50
+
+#: Version of the simulated model's behaviour.  Every result-store row
+#: records the epoch that produced it, and the store serves only rows
+#: of the current one.  Bump it whenever a seeded run can produce
+#: different numbers: a model or draw-layout change, or a recaptured
+#: golden value (``tests/test_golden_values.py`` pins the pairing).
+MODEL_EPOCH = 1
 
 
 @dataclass
@@ -150,24 +156,3 @@ class Experiment:
             qps=qps,
             runs=metrics,
         )
-
-
-def run_experiment(builder: Callable[[int], Testbed],
-                   runs: int = DEFAULT_RUNS, base_seed: int = 0,
-                   label: str = "") -> ExperimentResult:
-    """Deprecated shim: build, run and summarize an experiment.
-
-    Construct an :class:`~repro.api.ExperimentPlan` instead -- it
-    reaches the same :class:`Experiment` machinery through a
-    validated, serializable spec::
-
-        from repro.api import experiment
-        result = (experiment("memcached").client("LP")
-                  .load(qps=100_000).policy(runs=10).run())
-    """
-    warnings.warn(
-        "run_experiment() is deprecated; construct an ExperimentPlan "
-        "via repro.api (experiment(...).build()) and call plan.run()",
-        DeprecationWarning, stacklevel=2)
-    return Experiment(builder, runs=runs, base_seed=base_seed,
-                      label=label).run()

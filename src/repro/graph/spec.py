@@ -10,7 +10,7 @@ governing calls *into* it.
 Specs follow the same contract as ``ClusterSpec``: frozen, validated
 at construction, exactly round-tripping through ``to_dict`` /
 ``from_dict`` with defaults omitted so the dict form is canonical and
-content hashes are stable.
+the hash of a plan that carries the graph is stable.
 
 The tuple order of ``tiers`` is the topological order: every
 downstream reference must point to a tier declared *later* in the
@@ -21,8 +21,6 @@ builder a deterministic construction order for free.
 from __future__ import annotations
 
 import difflib
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -391,12 +389,6 @@ class ServiceGraphSpec:
             raise SpecValidationError(
                 "service graph spec needs a 'tiers' list")
         return cls(tiers=tuple(data["tiers"]))
-
-    def content_hash(self) -> str:
-        """Stable hash of the canonical (default-omitting) form."""
-        payload = json.dumps(self.to_dict(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def as_graph_spec(value: Any) -> Optional[ServiceGraphSpec]:

@@ -250,7 +250,7 @@ def cmd_autotune(args: argparse.Namespace) -> int:
             detail = (f" [{outcome.error}]"
                       if outcome.status == "failed" else "")
             print(f"[{completed}/{total}] {outcome.status:<6} "
-                  f"{condition.condition_label} @ "
+                  f"{condition.plan.hardware.server_label} @ "
                   f"{condition.qps:g} ({timing}){detail}")
 
         if args.no_store:

@@ -2,7 +2,7 @@
 
 All three drivers share one evaluation path
 (:class:`CandidateEvaluator`): a candidate assignment is applied to
-the base plan, compiled into one
+the base plan, copied into one
 :class:`~repro.campaign.spec.ConditionSpec` per objective sweep point,
 and routed through :class:`~repro.campaign.executor.CampaignExecutor`
 -- so evaluations inherit the campaign layer's warm workers, failure
@@ -121,11 +121,12 @@ class TrialEval:
 class CandidateEvaluator:
     """Scores candidate assignments through the campaign executor.
 
-    Candidates are reduced to campaign conditions, so only the
-    condition-identity fields (workload + params, hardware pair, qps,
-    runs, num_requests, seed block, cluster/graph/engine/arrival/
-    workers) participate; observability toggles on the base plan
-    (sink, trace, metrics) do not affect scoring and are ignored.
+    Each candidate plan becomes one condition per objective sweep
+    point: a copy at that load with the evaluator's runs, the
+    evaluation's request budget, the cell's seed block and the
+    assignment's labels.  Every other field of the candidate is kept,
+    the base plan's observability settings (sink, trace, metrics)
+    included.
 
     Args:
         plan: the base plan candidates are derived from.
@@ -170,28 +171,15 @@ class CandidateEvaluator:
         candidate = self.space.apply(self.plan, assignment)
         label = assignment_label(assignment)
         client_label = candidate.hardware.client_label or "client"
-        extra = dict(candidate.workload.params)
-        if candidate.load.warmup_fraction is not None:
-            extra["warmup_fraction"] = candidate.load.warmup_fraction
+        base = (candidate
+                .with_client(candidate.hardware.client, client_label)
+                .with_server(candidate.hardware.server, label)
+                .with_load(num_requests=int(num_requests))
+                .with_policy(runs=self.runs,
+                             label=f"{client_label}-{label}"))
         return [
-            ConditionSpec(
-                workload=candidate.workload.name,
-                client_label=client_label,
-                client_config=candidate.hardware.client,
-                condition_label=label,
-                server_config=candidate.hardware.server,
-                qps=float(qps),
-                runs=self.runs,
-                num_requests=int(num_requests),
-                base_seed=cell_seed(self.base_seed, client_label,
-                                    label, float(qps)),
-                extra=tuple(sorted(extra.items())),
-                cluster=candidate.cluster,
-                engine=candidate.policy.engine,
-                graph=candidate.graph,
-                arrival=candidate.load.arrival,
-                workers=candidate.policy.workers,
-            )
+            ConditionSpec(base.with_qps(qps).with_seed(cell_seed(
+                self.base_seed, client_label, label, float(qps))))
             for qps in self.objective.qps_list]
 
     def cost_per_trial(self, num_requests: int) -> int:

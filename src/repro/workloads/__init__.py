@@ -12,22 +12,18 @@
 Each workload registers a :class:`~repro.workloads.registry.\
 WorkloadDefinition` -- builder + typed parameter schema -- in
 :mod:`repro.workloads.registry`, the plugin protocol the
-:mod:`repro.api` plan layer compiles against.  The legacy
-``build_*_testbed(...)`` entry points remain as deprecated shims.
+:mod:`repro.api` plan layer compiles against.  Testbeds are built
+through it: ``plan.testbed(seed)``, or
+``workload_by_name(name).build_testbed(seed, ...)`` where a caller
+injects builder keywords a plan does not carry.
 """
 
 from repro.workloads.etc import EtcWorkload
-from repro.workloads.memcached import build_memcached_testbed
-from repro.workloads.hdsearch import build_hdsearch_testbed
-from repro.workloads.socialnetwork import build_socialnetwork_testbed
-from repro.workloads.synthetic import build_synthetic_testbed
 from repro.workloads.registry import (
     DEFAULT_QPS_SWEEPS,
     ParamSpec,
     WorkloadDefinition,
-    builder_by_name,
     find_workload,
-    register_builder,
     register_workload,
     registered_workloads,
     workload_by_name,
@@ -38,13 +34,7 @@ __all__ = [
     "EtcWorkload",
     "ParamSpec",
     "WorkloadDefinition",
-    "build_memcached_testbed",
-    "build_hdsearch_testbed",
-    "build_socialnetwork_testbed",
-    "build_synthetic_testbed",
-    "builder_by_name",
     "find_workload",
-    "register_builder",
     "register_workload",
     "registered_workloads",
     "workload_by_name",

@@ -14,7 +14,6 @@ index in :mod:`repro.workloads.hdsearch_lsh`.
 
 from __future__ import annotations
 
-import warnings
 
 import numpy as np
 
@@ -168,20 +167,3 @@ def _hdsearch_testbed(
         workload="hdsearch", qps=qps,
         client_config=client_config, server_config=server_config,
     )
-
-
-def build_hdsearch_testbed(*args, **kwargs) -> Testbed:
-    """Deprecated shim for the hdsearch builder.
-
-    Construct an :class:`~repro.api.ExperimentPlan` instead::
-
-        from repro.api import experiment
-        plan = experiment("hdsearch").client("LP").build()
-        testbed = plan.testbed(seed)
-    """
-    warnings.warn(
-        "build_hdsearch_testbed() is deprecated; construct an "
-        "ExperimentPlan via repro.api (experiment('hdsearch')...) "
-        "and use plan.testbed(seed) / plan.run()",
-        DeprecationWarning, stacklevel=2)
-    return _hdsearch_testbed(*args, **kwargs)

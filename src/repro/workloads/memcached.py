@@ -9,7 +9,6 @@ paper's most client-sensitive one.
 
 from __future__ import annotations
 
-import warnings
 from typing import List
 
 from repro.config.knobs import HardwareConfig
@@ -157,20 +156,3 @@ def _memcached_testbed(
         workload="memcached", qps=qps,
         client_config=client_config, server_config=server_config,
     )
-
-
-def build_memcached_testbed(*args, **kwargs) -> Testbed:
-    """Deprecated shim for the Memcached builder.
-
-    Construct an :class:`~repro.api.ExperimentPlan` instead::
-
-        from repro.api import experiment
-        plan = experiment("memcached").client("LP").build()
-        testbed = plan.testbed(seed)
-    """
-    warnings.warn(
-        "build_memcached_testbed() is deprecated; construct an "
-        "ExperimentPlan via repro.api (experiment('memcached')...) "
-        "and use plan.testbed(seed) / plan.run()",
-        DeprecationWarning, stacklevel=2)
-    return _memcached_testbed(*args, **kwargs)

@@ -22,9 +22,8 @@ This is the plugin protocol new workloads implement::
 Anything registered this way is addressable from the whole stack:
 :class:`repro.api.ExperimentPlan` validates parameters against the
 schema at construction, campaigns expand into plans over it, and the
-CLI lists it.  The legacy :func:`register_builder` shim keeps
-schema-less callables working (their parameters pass through
-unvalidated).
+CLI lists it.  A plan or campaign parameter outside the schema is
+rejected by name.
 """
 
 from __future__ import annotations
@@ -147,9 +146,6 @@ class WorkloadDefinition:
         default_qps: builder's default offered load.
         default_num_requests: builder's default requests per run.
         qps_sweep: the paper's load sweep for this workload.
-        allow_unknown_params: legacy escape hatch -- parameters not in
-            the schema pass through unvalidated (used by
-            :func:`register_builder`).
     """
 
     name: str
@@ -160,7 +156,6 @@ class WorkloadDefinition:
     default_qps: float = 1_000.0
     default_num_requests: int = 1_000
     qps_sweep: Tuple[float, ...] = ()
-    allow_unknown_params: bool = False
 
     # ------------------------------------------------------------------
     def schema(self) -> Dict[str, ParamSpec]:
@@ -196,9 +191,6 @@ class WorkloadDefinition:
             key = str(key)
             spec = schema.get(key)
             if spec is None:
-                if self.allow_unknown_params:
-                    out[key] = value
-                    continue
                 valid = ", ".join(sorted(schema)) or "(none)"
                 close = difflib.get_close_matches(key, list(schema), n=1)
                 hint = f" -- did you mean {close[0]!r}?" if close else ""
@@ -276,36 +268,6 @@ def find_workload(name: str) -> Optional[WorkloadDefinition]:
 def registered_workloads() -> Sequence[str]:
     """Sorted names of all registered workloads."""
     return tuple(sorted(_WORKLOADS))
-
-
-# ------------------------------------------------------------- legacy shims
-def register_builder(name: str, builder: TestbedBuilder,
-                     replace: bool = False) -> None:
-    """Register a bare builder callable under *name* (legacy surface).
-
-    The builder is wrapped in a schema-less
-    :class:`WorkloadDefinition` with ``allow_unknown_params=True``, so
-    arbitrary ``extra`` kwargs keep flowing through unvalidated
-    exactly as before the typed registry existed.  New workloads
-    should call :func:`register_workload` with a real schema instead.
-    """
-    register_workload(
-        WorkloadDefinition(
-            name=str(name),
-            builder=builder,
-            description="legacy register_builder() entry",
-            allow_unknown_params=True,
-        ),
-        replace=replace)
-
-
-def builder_by_name(name: str) -> TestbedBuilder:
-    """Resolve a workload name to its testbed builder.
-
-    Raises:
-        ExperimentError: if no workload is registered under *name*.
-    """
-    return workload_by_name(name).builder
 
 
 # The paper's four workloads.

@@ -17,7 +17,6 @@ longer matters much (Fig. 6).
 
 from __future__ import annotations
 
-import warnings
 
 from functools import lru_cache
 from typing import TYPE_CHECKING, Tuple
@@ -212,20 +211,3 @@ def _socialnetwork_testbed(
         workload="socialnetwork", qps=qps,
         client_config=client_config, server_config=server_config,
     )
-
-
-def build_socialnetwork_testbed(*args, **kwargs) -> Testbed:
-    """Deprecated shim for the socialnetwork builder.
-
-    Construct an :class:`~repro.api.ExperimentPlan` instead::
-
-        from repro.api import experiment
-        plan = experiment("socialnetwork").client("LP").build()
-        testbed = plan.testbed(seed)
-    """
-    warnings.warn(
-        "build_socialnetwork_testbed() is deprecated; construct an "
-        "ExperimentPlan via repro.api (experiment('socialnetwork')...) "
-        "and use plan.testbed(seed) / plan.run()",
-        DeprecationWarning, stacklevel=2)
-    return _socialnetwork_testbed(*args, **kwargs)

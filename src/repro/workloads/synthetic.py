@@ -10,7 +10,6 @@ sleep time), exactly as the paper specifies.
 
 from __future__ import annotations
 
-import warnings
 
 from repro.config.knobs import HardwareConfig
 from repro.config.presets import SERVER_BASELINE
@@ -132,20 +131,3 @@ def _synthetic_testbed(
         workload="synthetic", qps=qps,
         client_config=client_config, server_config=server_config,
     )
-
-
-def build_synthetic_testbed(*args, **kwargs) -> Testbed:
-    """Deprecated shim for the synthetic builder.
-
-    Construct an :class:`~repro.api.ExperimentPlan` instead::
-
-        from repro.api import experiment
-        plan = experiment("synthetic").client("LP").build()
-        testbed = plan.testbed(seed)
-    """
-    warnings.warn(
-        "build_synthetic_testbed() is deprecated; construct an "
-        "ExperimentPlan via repro.api (experiment('synthetic')...) "
-        "and use plan.testbed(seed) / plan.run()",
-        DeprecationWarning, stacklevel=2)
-    return _synthetic_testbed(*args, **kwargs)

@@ -1,9 +1,8 @@
 """Execution parity for the plan layer.
 
 Golden-value tests prove plan-built memcached/hdsearch/synthetic runs
-are bit-identical to the pre-redesign ``build_*_testbed`` path at
-seed 1234; deprecation tests prove the legacy shims still behave
-identically while warning.
+are bit-identical to the workload builders called directly at
+seed 1234, and that campaign conditions run the plans they hold.
 """
 
 import pytest
@@ -11,20 +10,9 @@ import pytest
 from repro.api import experiment
 from repro.campaign.spec import CampaignSpec
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
-from repro.core.experiment import run_experiment
-from repro.workloads.hdsearch import build_hdsearch_testbed
-from repro.workloads.memcached import build_memcached_testbed
-from repro.workloads.socialnetwork import build_socialnetwork_testbed
-from repro.workloads.synthetic import build_synthetic_testbed
+from repro.workloads.registry import workload_by_name
 
 from test_golden_values import GOLDEN, GOLDEN_SEED
-
-LEGACY_BUILDERS = {
-    "memcached": build_memcached_testbed,
-    "hdsearch": build_hdsearch_testbed,
-    "socialnetwork": build_socialnetwork_testbed,
-    "synthetic": build_synthetic_testbed,
-}
 
 
 def golden_plan(workload):
@@ -52,15 +40,24 @@ def test_plan_run_matches_golden_values(workload):
 
 @pytest.mark.parametrize("workload", sorted(GOLDEN))
 def test_plan_testbed_matches_legacy_builder(workload):
-    """plan.testbed(seed) == build_*_testbed(seed, ...), bit for bit."""
+    """plan.testbed(seed) == the registered builder, bit for bit."""
     qps, num_requests = GOLDEN[workload][:2]
-    with pytest.warns(DeprecationWarning):
-        legacy = LEGACY_BUILDERS[workload](
-            seed=GOLDEN_SEED, client_config=LP_CLIENT,
-            server_config=SERVER_BASELINE, qps=qps,
-            num_requests=num_requests).run()
+    legacy = workload_by_name(workload).build_testbed(
+        seed=GOLDEN_SEED, client_config=LP_CLIENT,
+        server_config=SERVER_BASELINE, qps=qps,
+        num_requests=num_requests).run()
     via_plan = golden_plan(workload).testbed(GOLDEN_SEED).run()
     assert via_plan == legacy
+
+
+@pytest.mark.parametrize("workload", sorted(
+    ("hdsearch", "memcached", "socialnetwork", "synthetic")))
+def test_plan_testbed_names_its_workload(workload):
+    qps = {"memcached": 50_000, "hdsearch": 1_000,
+           "socialnetwork": 200, "synthetic": 5_000}[workload]
+    testbed = (experiment(workload).client(LP_CLIENT)
+               .load(qps=qps, num_requests=30).build().testbed(1))
+    assert testbed.workload == workload
 
 
 def test_condition_to_plan_matches_direct_plan_execution():
@@ -74,14 +71,14 @@ def test_condition_to_plan_matches_direct_plan_execution():
     condition = spec.expand()[0]
     plan = condition.to_plan()
     assert plan.workload.param_dict() == {"added_delay_us": 100.0}
-    assert plan.policy.base_seed == condition.base_seed
+    assert plan.policy.base_seed == condition.plan.policy.base_seed
     assert plan.label == condition.label
 
     direct = (experiment("synthetic", added_delay_us=100.0)
               .client(LP_CLIENT, label="LP")
               .server(SERVER_BASELINE, label="baseline")
               .load(qps=5_000, num_requests=50)
-              .policy(runs=2, base_seed=condition.base_seed,
+              .policy(runs=2, base_seed=condition.plan.policy.base_seed,
                       label=condition.label)
               .build())
     assert direct == plan
@@ -165,25 +162,3 @@ class TestCampaignExtraValidation:
         with pytest.raises(Exception, match="unknown workload"):
             spec.expand()[0].to_plan()
 
-
-class TestDeprecatedShims:
-    def test_run_experiment_warns_and_behaves(self):
-        plan = golden_plan("memcached").with_policy(runs=2)
-        via_plan = plan.run()
-        with pytest.warns(DeprecationWarning,
-                          match="run_experiment.*deprecated"):
-            legacy = run_experiment(
-                plan.builder(), runs=2, base_seed=GOLDEN_SEED)
-        assert legacy.runs == via_plan.runs
-        assert legacy.label == via_plan.label
-
-    @pytest.mark.parametrize("workload", sorted(LEGACY_BUILDERS))
-    def test_builder_shims_warn(self, workload):
-        qps = {"memcached": 50_000, "hdsearch": 1_000,
-               "socialnetwork": 200, "synthetic": 5_000}[workload]
-        with pytest.warns(DeprecationWarning,
-                          match=f"build_{workload}_testbed.*deprecated"):
-            testbed = LEGACY_BUILDERS[workload](
-                seed=1, client_config=LP_CLIENT, qps=qps,
-                num_requests=30)
-        assert testbed.workload == workload

@@ -19,8 +19,7 @@ from repro.config.presets import (
 )
 from repro.errors import ExperimentError
 from repro.workloads.registry import (
-    builder_by_name,
-    register_builder,
+    WorkloadDefinition,
     register_workload,
     registered_workloads,
     workload_by_name,
@@ -54,19 +53,20 @@ class TestRegistry:
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ExperimentError):
-            builder_by_name("quake3")
+            workload_by_name("quake3")
 
     def test_duplicate_registration_rejected(self):
         original = workload_by_name("memcached")
-        builder = builder_by_name("memcached")
+        bare = WorkloadDefinition(name="memcached",
+                                  builder=original.builder)
         try:
             with pytest.raises(ExperimentError):
-                register_builder("memcached", builder)
-            register_builder("memcached", builder, replace=True)
+                register_workload(bare)
+            register_workload(bare, replace=True)
         finally:
-            # Restore the typed definition even on failure: the
-            # legacy shim registers a schema-less one, which would
-            # mask parameter validation for the rest of the session.
+            # Restore the typed definition even on failure: the bare
+            # one has no sweep or generator identity, which would
+            # change plan validation for the rest of the test run.
             register_workload(original, replace=True)
         assert workload_by_name("memcached") is original
 
@@ -77,7 +77,7 @@ class TestRunCondition:
         result = run_condition(condition)
         assert result.label == condition.label
         assert result.qps == condition.qps
-        assert len(result.runs) == condition.runs
+        assert len(result.runs) == condition.plan.policy.runs
 
     def test_extra_kwargs_reach_the_builder(self):
         spec = small_spec(
@@ -179,15 +179,15 @@ def _flaky_builder(seed, client_config, server_config=None,
                    qps=0.0, num_requests=0, **extra):
     if qps >= 50_000:
         raise RuntimeError("injected failure above 50K")
-    from repro.workloads.memcached import build_memcached_testbed
-
-    return build_memcached_testbed(
+    return workload_by_name("memcached").build_testbed(
         seed, client_config=client_config, server_config=server_config,
         qps=qps, num_requests=num_requests, **extra)
 
 
-register_builder("broken-test", _broken_builder, replace=True)
-register_builder("flaky-test", _flaky_builder, replace=True)
+register_workload(WorkloadDefinition(
+    name="broken-test", builder=_broken_builder), replace=True)
+register_workload(WorkloadDefinition(
+    name="flaky-test", builder=_flaky_builder), replace=True)
 
 
 class TestFailureIsolation:

@@ -1,14 +1,15 @@
 """Tests for campaign specs: expansion, hashing, dict/JSON loading."""
 
+import hashlib
 import json
 
 import pytest
 
+from repro.api import ExperimentPlan, experiment
+from repro.campaign.presets import campaign_by_name, preset_names
 from repro.campaign.serialize import (
     experiment_result_from_dict,
     experiment_result_to_dict,
-    hardware_config_from_dict,
-    hardware_config_to_dict,
     run_metrics_from_dict,
     run_metrics_to_dict,
 )
@@ -19,10 +20,12 @@ from repro.config.presets import (
     SERVER_BASELINE,
     server_with_smt,
 )
-from repro.core.experiment import run_experiment
+from repro.config.serialize import (
+    hardware_config_from_dict,
+    hardware_config_to_dict,
+)
 from repro.core.testbed import RunMetrics
 from repro.errors import ExperimentError
-from repro.workloads.memcached import build_memcached_testbed
 
 
 def small_spec(**overrides):
@@ -77,11 +80,9 @@ class TestResultSerialization:
             run_metrics_to_dict(metrics)) == metrics
 
     def test_experiment_result_round_trip_is_exact(self):
-        result = run_experiment(
-            lambda seed: build_memcached_testbed(
-                seed, client_config=LP_CLIENT, qps=50_000,
-                num_requests=60),
-            runs=3, base_seed=5, label="LP-test")
+        result = (experiment("memcached").client(LP_CLIENT)
+                  .load(qps=50_000, num_requests=60)
+                  .policy(runs=3, base_seed=5, label="LP-test").run())
         data = json.loads(json.dumps(experiment_result_to_dict(result)))
         rebuilt = experiment_result_from_dict(data)
         assert rebuilt.label == result.label
@@ -97,7 +98,8 @@ class TestExpansion:
         conditions = spec.expand()
         assert len(conditions) == spec.size() == 2 * 2 * 2
         # Clients x conditions x qps, in declaration order.
-        assert [(c.client_label, c.condition_label, c.qps)
+        assert [(c.plan.hardware.client_label,
+                 c.plan.hardware.server_label, c.qps)
                 for c in conditions[:3]] == [
                     ("LP", "SMToff", 10_000.0),
                     ("LP", "SMToff", 50_000.0),
@@ -107,8 +109,9 @@ class TestExpansion:
         """Campaign seeds must equal the legacy grid seeds, or store
         hits would not be interchangeable with study cells."""
         for condition in small_spec().expand():
-            assert condition.base_seed == cell_seed(
-                0, condition.client_label, condition.condition_label,
+            hardware = condition.plan.hardware
+            assert condition.plan.policy.base_seed == cell_seed(
+                0, hardware.client_label, hardware.server_label,
                 condition.qps)
 
     def test_seed_depends_on_identity_not_position(self):
@@ -121,14 +124,16 @@ class TestExpansion:
         base0 = small_spec().expand()
         base9 = small_spec(base_seed=9).expand()
         for a, b in zip(base0, base9):
-            assert b.base_seed == a.base_seed + 9
+            assert (b.plan.policy.base_seed
+                    == a.plan.policy.base_seed + 9)
             assert a.content_hash() != b.content_hash()
 
     def test_extra_kwargs_flow_into_conditions(self):
         spec = small_spec(workload="synthetic",
                           extra={"added_delay_us": 100.0})
         condition = spec.expand()[0]
-        assert condition.extra_kwargs() == {"added_delay_us": 100.0}
+        assert condition.plan.workload.param_dict() == {
+            "added_delay_us": 100.0}
 
     def test_label(self):
         condition = small_spec().expand()[0]
@@ -143,8 +148,8 @@ class TestContentHash:
 
     def test_round_trip_preserves_hash(self):
         condition = small_spec().expand()[0]
-        rebuilt = ConditionSpec.from_dict(
-            json.loads(json.dumps(condition.to_dict())))
+        rebuilt = ConditionSpec(ExperimentPlan.from_json(
+            condition.plan.to_json()))
         assert rebuilt == condition
         assert rebuilt.content_hash() == condition.content_hash()
 
@@ -277,3 +282,35 @@ def test_cell_seed_scheme_is_pinned():
     assert cell_seed(0, "LP", "SMToff", 10_000) == (key % 1_000_003) * 10_000
     assert cell_seed(7, "LP", "SMToff", 10_000) == (
         7 + (key % 1_000_003) * 10_000)
+
+
+#: preset -> first 16 hex digits of sha256 over the concatenated plan
+#: hashes of its expansion, captured when conditions still compiled
+#: their own fields into plans.  Expansion must build the same plans
+#: byte for byte: the simulation and every seed block depend on them.
+PRESET_PLAN_DIGESTS = {
+    "hdsearch-c1e": "579f5af0a819973a",
+    "hdsearch-cluster": "2c777a685145afbd",
+    "hdsearch-graph": "468dd1545fe54bb5",
+    "hdsearch-smt": "48e9852cdd62f2f6",
+    "memcached-c1e": "2ee0beea5aba0c2e",
+    "memcached-cached": "7e4391afa6729233",
+    "memcached-cluster": "6c0f1825fdc1c71f",
+    "memcached-smt": "785ad3b0e0db2fe2",
+    "socialnetwork": "68e8d65188121c69",
+    "synthetic": "55c8723871ee5b7d",
+}
+
+
+def test_every_preset_has_a_pinned_digest():
+    assert sorted(preset_names()) == sorted(PRESET_PLAN_DIGESTS)
+    assert sum(len(campaign_by_name(name).expand())
+               for name in PRESET_PLAN_DIGESTS) == 164
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_PLAN_DIGESTS))
+def test_preset_plans_are_byte_stable(name):
+    conditions = campaign_by_name(name).expand()
+    joined = "".join(c.to_plan().content_hash() for c in conditions)
+    assert (hashlib.sha256(joined.encode()).hexdigest()[:16]
+            == PRESET_PLAN_DIGESTS[name])

@@ -1,13 +1,23 @@
 """Tests for the SQLite result store."""
 
+import sqlite3
+
 import pytest
 
+from repro.campaign import store as store_module
+from repro.campaign.executor import execute_campaign
+from repro.campaign.report import render_campaign_status
+from repro.campaign.serialize import experiment_result_to_dict
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore, open_store, require_store
-from repro.config.presets import LP_CLIENT, server_with_smt
-from repro.core.experiment import run_experiment
+from repro.config.presets import (
+    LP_CLIENT,
+    SERVER_BASELINE,
+    server_with_smt,
+)
+from repro.config.serialize import canonical_json
+from repro.core.experiment import MODEL_EPOCH
 from repro.errors import ExperimentError
-from repro.workloads.memcached import build_memcached_testbed
 
 
 @pytest.fixture
@@ -30,13 +40,7 @@ def store():
 
 
 def run_one(condition):
-    return run_experiment(
-        lambda seed: build_memcached_testbed(
-            seed, client_config=condition.client_config,
-            server_config=condition.server_config, qps=condition.qps,
-            num_requests=condition.num_requests),
-        runs=condition.runs, base_seed=condition.base_seed,
-        label=condition.label)
+    return condition.to_plan().run()
 
 
 class TestTimings:
@@ -52,7 +56,7 @@ class TestTimings:
             conditions[0].content_hash()]
         assert (label, qps, runs) == (
             conditions[0].label, conditions[0].qps,
-            conditions[0].runs)
+            conditions[0].plan.policy.runs)
         assert elapsed == 1.25
         assert wait == 0.5
         assert pid == 4242
@@ -145,7 +149,7 @@ class TestQueries:
         assert campaign == "store-test"
         assert label == "LP-SMToff"
         assert qps == condition.qps
-        assert runs == condition.runs
+        assert runs == condition.plan.policy.runs
         assert created > 0
 
     def test_delete_and_clear(self, spec, store):
@@ -221,7 +225,7 @@ class TestClusterHashCoverage:
             fetched = store.get(condition.content_hash())
             assert fetched.runs == result.runs
             spec = store.get_spec(condition.content_hash())
-            assert spec.cluster == condition.cluster
+            assert spec.plan.cluster == condition.plan.cluster
 
     def test_cluster_condition_does_not_collide_with_single(
             self, spec, store):
@@ -303,5 +307,126 @@ class TestGraphHashCoverage:
         fetched = store.get(condition.content_hash())
         assert fetched.runs == result.runs
         spec = store.get_spec(condition.content_hash())
-        assert spec.graph == condition.graph
-        assert spec.arrival == condition.arrival
+        assert spec.plan.graph == condition.plan.graph
+        assert spec.plan.load.arrival == condition.plan.load.arrival
+
+
+#: The 12-column schema of stores written before model epochs.
+PRE_EPOCH_SCHEMA = """
+CREATE TABLE results (
+    condition_hash  TEXT PRIMARY KEY,
+    campaign        TEXT NOT NULL,
+    workload        TEXT NOT NULL,
+    label           TEXT NOT NULL,
+    qps             REAL NOT NULL,
+    runs            INTEGER NOT NULL,
+    spec_json       TEXT NOT NULL,
+    payload_json    TEXT NOT NULL,
+    created_at      REAL NOT NULL,
+    elapsed_s       REAL NOT NULL DEFAULT 0.0,
+    queue_wait_s    REAL NOT NULL DEFAULT 0.0,
+    worker_pid      INTEGER
+);
+CREATE INDEX idx_results_campaign ON results (campaign);
+"""
+
+#: How such a store keyed and described the ``s`` campaign's one
+#: condition (memcached, LP vs baseline, 50k QPS, 2 x 100 requests):
+#: a hash of the condition's own fields, not of its plan.
+PRE_EPOCH_KEY = ("ff21ff72b22dbfe1d8b0942cd3bfb192"
+                 "6beeabff1987959bba9152f63d88b540")
+PRE_EPOCH_SPEC_JSON = (
+    '{"base_seed":9818140000,"client_config":{"cstates":["C0","C1",'
+    '"C1E","C6"],"frequency_driver":"intel_pstate",'
+    '"frequency_governor":"powersave","name":"LP","smt":true,'
+    '"tickless":false,"turbo":true,"uncore":"dynamic"},'
+    '"client_label":"LP","condition_label":"baseline","extra":{},'
+    '"num_requests":100,"qps":50000.0,"runs":2,"server_config":'
+    '{"cstates":["C0","C1"],"frequency_driver":"acpi_cpufreq",'
+    '"frequency_governor":"performance","name":"server-baseline",'
+    '"smt":false,"tickless":true,"turbo":false,"uncore":"fixed"},'
+    '"workload":"memcached"}')
+#: The same condition's key today: its plan's content hash.
+PLAN_KEY = ("c9a9f504f03f821e505ef4fb08674954"
+            "6731b309f0e29eb2306d96ef69ccf1a9")
+
+
+def _file_state(path):
+    """(schema, rows) of a store file, read without ResultStore."""
+    conn = sqlite3.connect(path)
+    try:
+        schema = conn.execute("PRAGMA table_info(results)").fetchall()
+        rows = conn.execute(
+            "SELECT * FROM results ORDER BY condition_hash").fetchall()
+    finally:
+        conn.close()
+    return schema, rows
+
+
+class TestModelEpoch:
+    def test_rows_of_another_epoch_are_never_served(self, spec, store,
+                                                   monkeypatch):
+        """Bumping MODEL_EPOCH retires a row under its unchanged key;
+        re-running the condition replaces it."""
+        condition = spec.expand()[0]
+        key = condition.content_hash()
+        store.put(condition, run_one(condition))
+        assert store.stale_count() == 0
+        monkeypatch.setattr(store_module, "MODEL_EPOCH",
+                            MODEL_EPOCH + 1)
+        assert key not in store
+        assert store.get(key) is None
+        assert store.get_spec(key) is None
+        assert store.hashes() == frozenset()
+        assert list(store.rows()) == []
+        assert store.timings_for([condition]) == {}
+        assert store.results_for([condition]) == {}
+        assert store.missing([condition]) == [condition]
+        assert (store.count(), store.stale_count()) == (1, 1)
+        store.put(condition, run_one(condition))
+        assert key in store
+        assert (store.count(), store.stale_count()) == (1, 0)
+
+    def test_pre_epoch_store_reruns_under_the_plan_key(self, tmp_path):
+        spec = CampaignSpec(
+            name="s", workload="memcached",
+            conditions={"baseline": SERVER_BASELINE},
+            clients={"LP": LP_CLIENT},
+            qps_list=(50_000.0,), runs=2, num_requests=100)
+        [condition] = spec.expand()
+        assert condition.content_hash() == PLAN_KEY
+        result = run_one(condition)
+        path = str(tmp_path / "pre-epoch.sqlite")
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.executescript(PRE_EPOCH_SCHEMA)
+            conn.execute(
+                "INSERT INTO results VALUES "
+                "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (PRE_EPOCH_KEY, "s", "memcached", "LP-baseline",
+                 50_000.0, 2, PRE_EPOCH_SPEC_JSON,
+                 canonical_json(experiment_result_to_dict(result)),
+                 1.0, 0.25, 0.0, None))
+        conn.close()
+
+        with ResultStore(path) as store:
+            assert (store.count(), store.stale_count()) == (1, 1)
+            assert ("1 stored rows from another model epoch "
+                    "(re-run on next invocation)"
+                    in render_campaign_status(spec, store))
+            assert PRE_EPOCH_KEY not in store
+            assert store.get(PRE_EPOCH_KEY) is None
+            assert store.get_spec(PRE_EPOCH_KEY) is None
+            assert store.missing([condition]) == [condition]
+            outcome = execute_campaign(spec, store=store,
+                                       max_workers=1)
+            assert (len(outcome.hits), len(outcome.executed)) == (0, 1)
+            assert store.hashes() == {PLAN_KEY}
+            assert store.get(PLAN_KEY).runs == result.runs
+            assert (store.count(), store.stale_count()) == (2, 1)
+
+        before = _file_state(path)
+        assert before[0][-1][1] == "model_epoch"
+        with ResultStore(path) as store:
+            assert (store.count(), store.stale_count()) == (2, 1)
+        assert _file_state(path) == before

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.workloads.registry import WorkloadDefinition, register_workload
 
 SPEC = {
     "name": "cli-campaign",
@@ -70,12 +71,30 @@ class TestCampaignRun:
 
     def test_failed_condition_sets_exit_code(self, tmp_path, store_path,
                                              capsys):
-        bad = dict(SPEC, workload="not-registered")
+        def broken(**kwargs):
+            raise RuntimeError("injected build failure")
+
+        register_workload(WorkloadDefinition(
+            name="cli-broken-test", builder=broken), replace=True)
+        bad = dict(SPEC, workload="cli-broken-test")
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert cli_main(["campaign", "run", "--spec", str(path),
                          "--store", store_path, "--serial"]) == 1
         assert "failed" in capsys.readouterr().out
+
+    def test_unknown_workload_fails_before_running(self, tmp_path,
+                                                   store_path, capsys):
+        """Conditions are validated plans: an unregistered workload
+        stops the campaign at expansion, before anything runs."""
+        bad = dict(SPEC, workload="not-registered")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert cli_main(["campaign", "run", "--spec", str(path),
+                         "--store", store_path, "--serial"]) == 1
+        captured = capsys.readouterr()
+        assert "unknown workload 'not-registered'" in captured.err
+        assert "executed" not in captured.out
 
 
 class TestCampaignStatus:

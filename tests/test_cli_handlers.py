@@ -42,19 +42,16 @@ class TestCapacity:
 
     def test_capacity_seed_changes_the_samples(self, capsys):
         """Different base seeds draw different runs; the handler must
-        actually thread --seed through to run_experiment."""
+        actually thread --seed through to the plan's runs."""
         import numpy as np
 
+        from repro.api import experiment
         from repro.config.presets import LP_CLIENT
-        from repro.core.experiment import run_experiment
-        from repro.workloads.memcached import build_memcached_testbed
 
         def p99(seed):
-            result = run_experiment(
-                lambda s: build_memcached_testbed(
-                    s, client_config=LP_CLIENT, qps=20_000,
-                    num_requests=60),
-                runs=2, base_seed=seed)
+            result = (experiment("memcached").client(LP_CLIENT)
+                      .load(qps=20_000, num_requests=60)
+                      .policy(runs=2, base_seed=seed).run())
             return float(np.median(result.p99_samples()))
 
         assert p99(0) != p99(1_000_000)

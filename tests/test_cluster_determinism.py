@@ -20,10 +20,8 @@ import pytest
 
 import repro
 from repro.api import ClusterSpec, experiment
-from repro.campaign.serialize import (
-    content_hash,
-    experiment_result_to_dict,
-)
+from repro.campaign.serialize import experiment_result_to_dict
+from repro.config.serialize import content_hash
 from repro.workloads.registry import registered_workloads
 
 #: The paper's registered workloads.  Named explicitly rather than
@@ -150,8 +148,8 @@ def test_replay_in_subprocess_is_bit_identical():
     code = (
         "import json, sys\n"
         "from repro.api import ExperimentPlan\n"
-        "from repro.campaign.serialize import (\n"
-        "    content_hash, experiment_result_to_dict)\n"
+        "from repro.campaign.serialize import experiment_result_to_dict\n"
+        "from repro.config.serialize import content_hash\n"
         "for text in json.load(sys.stdin):\n"
         "    plan = ExperimentPlan.from_json(text)\n"
         "    payload = experiment_result_to_dict(plan.run())\n"

@@ -251,7 +251,7 @@ class TestCampaignIntegration:
         cluster = ClusterSpec(nodes=3, lb_policy="random")
         spec = self.base(cluster=cluster)
         condition = spec.expand()[0]
-        assert condition.cluster == cluster
+        assert condition.plan.cluster == cluster
         assert condition.to_plan().cluster == cluster
 
     def test_campaign_dict_round_trip_with_cluster(self):
@@ -263,7 +263,8 @@ class TestCampaignIntegration:
     def test_condition_dict_round_trip_with_cluster(self):
         spec = self.base(cluster=ClusterSpec(nodes=2))
         condition = spec.expand()[0]
-        rebuilt = ConditionSpec.from_dict(condition.to_dict())
+        rebuilt = ConditionSpec(ExperimentPlan.from_dict(
+            condition.plan.to_dict()))
         assert rebuilt == condition
         assert rebuilt.content_hash() == condition.content_hash()
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.config.presets import HP_CLIENT, LP_CLIENT
+from repro.config.presets import HP_CLIENT, LP_CLIENT, SERVER_BASELINE
 from repro.errors import ExperimentError
 from repro.hardware.machine import Machine
-from repro.workloads.memcached import build_memcached_testbed
+from repro.workloads.registry import workload_by_name
 
 
 def drop_one_request(testbed, victim_id=3):
@@ -28,17 +28,17 @@ class TestTestbedFailures:
         """If a request goes missing (lost packet, wiring bug), run()
         must raise rather than return statistics over a partial
         sample."""
-        testbed = build_memcached_testbed(
-            seed=1, client_config=HP_CLIENT, qps=50_000,
-            num_requests=50, engine=engine)
+        testbed = workload_by_name("memcached").build_testbed(
+            seed=1, client_config=HP_CLIENT, server_config=SERVER_BASELINE,
+            qps=50_000, num_requests=50, engine=engine)
         drop_one_request(testbed)
         with pytest.raises(ExperimentError):
             testbed.run()
 
     def test_single_use_enforced_even_after_failure(self, engine):
-        testbed = build_memcached_testbed(
-            seed=1, client_config=HP_CLIENT, qps=50_000,
-            num_requests=50, engine=engine)
+        testbed = workload_by_name("memcached").build_testbed(
+            seed=1, client_config=HP_CLIENT, server_config=SERVER_BASELINE,
+            qps=50_000, num_requests=50, engine=engine)
         drop_one_request(testbed)
         with pytest.raises(ExperimentError):
             testbed.run()
@@ -71,10 +71,10 @@ class TestMachineFailures:
 
 class TestExperimentFailures:
     def test_builder_exception_propagates(self):
-        from repro.core.experiment import run_experiment
+        from repro.core.experiment import Experiment
 
         def broken_builder(seed):
             raise RuntimeError("testbed assembly failed")
 
         with pytest.raises(RuntimeError):
-            run_experiment(broken_builder, runs=2)
+            Experiment(broken_builder, runs=2).run()

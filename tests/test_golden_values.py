@@ -9,18 +9,24 @@ must reproduce them **bit-identically**: same event order, same RNG
 draw order, same float arithmetic, same stable sort.
 
 If one of these fails after an intentional semantic change, recapture
-the constants in the same commit that changes them -- and say so in
-the commit message, because every stored campaign result silently
-changes meaning at that point.
+the constants in the same commit that changes them, bump
+``repro.core.experiment.MODEL_EPOCH`` and pin the new golden digest
+under the new epoch in :data:`EPOCH_GOLDEN_DIGESTS`.  Every stored
+campaign result changes meaning at that point; the epoch bump is what
+stops the result store from serving the old rows.
 """
+
+import hashlib
+import json
 
 import pytest
 
 from repro.cluster import ClusterSpec, build_cluster_testbed
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
+from repro.core.experiment import MODEL_EPOCH
 from repro.graph import build_graph_testbed, graph_preset
 from repro.loadgen.interarrival import ArrivalSpec
-from repro.workloads.registry import builder_by_name
+from repro.workloads.registry import workload_by_name
 
 #: workload -> (qps, num_requests, avg_us, p99_us, true_avg_us,
 #:              true_p99_us, measured_requests); root seed 1234.
@@ -47,7 +53,7 @@ GOLDEN_SEED = 1234
 def test_golden_run_metrics_bit_identical(workload, engine):
     qps, num_requests, avg, p99, true_avg, true_p99, requests = \
         GOLDEN[workload]
-    testbed = builder_by_name(workload)(
+    testbed = workload_by_name(workload).build_testbed(
         seed=GOLDEN_SEED,
         client_config=LP_CLIENT,
         server_config=SERVER_BASELINE,
@@ -68,7 +74,7 @@ def test_golden_run_metrics_bit_identical(workload, engine):
 def test_golden_runs_are_reproducible_within_session(workload):
     """Two fresh testbeds with the same seed agree with each other."""
     qps, num_requests = GOLDEN[workload][:2]
-    build = builder_by_name(workload)
+    build = workload_by_name(workload).build_testbed
 
     def run_once():
         return build(
@@ -190,3 +196,29 @@ def test_graph_golden_runs_are_reproducible(scenario):
     first = _graph_testbed(scenario).run()
     second = _graph_testbed(scenario).run()
     assert first == second
+
+
+# ------------------------------------------------------------ model epoch
+#: MODEL_EPOCH -> digest of every golden number above.  Recapturing a
+#: golden changes the digest, and this test then fails until the epoch
+#: is bumped and the new digest pinned under it: a stored result must
+#: never outlive the model that produced it.
+EPOCH_GOLDEN_DIGESTS = {
+    1: "a9784531ea474bf5",
+}
+
+
+def _golden_digest():
+    """sha256 over the numbers of every golden table, in key order."""
+    numbers = [
+        [name, [value for value in row
+                if isinstance(value, (int, float))
+                and not isinstance(value, bool)]]
+        for table in (GOLDEN, CLUSTER_GOLDEN, GRAPH_GOLDEN)
+        for name, row in sorted(table.items())]
+    return hashlib.sha256(
+        json.dumps(numbers).encode()).hexdigest()[:16]
+
+
+def test_goldens_are_pinned_to_the_model_epoch():
+    assert EPOCH_GOLDEN_DIGESTS.get(MODEL_EPOCH) == _golden_digest()

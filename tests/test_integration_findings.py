@@ -7,25 +7,24 @@ microsecond values.
 
 import pytest
 
-from repro.config.presets import HP_CLIENT, LP_CLIENT
+from repro.api import experiment
+from repro.config.presets import HP_CLIENT, LP_CLIENT, SERVER_BASELINE
 from repro.config.presets import server_with_c1e, server_with_smt
-from repro.core.experiment import run_experiment
-from repro.workloads.hdsearch import build_hdsearch_testbed
-from repro.workloads.memcached import build_memcached_testbed
-from repro.workloads.socialnetwork import build_socialnetwork_testbed
-from repro.workloads.synthetic import build_synthetic_testbed
 
 RUNS = 8
 REQUESTS = 400
 
 
+def run(workload, client, qps, num_requests, runs, seed=0,
+        server=SERVER_BASELINE, **params):
+    return (experiment(workload, **params).client(client).server(server)
+            .load(qps=qps, num_requests=num_requests)
+            .policy(runs=runs, base_seed=seed).run())
+
+
 def memcached(client, qps, server=None, seed=0):
-    kwargs = {"server_config": server} if server is not None else {}
-    return run_experiment(
-        lambda s: build_memcached_testbed(
-            s, client_config=client, qps=qps, num_requests=REQUESTS,
-            **kwargs),
-        runs=RUNS, base_seed=seed)
+    return run("memcached", client, qps, REQUESTS, RUNS, seed,
+               server or SERVER_BASELINE)
 
 
 class TestFinding1:
@@ -106,45 +105,33 @@ class TestFinding3:
         memcached_gap = (
             memcached(LP_CLIENT, 100_000).avg_samples().mean()
             / memcached(HP_CLIENT, 100_000).avg_samples().mean())
-        hdsearch_lp = run_experiment(
-            lambda s: build_hdsearch_testbed(
-                s, client_config=LP_CLIENT, qps=1_000,
-                num_requests=200),
-            runs=RUNS, base_seed=0).avg_samples().mean()
-        hdsearch_hp = run_experiment(
-            lambda s: build_hdsearch_testbed(
-                s, client_config=HP_CLIENT, qps=1_000,
-                num_requests=200),
-            runs=RUNS, base_seed=0).avg_samples().mean()
+        hdsearch_lp = run("hdsearch", LP_CLIENT, qps=1_000,
+                          num_requests=200,
+                          runs=RUNS).avg_samples().mean()
+        hdsearch_hp = run("hdsearch", HP_CLIENT, qps=1_000,
+                          num_requests=200,
+                          runs=RUNS).avg_samples().mean()
         hdsearch_gap = hdsearch_lp / hdsearch_hp
         # Paper: 7-17% for HDSearch vs 80-150% for Memcached.
         assert hdsearch_gap < 1.25
         assert memcached_gap > hdsearch_gap + 0.3
 
     def test_socialnetwork_gap_is_smallest(self):
-        lp = run_experiment(
-            lambda s: build_socialnetwork_testbed(
-                s, client_config=LP_CLIENT, qps=300, num_requests=200),
-            runs=6, base_seed=0).avg_samples().mean()
-        hp = run_experiment(
-            lambda s: build_socialnetwork_testbed(
-                s, client_config=HP_CLIENT, qps=300, num_requests=200),
-            runs=6, base_seed=0).avg_samples().mean()
+        lp = run("socialnetwork", LP_CLIENT, qps=300, num_requests=200,
+                 runs=6).avg_samples().mean()
+        hp = run("socialnetwork", HP_CLIENT, qps=300, num_requests=200,
+                 runs=6).avg_samples().mean()
         assert lp / hp < 1.12  # paper: ~5%
 
     def test_synthetic_gap_decays_with_added_delay(self):
         gaps = []
         for delay in (0.0, 200.0, 400.0):
-            lp = run_experiment(
-                lambda s, d=delay: build_synthetic_testbed(
-                    s, client_config=LP_CLIENT, qps=10_000,
-                    added_delay_us=d, num_requests=300),
-                runs=6, base_seed=0).avg_samples().mean()
-            hp = run_experiment(
-                lambda s, d=delay: build_synthetic_testbed(
-                    s, client_config=HP_CLIENT, qps=10_000,
-                    added_delay_us=d, num_requests=300),
-                runs=6, base_seed=0).avg_samples().mean()
+            lp = run("synthetic", LP_CLIENT, qps=10_000,
+                     num_requests=300, runs=6,
+                     added_delay_us=delay).avg_samples().mean()
+            hp = run("synthetic", HP_CLIENT, qps=10_000,
+                     num_requests=300, runs=6,
+                     added_delay_us=delay).avg_samples().mean()
             gaps.append(lp / hp)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[0] > 1.5       # paper: up to 2.8x at zero delay

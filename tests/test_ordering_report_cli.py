@@ -4,11 +4,11 @@ import pytest
 
 from repro.analysis.figures import memcached_study
 from repro.analysis.report import study_report, write_report
+from repro.api import experiment
 from repro.cli import main as cli_main
 from repro.config.presets import HP_CLIENT, LP_CLIENT
 from repro.core.ordering import build_schedule, run_ordered
 from repro.errors import ExperimentError
-from repro.workloads.memcached import build_memcached_testbed
 
 
 class TestSchedule:
@@ -49,12 +49,10 @@ class TestSchedule:
 class TestRunOrdered:
     def builders(self):
         return {
-            "LP": lambda seed: build_memcached_testbed(
-                seed, client_config=LP_CLIENT, qps=50_000,
-                num_requests=100),
-            "HP": lambda seed: build_memcached_testbed(
-                seed, client_config=HP_CLIENT, qps=50_000,
-                num_requests=100),
+            "LP": (experiment("memcached").client(LP_CLIENT)
+                   .load(qps=50_000, num_requests=100).build().testbed),
+            "HP": (experiment("memcached").client(HP_CLIENT)
+                   .load(qps=50_000, num_requests=100).build().testbed),
         }
 
     def test_all_conditions_get_all_runs(self):

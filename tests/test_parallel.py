@@ -326,8 +326,8 @@ class TestWorkersByteStability:
             conditions={"baseline": SERVER_BASELINE},
             qps_list=(50_000.0,), runs=2, num_requests=100)
         assert spec.expand()[0].content_hash() == (
-            "ff21ff72b22dbfe1d8b0942cd3bfb192"
-            "6beeabff1987959bba9152f63d88b540")
+            "c9a9f504f03f821e505ef4fb08674954"
+            "6731b309f0e29eb2306d96ef69ccf1a9")
 
     def test_default_workers_is_omitted_from_serialization(self):
         plan = experiment("memcached").build()

@@ -26,11 +26,9 @@ import pytest
 import repro
 from repro.api import ClusterSpec, experiment
 from repro.api.specs import RunPolicy
-from repro.campaign.serialize import (
-    content_hash,
-    experiment_result_to_dict,
-)
-from repro.campaign.spec import ConditionSpec
+from repro.campaign.serialize import experiment_result_to_dict
+from repro.campaign.spec import CampaignSpec
+from repro.config.serialize import content_hash
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
 from repro.errors import ExperimentError, SpecValidationError
 from repro.graph.spec import GraphTierSpec, ServiceGraphSpec
@@ -46,7 +44,7 @@ from repro.sim.kernel import (
     validate_engine_name,
 )
 from repro.telemetry.columns import COLUMN_FIELDS
-from repro.workloads.registry import builder_by_name
+from repro.workloads.registry import workload_by_name
 
 WORKLOADS = ("hdsearch", "memcached", "socialnetwork", "synthetic")
 
@@ -95,22 +93,20 @@ class TestEngineRegistry:
         distinct key never serves a result the model did not
         produce."""
         def condition(**overrides):
-            fields = dict(
-                workload="memcached", client_label="LP",
-                client_config=LP_CLIENT, condition_label="baseline",
-                server_config=SERVER_BASELINE, qps=50_000.0,
-                runs=1, num_requests=40, base_seed=7)
-            fields.update(overrides)
-            return ConditionSpec(**fields)
+            return CampaignSpec(
+                name="engine", workload="memcached",
+                clients={"LP": LP_CLIENT},
+                conditions={"baseline": SERVER_BASELINE},
+                qps_list=(50_000.0,), runs=1, num_requests=40,
+                base_seed=7, **overrides).expand()[0]
 
         base = condition()
         explicit = condition(engine="vectorized")
-        assert explicit.engine is None
-        assert content_hash(explicit.to_dict()) == content_hash(base.to_dict())
+        assert "engine" not in explicit.plan.to_dict()["policy"]
+        assert explicit.content_hash() == base.content_hash()
         reference = condition(engine="reference")
-        assert reference.to_dict()["engine"] == "reference"
-        assert (content_hash(reference.to_dict())
-                != content_hash(base.to_dict()))
+        assert reference.plan.to_dict()["policy"]["engine"] == "reference"
+        assert reference.content_hash() != base.content_hash()
 
     def test_builder_threads_engine_into_plan(self):
         plan = (experiment("memcached")
@@ -208,7 +204,7 @@ class TestCancellationMidRun:
         reproduce the reference metrics bit-identically."""
         results = {}
         for engine in ENGINES:
-            testbed = builder_by_name("memcached")(
+            testbed = workload_by_name("memcached").build_testbed(
                 seed=1234, client_config=LP_CLIENT,
                 server_config=SERVER_BASELINE,
                 qps=50_000, num_requests=400, engine=engine)
@@ -237,7 +233,7 @@ class TestCancellationMidRun:
 # ---------------------------------------------------------------------------
 class TestTestbedDrain:
     def test_kernel_run_drains_generator(self):
-        testbed = builder_by_name("memcached")(
+        testbed = workload_by_name("memcached").build_testbed(
             seed=99, client_config=LP_CLIENT,
             server_config=SERVER_BASELINE,
             qps=50_000, num_requests=200, engine="vectorized")
@@ -249,7 +245,7 @@ class TestTestbedDrain:
         assert metrics.requests > 0
 
     def test_kernel_testbed_is_single_use(self):
-        testbed = builder_by_name("synthetic")(
+        testbed = workload_by_name("synthetic").build_testbed(
             seed=3, client_config=LP_CLIENT,
             server_config=SERVER_BASELINE,
             qps=10_000, num_requests=50, engine="vectorized")
@@ -260,7 +256,7 @@ class TestTestbedDrain:
     def test_heap_usable_after_kernel_run(self):
         """After the fused loop exits, the simulator must be a normal
         Simulator again: new events schedule and fire correctly."""
-        testbed = builder_by_name("memcached")(
+        testbed = workload_by_name("memcached").build_testbed(
             seed=7, client_config=LP_CLIENT,
             server_config=SERVER_BASELINE,
             qps=50_000, num_requests=100, engine="vectorized")
@@ -279,7 +275,7 @@ class TestTestbedDrain:
         cyclic collector off, the simulator dies with its testbed."""
         gc.disable()
         try:
-            testbed = builder_by_name("memcached")(
+            testbed = workload_by_name("memcached").build_testbed(
                 seed=11, client_config=LP_CLIENT,
                 server_config=SERVER_BASELINE,
                 qps=50_000, num_requests=200, engine=engine)
@@ -451,7 +447,7 @@ def test_fused_run_keeps_requests_in_flight_only():
     nothing but its in-flight events; neither changes a column."""
     num_requests = 3 * RECORD_CHUNK + 17
     testbeds = {
-        engine: builder_by_name("memcached")(
+        engine: workload_by_name("memcached").build_testbed(
             seed=5, client_config=LP_CLIENT,
             server_config=SERVER_BASELINE,
             qps=100_000, num_requests=num_requests, engine=engine)
@@ -485,7 +481,7 @@ def test_telemetry_columns_bit_identical(workload):
            "socialnetwork": 300.0, "synthetic": 10_000.0}[workload]
     digests = {}
     for engine in ENGINES:
-        testbed = builder_by_name(workload)(
+        testbed = workload_by_name(workload).build_testbed(
             seed=42, client_config=LP_CLIENT,
             server_config=SERVER_BASELINE,
             qps=qps, num_requests=120, engine=engine)
@@ -537,8 +533,8 @@ def test_kernel_subprocess_matches_reference_full_payload():
     code = (
         "import json, sys\n"
         "from repro.api import ExperimentPlan\n"
-        "from repro.campaign.serialize import (\n"
-        "    content_hash, experiment_result_to_dict)\n"
+        "from repro.campaign.serialize import experiment_result_to_dict\n"
+        "from repro.config.serialize import content_hash\n"
         "for text in json.load(sys.stdin):\n"
         "    plan = ExperimentPlan.from_json(text)\n"
         "    assert plan.policy.engine == 'vectorized'\n"

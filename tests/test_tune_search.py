@@ -212,6 +212,27 @@ class TestHalvingPromotion:
             make_driver("halvng")
 
 
+class TestConditions:
+    def test_conditions_keep_the_base_plans_counters(self):
+        """A condition is a copy of the candidate plan, so a base plan
+        that harvests component counters still harvests them."""
+        from repro.campaign.executor import run_condition
+
+        evaluator = CandidateEvaluator(
+            base_plan().with_policy(metrics=True), two_knob_space(),
+            objective(400_000.0), runs=2, base_seed=7)
+        assignment = {"smt": True, "gov": "performance"}
+        [condition] = evaluator.conditions(assignment, 50)
+        plan = condition.to_plan()
+        assert plan.policy.metrics
+        assert (plan.policy.runs, plan.load.num_requests,
+                plan.load.qps) == (2, 50, 400_000.0)
+        assert plan.hardware.server.smt
+        assert plan.hardware.server_label == assignment_label(assignment)
+        assert all(run.obs_metrics
+                   for run in run_condition(condition).runs)
+
+
 class TestSearchOnRealSimulator:
     def test_grid_finds_max_capacity_config(self):
         """The acceptance scenario: smt x governor over memcached."""

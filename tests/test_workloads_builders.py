@@ -3,24 +3,30 @@
 import numpy as np
 import pytest
 
+from repro.api import experiment
 from repro.config.presets import HP_CLIENT, LP_CLIENT
 from repro.errors import ConfigurationError, ExperimentError
 from repro.units import MS
-from repro.workloads.memcached import build_memcached_testbed
-from repro.workloads.hdsearch import build_hdsearch_testbed
 from repro.workloads.socialnetwork import (
-    build_socialnetwork_testbed,
     social_graph,
     timeline_length_distribution,
 )
-from repro.workloads.synthetic import DelayedService, build_synthetic_testbed
+from repro.workloads.synthetic import DelayedService
+
+
+def plan_testbed(workload, seed, client_config, qps, num_requests,
+                 **params):
+    """One testbed of *workload*, built through its plan."""
+    return (experiment(workload, **params).client(client_config)
+            .load(qps=qps, num_requests=num_requests)
+            .build().testbed(seed))
 
 
 class TestMemcachedTestbed:
     def test_run_produces_metrics(self):
-        testbed = build_memcached_testbed(
-            seed=1, client_config=HP_CLIENT, qps=50_000,
-            num_requests=200)
+        testbed = plan_testbed(
+            "memcached", seed=1, client_config=HP_CLIENT,
+            qps=50_000, num_requests=200)
         metrics = testbed.run()
         assert metrics.requests == 180  # 10% warmup trimmed
         assert metrics.avg_us > 0
@@ -28,69 +34,69 @@ class TestMemcachedTestbed:
         assert metrics.avg_us >= metrics.true_avg_us
 
     def test_identical_seeds_identical_results(self):
-        a = build_memcached_testbed(
-            seed=9, client_config=LP_CLIENT, qps=50_000,
-            num_requests=150).run()
-        b = build_memcached_testbed(
-            seed=9, client_config=LP_CLIENT, qps=50_000,
-            num_requests=150).run()
+        a = plan_testbed(
+            "memcached", seed=9, client_config=LP_CLIENT,
+            qps=50_000, num_requests=150).run()
+        b = plan_testbed(
+            "memcached", seed=9, client_config=LP_CLIENT,
+            qps=50_000, num_requests=150).run()
         assert a.avg_us == b.avg_us
         assert a.p99_us == b.p99_us
 
     def test_different_seeds_differ(self):
-        a = build_memcached_testbed(
-            seed=1, client_config=LP_CLIENT, qps=50_000,
-            num_requests=150).run()
-        b = build_memcached_testbed(
-            seed=2, client_config=LP_CLIENT, qps=50_000,
-            num_requests=150).run()
+        a = plan_testbed(
+            "memcached", seed=1, client_config=LP_CLIENT,
+            qps=50_000, num_requests=150).run()
+        b = plan_testbed(
+            "memcached", seed=2, client_config=LP_CLIENT,
+            qps=50_000, num_requests=150).run()
         assert a.avg_us != b.avg_us
 
     def test_testbed_is_single_use(self):
-        testbed = build_memcached_testbed(
-            seed=1, client_config=HP_CLIENT, qps=50_000,
-            num_requests=100)
+        testbed = plan_testbed(
+            "memcached", seed=1, client_config=HP_CLIENT,
+            qps=50_000, num_requests=100)
         testbed.run()
         with pytest.raises(ExperimentError):
             testbed.run()
 
     def test_latency_scale_is_tens_of_microseconds(self):
-        metrics = build_memcached_testbed(
-            seed=3, client_config=HP_CLIENT, qps=50_000,
-            num_requests=300).run()
+        metrics = plan_testbed(
+            "memcached", seed=3, client_config=HP_CLIENT,
+            qps=50_000, num_requests=300).run()
         assert 20.0 < metrics.avg_us < 200.0
 
     def test_utilization_grows_with_load(self):
-        low = build_memcached_testbed(
-            seed=4, client_config=HP_CLIENT, qps=10_000,
-            num_requests=300).run()
-        high = build_memcached_testbed(
-            seed=4, client_config=HP_CLIENT, qps=500_000,
-            num_requests=300).run()
+        low = plan_testbed(
+            "memcached", seed=4, client_config=HP_CLIENT,
+            qps=10_000, num_requests=300).run()
+        high = plan_testbed(
+            "memcached", seed=4, client_config=HP_CLIENT,
+            qps=500_000, num_requests=300).run()
         assert high.server_utilization > low.server_utilization
 
 
 class TestHdsearchTestbed:
     def test_latency_is_sub_millisecond_scale(self):
-        metrics = build_hdsearch_testbed(
-            seed=1, client_config=HP_CLIENT, qps=1_000,
-            num_requests=200).run()
+        metrics = plan_testbed(
+            "hdsearch", seed=1, client_config=HP_CLIENT,
+            qps=1_000, num_requests=200).run()
         assert 0.2 * MS < metrics.avg_us < 3 * MS
 
     def test_much_slower_than_memcached(self):
-        hdsearch = build_hdsearch_testbed(
-            seed=1, client_config=HP_CLIENT, qps=1_000,
-            num_requests=150).run()
-        memcached = build_memcached_testbed(
-            seed=1, client_config=HP_CLIENT, qps=100_000,
-            num_requests=150).run()
+        hdsearch = plan_testbed(
+            "hdsearch", seed=1, client_config=HP_CLIENT,
+            qps=1_000, num_requests=150).run()
+        memcached = plan_testbed(
+            "memcached", seed=1, client_config=HP_CLIENT,
+            qps=100_000, num_requests=150).run()
         assert hdsearch.avg_us > 5 * memcached.avg_us
 
     def test_deterministic(self):
-        a = build_hdsearch_testbed(seed=5, client_config=LP_CLIENT,
-                                   qps=1_000, num_requests=100).run()
-        b = build_hdsearch_testbed(seed=5, client_config=LP_CLIENT,
-                                   qps=1_000, num_requests=100).run()
+        a = plan_testbed("hdsearch", seed=5, client_config=LP_CLIENT,
+                         qps=1_000, num_requests=100).run()
+        b = plan_testbed("hdsearch", seed=5, client_config=LP_CLIENT,
+                         qps=1_000, num_requests=100).run()
         assert a.avg_us == b.avg_us
 
 
@@ -107,16 +113,16 @@ class TestSocialNetworkTestbed:
         assert np.mean(lengths) > 1
 
     def test_latency_is_millisecond_scale(self):
-        metrics = build_socialnetwork_testbed(
-            seed=1, client_config=HP_CLIENT, qps=300,
-            num_requests=150).run()
+        metrics = plan_testbed(
+            "socialnetwork", seed=1, client_config=HP_CLIENT,
+            qps=300, num_requests=150).run()
         assert 1 * MS < metrics.avg_us < 10 * MS
         assert metrics.p99_us > 2 * MS
 
     def test_p99_heavy_tail(self):
-        metrics = build_socialnetwork_testbed(
-            seed=2, client_config=HP_CLIENT, qps=300,
-            num_requests=200).run()
+        metrics = plan_testbed(
+            "socialnetwork", seed=2, client_config=HP_CLIENT,
+            qps=300, num_requests=200).run()
         assert metrics.p99_us > 2 * metrics.avg_us
 
 
@@ -126,8 +132,8 @@ class TestSyntheticTestbed:
         increase of the added delay' (validation of the workload)."""
         points = []
         for delay in (0.0, 100.0, 200.0, 400.0):
-            metrics = build_synthetic_testbed(
-                seed=1, client_config=HP_CLIENT, qps=5_000,
+            metrics = plan_testbed(
+                "synthetic", seed=1, client_config=HP_CLIENT, qps=5_000,
                 added_delay_us=delay, num_requests=200).run()
             points.append((delay, metrics.avg_us))
         base = points[0][1]
