@@ -680,11 +680,12 @@ class ExperimentPlan:
 
         Runs through :func:`~repro.parallel.run_sharded` with its
         default placement: the plan's repetitions (and, with
-        ``workers > 1``, their shards) spread over
-        ``min(tasks, cpu_count)`` processes, inline below
-        :data:`~repro.parallel.runner.POOL_MIN_REQUESTS` simulated
-        requests.  Placement never changes the result: it equals
-        :meth:`experiment`'s serial run field by field.
+        ``workers > 1``, their shards) spread over ``min(tasks,
+        usable cores)`` processes, up to twice the cores for long
+        tasks (:func:`~repro.parallel.runner.default_processes`),
+        inline below :data:`~repro.parallel.runner.POOL_MIN_REQUESTS`
+        simulated requests.  Placement never changes the result: it
+        equals :meth:`experiment`'s serial run field by field.
         """
         # Deferred import: the parallel runner imports this module
         # for plan reconstruction in worker processes.

@@ -49,7 +49,7 @@ from repro.campaign.spec import CampaignSpec, ConditionSpec
 from repro.campaign.store import ResultStore
 from repro.core.experiment import ExperimentResult
 from repro.errors import ExperimentError
-from repro.parallel.runner import run_sharded
+from repro.parallel.runner import run_sharded, usable_cores
 
 #: Condition status values, in lifecycle order.
 STATUS_HIT = "hit"
@@ -307,10 +307,11 @@ class CampaignExecutor:
     Args:
         store: result store for memoization/resume; None disables
             persistence (every condition executes).
-        max_workers: process count. ``None`` means ``os.cpu_count()``;
-            values <= 1 run inline in this process (no pool, no pickle
-            round-trip) -- the exact serial path the figure studies
-            used before campaigns existed.
+        max_workers: process count. ``None`` means
+            :func:`~repro.parallel.usable_cores`, never more, since
+            conditions differ in cost; values <= 1 run inline in this
+            process (no pool, no pickle round-trip) -- the exact serial
+            path the figure studies used before campaigns existed.
         chunksize: conditions shipped to a worker per task.  Raise it
             for campaigns of many tiny conditions to amortize process
             round-trips.
@@ -337,7 +338,7 @@ class CampaignExecutor:
             raise ExperimentError(
                 f"persist_batch must be >= 1, got {persist_batch}")
         self.store = store
-        self.max_workers = (os.cpu_count() or 1) if max_workers is None \
+        self.max_workers = usable_cores() if max_workers is None \
             else int(max_workers)
         self.chunksize = int(chunksize)
         self.fail_fast = bool(fail_fast)

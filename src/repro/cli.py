@@ -103,8 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(part of the plan's content hash)")
     run.add_argument("--processes", type=int, default=None,
                      help="processes to place repetitions and shards "
-                          "over (default: min(tasks, cores); 1 runs "
-                          "serially in this process)")
+                          "over (default: min(tasks, usable cores), up "
+                          "to twice the cores for long repetitions; 1 "
+                          "runs serially in this process)")
     run.add_argument("--sink", default=None,
                      help="telemetry sink (columnar or streaming)")
     run.add_argument("--engine", default=None,
@@ -205,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
             parallelism = sub.add_mutually_exclusive_group()
             parallelism.add_argument(
                 "--workers", type=int, default=None,
-                help="worker processes (default: all cores)")
+                help="worker processes (default: usable cores)")
             parallelism.add_argument(
                 "--serial", action="store_true",
                 help="run inline in this process")

@@ -21,7 +21,7 @@ from repro.parallel.merge import (
     merge_columnar_payloads,
     merged_run_metrics,
 )
-from repro.parallel.runner import run_shard, run_sharded
+from repro.parallel.runner import run_shard, run_sharded, usable_cores
 from repro.parallel.shard import ShardSpec, shard_layout
 
 __all__ = [
@@ -32,4 +32,5 @@ __all__ = [
     "run_shard",
     "run_sharded",
     "shard_layout",
+    "usable_cores",
 ]

@@ -33,6 +33,8 @@ deterministic in ``(plan, seed, shard)`` alone:
 placement is validated against (``tests/test_parallel.py``,
 ``benchmarks/bench_parallel.py``); for ``workers=1`` it is
 :meth:`Experiment.run() <repro.core.experiment.Experiment.run>` itself.
+So the default may run more processes than cores
+(:func:`default_processes`).
 """
 
 from __future__ import annotations
@@ -59,12 +61,51 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: placement spreads over a process pool; smaller plans run inline.
 #: A fork pool's start, map and shutdown cost ~11 ms, and each fresh
 #: worker pays first-touch costs on its first repetition, against
-#: ~35-60 us of simulation per request.  Measured on a 2-core host
+#: ~15-28 us of simulation per request.  Measured on a 2-core host
 #: (memcached, 3 and 5 repetitions, 9 alternations each), pool time
 #: over inline time was 1.37 at 2,000 requests, 0.75-0.85 at 3,500
 #: (the 3-repetition split lost 3 of 9), and 0.66-0.78 at 5,000 (won
 #: 9 of 9): the floor is the smallest size where the pool always won.
+#: Re-measured on a 2-vCPU Linux VM (Python 3.11.7, memcached LP at
+#: 200k QPS, 10 alternations per size) at 3 x 1,700, 5 x 1,000 and
+#: 3 x 2,000: 0.65/0.84/0.57 and 0.87/0.79/0.84 (won 9-10 of 10) in
+#: two rounds, 1.23/1.30/0.99 (won 0/4/7) in one with a busy host.
 POOL_MIN_REQUESTS = 5_000
+
+#: Fewest requests per task before the default placement runs more
+#: processes than usable cores: an extra process pays a fork,
+#: first-touch costs and time slicing.  Measured on the same VM (3
+#: tasks over 3 vs 2 processes, alternating pairs, three rounds), 3
+#: processes won 4 of 10 pairs at 5,000 requests, 21 of 30 at 7,500,
+#: 34 of 40 at 10,000, 24 of 30 at 12,500 and 37 of 40 at 15,000
+#: (time ratio 0.83-0.95, at least 9 of 10 in every round): the floor
+#: is the smallest size that won at least 9 of 10.
+OVERSUBSCRIBE_MIN_REQUESTS = 15_000
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity mask where the
+    platform has one (``taskset``, cpuset containers), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def default_processes(tasks: int, cores: int, task_requests: int) -> int:
+    """Processes for *tasks* tasks of *task_requests* requests on
+    *cores* cores: ``min(tasks, cores)``, or, when tasks of at least
+    :data:`OVERSUBSCRIBE_MIN_REQUESTS` outnumber the cores, the fewest
+    ``P`` in ``cores..min(tasks, 2 * cores)`` minimising the makespan
+    ``sum(max(1, k / cores))`` over rounds of ``k <= P`` tasks (3
+    tasks on 2 cores: 1.5 task times over 3 processes, 2 over 2)."""
+    if tasks <= cores or task_requests < OVERSUBSCRIBE_MIN_REQUESTS:
+        return min(tasks, cores)
+
+    def makespan(width: int) -> int:  # in 1/cores task times
+        rounds, rest = divmod(tasks, width)
+        return rounds * max(width, cores) + (max(rest, cores) if rest else 0)
+
+    return min(range(cores, min(tasks, 2 * cores) + 1), key=makespan)
 
 
 def run_shard(plan: "ExperimentPlan", seed: int,
@@ -156,7 +197,9 @@ def _process_count(plan: "ExperimentPlan", tasks: int,
     if processes is None:
         if plan.policy.runs * plan.load.num_requests < POOL_MIN_REQUESTS:
             return 1
-        processes = os.cpu_count() or 1
+        return default_processes(
+            tasks, usable_cores(),
+            plan.load.num_requests // plan.policy.workers)
     processes = int(processes)
     if processes < 1:
         raise ExperimentError(
@@ -172,10 +215,11 @@ def run_sharded(plan: "ExperimentPlan",
         plan: the plan to run; ``plan.policy.workers`` fixes the
             decomposition width W (``1``: plain repetitions).
         processes: worker processes to place the ``runs x W`` tasks
-            over.  Default: ``min(tasks, cpu_count)``, except that a
-            plan under :data:`POOL_MIN_REQUESTS` simulated requests
-            runs inline.  ``1`` runs every task serially in this
-            process -- the reference every other placement equals.
+            over.  Default: :func:`default_processes` on
+            :func:`usable_cores`, except that a plan under
+            :data:`POOL_MIN_REQUESTS` simulated requests runs inline.
+            ``1`` runs every task serially in this process -- the
+            reference every other placement equals.
 
     Returns:
         An :class:`~repro.core.experiment.ExperimentResult` with one

@@ -264,7 +264,7 @@ class TestPoolWorkersNeverNest:
             raise AssertionError("opened a process pool")
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(runner, "usable_cores", lambda: 2)
         plan = small_spec(
             qps_list=(50_000,), runs=2,
             num_requests=runner.POOL_MIN_REQUESTS // 2,
@@ -288,7 +288,7 @@ class TestPoolWorkersNeverNest:
             return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", spy)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(runner, "usable_cores", lambda: 2)
         spec = small_spec(clients={"LP": LP_CLIENT}, qps_list=(50_000,),
                           runs=3, num_requests=2_000)
         assert 3 * 2_000 >= runner.POOL_MIN_REQUESTS

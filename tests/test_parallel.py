@@ -25,6 +25,7 @@ from repro.parallel import (
     run_shard,
     run_sharded,
     shard_layout,
+    usable_cores,
 )
 from repro.parallel import runner
 from repro.parallel.runner import _execute_task
@@ -255,11 +256,12 @@ class TestRepetitionPlacement:
         plan = repetition_plan(topology)
         serial = run_sharded(plan, processes=1)
         pooled = run_sharded(plan, processes=2)
+        oversubscribed = run_sharded(plan, processes=3)
         default = plan.run()
-        # Only the explicit processes=2 opened a pool: the default
-        # keeps a plan this small inline.
-        assert pool_widths == [2]
-        assert serial == pooled == default
+        # Only the explicit processes=2 and 3 opened a pool: the
+        # default keeps a plan this small inline.
+        assert pool_widths == [2, 3]
+        assert serial == pooled == oversubscribed == default
         assert pooled.metadata == {}
         assert pooled.label == "memcached"
         assert [run.seed for run in pooled.runs] == [5, 6, 7]
@@ -285,7 +287,7 @@ class TestDefaultPlacement:
     def test_plans_above_the_floor_use_every_core(self, pool_widths,
                                                   monkeypatch):
         monkeypatch.setattr(runner, "POOL_MIN_REQUESTS", 0)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(runner, "usable_cores", lambda: 2)
         plan = small_plan(workers=1, requests=60, runs=3)
         assert plan.run() == run_sharded(plan, processes=1)
         assert pool_widths == [2]
@@ -293,7 +295,7 @@ class TestDefaultPlacement:
     def test_pool_is_no_wider_than_the_task_list(self, pool_widths,
                                                  monkeypatch):
         monkeypatch.setattr(runner, "POOL_MIN_REQUESTS", 0)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(runner, "usable_cores", lambda: 8)
         small_plan(workers=1, requests=60, runs=2).run()
         small_plan(workers=1, requests=60, runs=1).run()
         # Every (repetition, shard) pair is a task.
@@ -301,6 +303,81 @@ class TestDefaultPlacement:
         run_sharded(small_plan(workers=1, requests=60, runs=2),
                     processes=8)
         assert pool_widths == [2, 4, 2]
+
+
+FLOOR = runner.OVERSUBSCRIBE_MIN_REQUESTS
+
+
+class TestPlacementRule:
+    """``default_processes``: the default width as a pure function."""
+
+    @pytest.mark.parametrize("tasks,cores,requests,width", [
+        (1, 2, FLOOR, 1),      # fewer tasks than cores
+        (2, 2, FLOOR, 2),
+        (3, 8, FLOOR, 3),
+        (4, 2, FLOOR, 2),      # a multiple of the cores
+        (6, 3, FLOOR, 3),
+        (3, 2, FLOOR, 3),      # between c and 2c: one round
+        (5, 4, FLOOR, 5),
+        (5, 2, FLOOR, 3),      # at least 2c
+        (7, 2, FLOOR, 4),
+        (3, 2, FLOOR - 1, 2),  # below the floor: min(tasks, cores)
+        (7, 2, FLOOR - 1, 2),
+        (3, 1, FLOOR, 1),      # one core: oversubscribing never pays
+        (7, 1, FLOOR, 1),
+    ])
+    def test_width(self, tasks, cores, requests, width):
+        assert runner.default_processes(tasks, cores, requests) == width
+
+    def test_width_is_bounded(self):
+        for tasks in range(1, 25):
+            for cores in range(1, 9):
+                width = runner.default_processes(tasks, cores, FLOOR)
+                assert min(tasks, cores) <= width <= min(tasks, 2 * cores)
+
+
+class TestOversubscribedPlacement:
+    """Long tasks that do not divide two cores go over more processes."""
+
+    @pytest.fixture(autouse=True)
+    def long_tasks_on_two_cores(self, monkeypatch):
+        monkeypatch.setattr(runner, "POOL_MIN_REQUESTS", 0)
+        monkeypatch.setattr(runner, "OVERSUBSCRIBE_MIN_REQUESTS", 0)
+        monkeypatch.setattr(runner, "usable_cores", lambda: 2)
+
+    def test_three_tasks_get_three_processes(self, pool_widths):
+        plan = small_plan(workers=1, requests=60, runs=3)
+        assert plan.run() == run_sharded(plan, processes=1)
+        assert pool_widths == [3]
+
+    @pytest.mark.parametrize("runs,width", [(4, 2), (5, 3)])
+    def test_width_minimises_the_makespan(self, pool_widths, runs, width):
+        small_plan(workers=1, requests=60, runs=runs).run()
+        assert pool_widths == [width]
+
+
+class TestUsableCores:
+    """Cores are counted from the affinity mask, not the host."""
+
+    def test_affinity_mask_bounds_default_widths(self, pool_widths,
+                                                 monkeypatch):
+        from repro.campaign import CampaignExecutor
+
+        monkeypatch.setattr(runner.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(runner, "POOL_MIN_REQUESTS", 0)
+        assert usable_cores() == 1
+        assert CampaignExecutor().max_workers == 1
+        small_plan(workers=1, requests=60, runs=3).run()
+        assert pool_widths == []
+
+    @pytest.mark.parametrize("cpus,cores", [(3, 3), (None, 1)])
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, cpus,
+                                                cores):
+        monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        assert usable_cores() == cores
 
 
 class TestWorkersByteStability:
