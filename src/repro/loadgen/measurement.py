@@ -27,6 +27,12 @@ from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
 from repro.server.request import Request
 from repro.telemetry import SampleColumns
 
+#: Completions a sink buffers before one batched write: the streaming
+#: sink's chunked ingest and the fused kernel's deferred recording
+#: through :meth:`RunSamples.record_batch`.  Bounds how many finished
+#: requests a run keeps alive.
+RECORD_CHUNK = 256
+
 
 class PointOfMeasurement(enum.Enum):
     """Where end-to-end latency is timestamped."""

@@ -44,7 +44,11 @@ except ImportError:  # pragma: no cover - Python < 3.8 fallback
 import numpy as np
 
 from repro.errors import SpecValidationError
-from repro.loadgen.measurement import PointOfMeasurement, RunSamples
+from repro.loadgen.measurement import (
+    RECORD_CHUNK,
+    PointOfMeasurement,
+    RunSamples,
+)
 from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
 from repro.server.request import Request
 
@@ -404,11 +408,6 @@ DEFAULT_QUANTILES = (50.0, 90.0, 95.0, 99.0, 99.9)
 #: Target number of time-series windows per run.
 DEFAULT_WINDOWS = 128
 
-#: Buffered completions per streaming-sink drain.  Recording stays
-#: O(1) (three floats into a list); every accessor drains first, so
-#: the buffering is invisible to readers.
-INGEST_CHUNK = 256
-
 
 class StreamingSink:
     """O(1)-memory replacement for the exact columnar sample buffer.
@@ -470,7 +469,8 @@ class StreamingSink:
         """Record one completed request (O(1) time and memory).
 
         The per-request work is three float loads and a list append;
-        the statistical updates happen per :data:`INGEST_CHUNK` in
+        the statistical updates happen per
+        :data:`~repro.loadgen.measurement.RECORD_CHUNK` in
         :meth:`_drain`, which cuts the sink's hot-path overhead to a
         fraction of the per-request version.
         """
@@ -481,7 +481,7 @@ class StreamingSink:
         pending = self._pending
         pending.append((request.actual_send_us, request.client_nic_us,
                         request.measured_complete_us))
-        if len(pending) >= INGEST_CHUNK:
+        if len(pending) >= RECORD_CHUNK:
             self._drain()
 
     def _drain(self) -> None:

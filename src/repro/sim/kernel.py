@@ -30,13 +30,17 @@ Three mechanisms stack:
   the heap into a sorted flat list and merged back lazily, so heap
   operations run on a heap that only holds the in-flight working set.
 
-* **Inline draw serving.**  The fused handlers serve the two cheap
-  :class:`~repro.sim.sampling.BatchedStream` cases in place -- a
-  block-mode draw (cursor bump) and the plain scalar forward --
-  updating the stream's run/threshold accounting exactly as the
-  facade would, and fall back to the facade method for everything
-  else (refill, reconcile, promotion), so block-formation decisions
-  and the served value sequence are unchanged.
+* **Deferred recording.**  With the stock
+  :class:`~repro.loadgen.measurement.RunSamples` and no completion
+  hook, completed requests are buffered and written
+  :data:`~repro.loadgen.measurement.RECORD_CHUNK` at a time through
+  ``RunSamples.record_batch``, flushed before every foreign call so
+  code outside the fused loop always sees every record, in order.
+
+The fused handlers inline the components' control flow, not their
+samplers: every draw calls the stream's own method (a
+:class:`~repro.sim.sampling.BatchedStream` decides block or scalar
+serving, a raw client-core generator goes through numpy's C samplers).
 
 A service graph's entry (``ServiceGraph.submit`` -> stock
 :class:`~repro.graph.testbed.GraphStage` -> adopted station) is fused
@@ -63,50 +67,27 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import SimulationError, SpecValidationError
+from repro.hardware.core import _DEEP_SLEEP_RESIDENCY_US as _DEEP_SLEEP_US
+from repro.hardware.cstates import CStateGovernor
+from repro.hardware.uncore import UNCORE_RAMP_DOWN_GAP_US as _UNCORE_GAP_US
+from repro.loadgen.measurement import RECORD_CHUNK
+from repro.net.link import US_PER_KB_10GBE as _US_PER_KB
 from repro.sim.engine import Simulator
-from repro.sim.sampling import (
-    _NORMAL,
-    _UNIFORM,
-    BatchedStream,
-    scalar_samplers,
-)
+from repro.sim.sampling import scalar_samplers
 
 __all__ = [
     "DEFAULT_ENGINE",
     "ENGINES",
     "KernelSimulator",
-    "RECORD_CHUNK",
     "describe_engine",
     "engine_names",
     "make_simulator",
     "validate_engine_name",
 ]
 
-#: Most deferred completion records buffered before a flush into the
-#: run's samples (the streaming sink ingests in chunks of the same
-#: size).  Bounds how many finished requests a fused run keeps alive.
-RECORD_CHUNK = 256
-
-#: Serialization cost per KB (mirrors repro.net.link.US_PER_KB_10GBE;
-#: asserted equal at dispatch build).
-_US_PER_KB = 0.8
-
-#: Deep-sleep residency threshold (mirrors repro.hardware.core).
-_DEEP_SLEEP_US = 20.0
-
-#: Dynamic-uncore ramp-down gap (mirrors repro.hardware.uncore).
-_UNCORE_GAP_US = 100.0
-
-#: Menu-governor prediction noise (mirrors CStateGovernor).
-_PRED_NOISE = 0.25
+_PRED_NOISE = CStateGovernor.PREDICTION_NOISE
 
 _exp = math.exp
-
-# The fused loop compares stream kinds against literal ints; pin the
-# facade's encoding so a drive-by renumbering cannot silently break
-# bit-identity.
-if _UNIFORM != 0 or _NORMAL != 1:  # pragma: no cover - import guard
-    raise AssertionError("BatchedStream kind encoding changed")
 
 
 def _stock(obj: Any, name: str, base: type) -> bool:
@@ -118,7 +99,8 @@ def _stock(obj: Any, name: str, base: type) -> bool:
             and method.__self__ is obj)
 
 
-# Handler opcodes.  DO_SEND/AT_NIC share one fused client-core body.
+# Handler opcodes.  DO_SEND/AT_NIC share one fused client-core body,
+# SUBMIT/FINISH one fused station body.
 _OP_LAUNCH = 0
 _OP_DO_SEND = 1
 _OP_AT_NIC = 2
@@ -163,10 +145,10 @@ class _MC:
     client-core handlers need, hoisted once at dispatch build."""
 
     __slots__ = ("machine", "do_send", "ts", "send_work", "recv_work",
-                 "core", "rng", "oscale", "polling", "slack", "freq",
+                 "core", "oscale", "polling", "slack", "freq",
                  "cpoll", "ctable", "tick", "unc_dyn", "unc_pen",
-                 "twake", "nghz", "ramp", "gramps", "sfn_u", "sfn_n",
-                 "draw_u", "draw_n", "k_do_send")
+                 "twake", "nghz", "ramp", "gramps", "draw_u", "draw_n",
+                 "k_do_send")
 
     def __init__(self, machine: Any) -> None:
         core = machine.core
@@ -176,8 +158,6 @@ class _MC:
         self.send_work = machine.send_work_us
         self.recv_work = machine.recv_work_us
         self.core = core
-        rng = core._rng
-        self.rng = rng
         self.oscale = core.overhead_scale
         self.polling = core.polling
         self.slack = core.timer._slack_us
@@ -193,14 +173,10 @@ class _MC:
         self.nghz = core._nominal_ghz
         self.ramp = core._wake_dvfs_ramp_us
         self.gramps = core._governor_ramps
-        # Inline scalar-forward fast path: only for the exact facade
-        # (a subclass could override the draw methods).
-        sfns: Any = (rng._scalar_fns if type(rng) is BatchedStream
-                     else (None, None))
-        self.sfn_u = sfns[0]
-        self.sfn_n = sfns[1]
-        # Every other draw: numpy's C samplers on a raw generator (the
-        # client-{m}-{t} streams), the facade's own methods otherwise.
+        # The core's uniform and normal draws: numpy's C samplers on a
+        # raw generator (the client-{m}-{t} streams), a stream's own
+        # methods otherwise; None for a deterministic core.
+        rng = core._rng
         draws: Any = (scalar_samplers(rng) if rng is not None
                       else (None, None))
         self.draw_u = draws[0]
@@ -212,16 +188,15 @@ class _GC:
     """Per-:class:`LoadGenerator` context."""
 
     __slots__ = ("gen", "sent", "served", "at_nic", "measured", "record",
-                 "after", "link_s", "link_c", "submit_cb",
-                 "stream_s", "s_mu", "s_sigma", "s_mean", "draw_s", "obs_s",
-                 "stream_c", "c_mu", "c_sigma", "c_mean", "draw_c", "obs_c",
+                 "after", "submit_cb",
+                 "s_mu", "s_sigma", "s_mean", "draw_s", "obs_s",
+                 "c_mu", "c_sigma", "c_mean", "draw_c", "obs_c",
                  "k_sent", "k_at_nic", "k_measured",
                  "push_sent", "push_at_nic", "push_measured", "push_submit",
                  "rs", "rbuf")
 
-    def __init__(self, gen: Any, after: Optional[Callable[..., None]],
-                 stream_s: Optional[BatchedStream],
-                 stream_c: Optional[BatchedStream]) -> None:
+    def __init__(self, gen: Any,
+                 after: Optional[Callable[..., None]]) -> None:
         self.gen = gen
         self.sent = gen._sent
         self.served = gen._served
@@ -231,16 +206,12 @@ class _GC:
         self.after = after
         link_s = gen._link_to_server
         link_c = gen._link_to_client
-        self.link_s = link_s
-        self.link_c = link_c
         self.submit_cb = gen.service.submit
-        self.stream_s = stream_s
         self.s_mu = link_s._mu
         self.s_sigma = link_s._sigma
         self.s_mean = link_s._mean
         self.draw_s = link_s._draw
         self.obs_s = link_s.observer
-        self.stream_c = stream_c
         self.c_mu = link_c._mu
         self.c_sigma = link_c._sigma
         self.c_mean = link_c._mean
@@ -272,8 +243,7 @@ class _SC:
                  "env", "smt_on", "intensity", "broad_us", "int_scale",
                  "int_mean", "kstack", "smtf", "fscale", "num", "cpoll",
                  "ctable", "tick", "pool_done", "service_time",
-                 "finish_cb", "obs_on", "k_finish", "sstream",
-                 "ssfn_u", "ssfn_n",
+                 "finish_cb", "obs_on", "k_finish", "normal", "uniform",
                  "skind", "smu", "ssigma", "sukb", "cdone", "cgc")
 
     def __init__(self, station: Any) -> None:
@@ -305,21 +275,18 @@ class _SC:
         self.finish_cb = pool._finish
         self.obs_on = pool._obs is not None
         self.k_finish = _K(_OP_FINISH, self, self.finish_cb)
-        self.sstream = rng if type(rng) is BatchedStream else None
-        if self.sstream is not None:
-            self.ssfn_u = rng._scalar_fns[0]
-            self.ssfn_n = rng._scalar_fns[1]
-        else:
-            self.ssfn_u = None
-            self.ssfn_n = None
+        # The station stream's own draws (None: a deterministic
+        # station); the stream decides block or scalar serving.
+        self.normal = None if rng is None else rng.standard_normal
+        self.uniform = None if rng is None else rng.random
         # One-entry cache for the served-callback -> generator lookup
         # (stations overwhelmingly serve a single generator, and the
         # kernel pushes one stable bound method for it).
         self.cdone: Any = None
         self.cgc: Any = None
         # Service-model specialization: the two stock lognormal-core
-        # models can be sampled inline off the station stream's active
-        # block.  Exact types only -- a subclass keeps the generic
+        # models are sampled inline off the station stream.  Exact
+        # types only -- a subclass keeps the generic
         # ``sample_service_us`` call.
         from repro.server.service import LognormalService
         from repro.workloads.memcached import EtcServiceModel
@@ -339,8 +306,7 @@ class _SC:
         elif type(model) is LognormalService:
             base = model
             kind = 1
-        if (base is not None and self.sstream is not None
-                and base._sigma != 0):
+        if base is not None and rng is not None and base._sigma != 0:
             self.skind = kind
             self.smu = base._mu
             self.ssigma = base._sigma
@@ -423,19 +389,16 @@ class KernelSimulator(Simulator):
         """
         from repro.graph.testbed import GraphStage, ServiceGraph
         from repro.hardware.core import SimCore
-        from repro.hardware.cstates import CStateGovernor
         from repro.hardware.frequency import FrequencyModel
         from repro.hardware.timer import TimerModel
         from repro.hardware.uncore import UncoreModel
         from repro.loadgen.base import LoadGenerator
         from repro.loadgen.client_machine import ClientMachine
         from repro.loadgen.measurement import RunSamples
-        from repro.net.link import US_PER_KB_10GBE, NetworkLink
+        from repro.net.link import NetworkLink
         from repro.server.station import ServiceStation
         from repro.sim.resources import ServerPool
         from repro.telemetry.columns import SampleColumns
-
-        assert US_PER_KB_10GBE == _US_PER_KB
 
         dispatch: Dict[Any, Tuple[int, Any]] = {}
         contexts: list = []
@@ -493,22 +456,13 @@ class KernelSimulator(Simulator):
                     contexts.append(mc)
                     minfo[machine] = mc
                     dispatch[mc.do_send] = (_OP_DO_SEND, mc)
-            link_s = gen._link_to_server
-            link_c = gen._link_to_client
-            links_ok = (type(link_s) is NetworkLink
-                        and type(link_c) is NetworkLink)
-            if not links_ok:
+            if not (type(gen._link_to_server) is NetworkLink
+                    and type(gen._link_to_client) is NetworkLink):
                 continue
-            stream_s = getattr(link_s._draw, "__self__", None)
-            if type(stream_s) is not BatchedStream:
-                stream_s = None
-            stream_c = getattr(link_c._draw, "__self__", None)
-            if type(stream_c) is not BatchedStream:
-                stream_c = None
             after: Optional[Callable[..., None]] = gen._after_completion
             if _stock(gen, "_after_completion", LoadGenerator):
                 after = None
-            gc = _GC(gen, after, stream_s, stream_c)
+            gc = _GC(gen, after)
             contexts.append(gc)
             if _stock(gen, "_launch", LoadGenerator):
                 dispatch[gc.gen._launch] = (_OP_LAUNCH, gc)
@@ -773,27 +727,10 @@ class KernelSimulator(Simulator):
                     elif queue_wait == 0.0:
                         # CStateGovernor.wake_and_state, inlined.
                         if not mc.cpoll:
-                            rng = mc.rng
                             predicted = idle_gap
-                            if rng is not None and idle_gap > 0:
-                                sfn = mc.sfn_n
-                                if sfn is not None and rng._buf is None:
-                                    if rng._kind == 1:
-                                        r = rng._run + 1
-                                        if r < rng._threshold:
-                                            rng._run = r
-                                            rng.scalar_served += 1
-                                            sn = sfn()
-                                        else:
-                                            sn = rng.standard_normal()
-                                    else:
-                                        rng._kind = 1
-                                        rng._run = 1
-                                        rng.scalar_served += 1
-                                        sn = sfn()
-                                else:
-                                    sn = mc.draw_n()
-                                noise = 1.0 + _PRED_NOISE * sn
+                            draw_n = mc.draw_n
+                            if draw_n is not None and idle_gap > 0:
+                                noise = 1.0 + _PRED_NOISE * draw_n()
                                 if noise < 0.0:
                                     noise = 0.0
                                 predicted = idle_gap * noise
@@ -849,20 +786,8 @@ class KernelSimulator(Simulator):
                     request = args[1]
                     request.actual_send_us = args[2]
                     draw = gcs.draw_s
-                    if draw is None:
-                        base = gcs.s_mean
-                    else:
-                        st = gcs.stream_s
-                        if (st is not None and st._kind == 1
-                                and st._buf is not None
-                                and st._cursor < st._buflen):
-                            i = st._cursor
-                            st._cursor = i + 1
-                            st.batched_served += 1
-                            base = _exp(gcs.s_mu
-                                        + gcs.s_sigma * st._buf[i])
-                        else:
-                            base = float(draw(gcs.s_mu, gcs.s_sigma))
+                    base = (gcs.s_mean if draw is None
+                            else float(draw(gcs.s_mu, gcs.s_sigma)))
                     observer = gcs.obs_s
                     kb = request.size_kb
                     if observer is not None:
@@ -871,437 +796,6 @@ class KernelSimulator(Simulator):
                     delay = base + kb * _US_PER_KB if kb > 0.0 else base
                     heappush(heap, (now + delay, nseq(), gcs.push_submit,
                                     (request, gcs.served, args[0])))
-                elif op == 5:  # _OP_FINISH
-                    sc = data
-                    server = args[0]
-                    job = args[1]
-                    pool = sc.pool
-                    pool.idle_since[server] = now
-                    idle = pool._idle_servers
-                    idle.append(server)
-                    pool.jobs_completed += 1
-                    done_fn = args[3]
-                    if done_fn is sc.pool_done or done_fn == sc.pool_done:
-                        dctx = args[4]
-                        job.queue_wait_us += args[2]
-                        job.server_departure_us = now
-                        real_done = dctx[0]
-                        rctx = dctx[1]
-                        if real_done is sc.cdone:
-                            gcf = sc.cgc
-                        else:
-                            gcf = served_get(real_done)
-                            sc.cdone = real_done
-                            sc.cgc = gcf
-                        if gcf is not None:
-                            # Fused _served: link transit back.
-                            draw = gcf.draw_c
-                            kb = job.size_kb
-                            if draw is None:
-                                base = gcf.c_mean
-                            else:
-                                st = gcf.stream_c
-                                if (st is not None and st._kind == 1
-                                        and st._buf is not None
-                                        and st._cursor < st._buflen):
-                                    i = st._cursor
-                                    st._cursor = i + 1
-                                    st.batched_served += 1
-                                    base = _exp(gcf.c_mu
-                                                + gcf.c_sigma * st._buf[i])
-                                else:
-                                    base = float(draw(gcf.c_mu,
-                                                      gcf.c_sigma))
-                            observer = gcf.obs_c
-                            if observer is not None:
-                                observer.messages += 1
-                                observer.kb += kb
-                            delay = (base + kb * _US_PER_KB
-                                     if kb > 0.0 else base)
-                            heappush(heap, (now + delay, nseq(),
-                                            gcf.push_at_nic,
-                                            (rctx[0], job)))
-                        else:
-                            self._now = now
-                            if defer:
-                                flushrec()
-                            real_done(job, *rctx)
-                            now = self._now
-                            heap = self._heap
-                    else:
-                        self._now = now
-                        if defer:
-                            flushrec()
-                        done_fn(job, args[2], *args[4])
-                        now = self._now
-                        heap = self._heap
-                    # ServerPool._dispatch tail: the overwhelmingly
-                    # common case -- one freed worker picks up one
-                    # queued job through the stock service-time
-                    # callback -- is inlined; anything else restores
-                    # the popped state and delegates.
-                    items = sc.items
-                    if items and idle:
-                        server2 = idle.pop()
-                        enq, item = items.popleft()
-                        stf = item[1]
-                        if stf is sc.service_time or stf == sc.service_time:
-                            job2 = item[0]
-                            waited2 = now - enq
-                            idle_gap = now - pool.idle_since[server2]
-                            # Fused _sample_occupancy_us (below, twice:
-                            # here and in the SUBMIT fast path).
-                            rng = sc.rng
-                            busy_m1 = sc.num - len(idle) - 1
-                            if busy_m1 < 0:
-                                busy_m1 = 0
-                            utilization = busy_m1 / sc.num
-                            skind = sc.skind
-                            if skind:
-                                st = sc.sstream
-                                if st._kind == 1:
-                                    buf = st._buf
-                                    if buf is not None:
-                                        i = st._cursor
-                                        if i < st._buflen:
-                                            st._cursor = i + 1
-                                            st.batched_served += 1
-                                            z = buf[i]
-                                        else:
-                                            z = float(st.standard_normal())
-                                    else:
-                                        r = st._run + 1
-                                        if r < st._threshold:
-                                            st._run = r
-                                            st.scalar_served += 1
-                                            z = sc.ssfn_n()
-                                        else:
-                                            z = float(st.standard_normal())
-                                elif st._buf is None:
-                                    st._kind = 1
-                                    st._run = 1
-                                    st.scalar_served += 1
-                                    z = sc.ssfn_n()
-                                else:
-                                    z = float(st.standard_normal())
-                                base = _exp(sc.smu + sc.ssigma * z)
-                                if skind == 2:
-                                    base += job2.size_kb * sc.sukb
-                            else:
-                                self._now = now
-                                if defer:
-                                    flushrec()
-                                base = sc.sample(rng, job2)
-                                heap = self._heap
-                            base = (base + sc.kstack) * sc.env
-                            base *= sc.smtf
-                            if not sc.smt_on:
-                                u = utilization
-                                if u < 0.0:
-                                    u = 0.0
-                                elif u > 1.0:
-                                    u = 1.0
-                                intensity = sc.intensity
-                                broad = u * intensity * sc.broad_us
-                                probability = sc.int_scale * u * intensity
-                                if probability > 1.0:
-                                    probability = 1.0
-                                if rng is None:
-                                    base += broad + probability * sc.int_mean
-                                else:
-                                    st = sc.sstream
-                                    if st is None:
-                                        uu = rng.random()
-                                    elif st._kind == 0:
-                                        buf = st._buf
-                                        if buf is not None:
-                                            i = st._cursor
-                                            if i < st._buflen:
-                                                st._cursor = i + 1
-                                                st.batched_served += 1
-                                                uu = buf[i]
-                                            else:
-                                                uu = st.random()
-                                        else:
-                                            r = st._run + 1
-                                            if r < st._threshold:
-                                                st._run = r
-                                                st.scalar_served += 1
-                                                uu = sc.ssfn_u()
-                                            else:
-                                                uu = st.random()
-                                    elif st._buf is None:
-                                        st._kind = 0
-                                        st._run = 1
-                                        st.scalar_served += 1
-                                        uu = sc.ssfn_u()
-                                    else:
-                                        uu = st.random()
-                                    if uu < probability:
-                                        base += (broad + sc.int_mean
-                                                 * rng.standard_exponential())
-                                    else:
-                                        base += broad
-                            scaled = base * sc.fscale
-                            if sc.cpoll:
-                                wake = 0.0
-                            else:
-                                predicted = idle_gap
-                                if rng is not None and idle_gap > 0:
-                                    st = sc.sstream
-                                    if st is None:
-                                        sn = rng.standard_normal()
-                                    elif st._kind == 1:
-                                        buf = st._buf
-                                        if buf is not None:
-                                            i = st._cursor
-                                            if i < st._buflen:
-                                                st._cursor = i + 1
-                                                st.batched_served += 1
-                                                sn = buf[i]
-                                            else:
-                                                sn = st.standard_normal()
-                                        else:
-                                            r = st._run + 1
-                                            if r < st._threshold:
-                                                st._run = r
-                                                st.scalar_served += 1
-                                                sn = sc.ssfn_n()
-                                            else:
-                                                sn = st.standard_normal()
-                                    elif st._buf is None:
-                                        st._kind = 1
-                                        st._run = 1
-                                        st.scalar_served += 1
-                                        sn = sc.ssfn_n()
-                                    else:
-                                        sn = st.standard_normal()
-                                    noise = 1.0 + _PRED_NOISE * sn
-                                    if noise < 0.0:
-                                        noise = 0.0
-                                    predicted = idle_gap * noise
-                                tick = sc.tick
-                                if tick is not None and predicted > tick:
-                                    predicted = tick
-                                table = sc.ctable
-                                chosen = table[0][1]
-                                for target_residency, spec in table:
-                                    if target_residency <= predicted:
-                                        chosen = spec
-                                wake = chosen.exit_latency_us
-                                if wake > idle_gap:
-                                    wake = idle_gap
-                            occupancy = scaled + wake
-                            job2.service_us += occupancy
-                            if occupancy < 0:
-                                raise SimulationError(
-                                    f"negative service time {occupancy} "
-                                    f"for job {job2!r}")
-                            pool.busy_time_us += occupancy
-                            heappush(heap, (now + occupancy, nseq(),
-                                            sc.k_finish,
-                                            (server2, job2, waited2,
-                                             item[2], item[3])))
-                            if items and idle:
-                                self._now = now
-                                if defer:
-                                    flushrec()
-                                pool._dispatch()
-                                now = self._now
-                                heap = self._heap
-                        else:
-                            idle.append(server2)
-                            items.appendleft((enq, item))
-                            self._now = now
-                            if defer:
-                                flushrec()
-                            pool._dispatch()
-                            now = self._now
-                            heap = self._heap
-                elif op == 4:  # _OP_SUBMIT
-                    sc = data
-                    request = args[0]
-                    if request.server_arrival_us == 0.0:
-                        request.server_arrival_us = now
-                    pool = sc.pool
-                    idle = pool._idle_servers
-                    items = sc.items
-                    if idle and not items:
-                        # Fast path: a worker is free, zero wait.
-                        sc.queue.total_enqueued += 1
-                        server = idle.pop()
-                        idle_gap = now - pool.idle_since[server]
-                        rng = sc.rng
-                        busy_m1 = sc.num - len(idle) - 1
-                        if busy_m1 < 0:
-                            busy_m1 = 0
-                        utilization = busy_m1 / sc.num
-                        skind = sc.skind
-                        if skind:
-                            st = sc.sstream
-                            if st._kind == 1:
-                                buf = st._buf
-                                if buf is not None:
-                                    i = st._cursor
-                                    if i < st._buflen:
-                                        st._cursor = i + 1
-                                        st.batched_served += 1
-                                        z = buf[i]
-                                    else:
-                                        z = float(st.standard_normal())
-                                else:
-                                    r = st._run + 1
-                                    if r < st._threshold:
-                                        st._run = r
-                                        st.scalar_served += 1
-                                        z = sc.ssfn_n()
-                                    else:
-                                        z = float(st.standard_normal())
-                            elif st._buf is None:
-                                st._kind = 1
-                                st._run = 1
-                                st.scalar_served += 1
-                                z = sc.ssfn_n()
-                            else:
-                                z = float(st.standard_normal())
-                            base = _exp(sc.smu + sc.ssigma * z)
-                            if skind == 2:
-                                base += request.size_kb * sc.sukb
-                        else:
-                            self._now = now
-                            if defer:
-                                flushrec()
-                            base = sc.sample(rng, request)
-                            heap = self._heap
-                        base = (base + sc.kstack) * sc.env
-                        base *= sc.smtf
-                        if not sc.smt_on:
-                            u = utilization
-                            if u < 0.0:
-                                u = 0.0
-                            elif u > 1.0:
-                                u = 1.0
-                            intensity = sc.intensity
-                            broad = u * intensity * sc.broad_us
-                            probability = sc.int_scale * u * intensity
-                            if probability > 1.0:
-                                probability = 1.0
-                            if rng is None:
-                                base += broad + probability * sc.int_mean
-                            else:
-                                st = sc.sstream
-                                if st is None:
-                                    uu = rng.random()
-                                elif st._kind == 0:
-                                    buf = st._buf
-                                    if buf is not None:
-                                        i = st._cursor
-                                        if i < st._buflen:
-                                            st._cursor = i + 1
-                                            st.batched_served += 1
-                                            uu = buf[i]
-                                        else:
-                                            uu = st.random()
-                                    else:
-                                        r = st._run + 1
-                                        if r < st._threshold:
-                                            st._run = r
-                                            st.scalar_served += 1
-                                            uu = sc.ssfn_u()
-                                        else:
-                                            uu = st.random()
-                                elif st._buf is None:
-                                    st._kind = 0
-                                    st._run = 1
-                                    st.scalar_served += 1
-                                    uu = sc.ssfn_u()
-                                else:
-                                    uu = st.random()
-                                if uu < probability:
-                                    base += (broad + sc.int_mean
-                                             * rng.standard_exponential())
-                                else:
-                                    base += broad
-                        scaled = base * sc.fscale
-                        if sc.cpoll:
-                            wake = 0.0
-                        else:
-                            predicted = idle_gap
-                            if rng is not None and idle_gap > 0:
-                                st = sc.sstream
-                                if st is None:
-                                    sn = rng.standard_normal()
-                                elif st._kind == 1:
-                                    buf = st._buf
-                                    if buf is not None:
-                                        i = st._cursor
-                                        if i < st._buflen:
-                                            st._cursor = i + 1
-                                            st.batched_served += 1
-                                            sn = buf[i]
-                                        else:
-                                            sn = st.standard_normal()
-                                    else:
-                                        r = st._run + 1
-                                        if r < st._threshold:
-                                            st._run = r
-                                            st.scalar_served += 1
-                                            sn = sc.ssfn_n()
-                                        else:
-                                            sn = st.standard_normal()
-                                elif st._buf is None:
-                                    st._kind = 1
-                                    st._run = 1
-                                    st.scalar_served += 1
-                                    sn = sc.ssfn_n()
-                                else:
-                                    sn = st.standard_normal()
-                                noise = 1.0 + _PRED_NOISE * sn
-                                if noise < 0.0:
-                                    noise = 0.0
-                                predicted = idle_gap * noise
-                            tick = sc.tick
-                            if tick is not None and predicted > tick:
-                                predicted = tick
-                            table = sc.ctable
-                            chosen = table[0][1]
-                            for target_residency, spec in table:
-                                if target_residency <= predicted:
-                                    chosen = spec
-                            wake = chosen.exit_latency_us
-                            if wake > idle_gap:
-                                wake = idle_gap
-                        occupancy = scaled + wake
-                        request.service_us += occupancy
-                        if occupancy < 0:
-                            raise SimulationError(
-                                f"negative service time {occupancy} "
-                                f"for job {request!r}")
-                        pool.busy_time_us += occupancy
-                        heappush(heap, (now + occupancy, nseq(),
-                                        sc.k_finish,
-                                        (server, request, 0.0,
-                                         sc.pool_done,
-                                         (args[1], args[2:]))))
-                    elif not idle:
-                        # All workers busy: queue, track depth.
-                        items.append(
-                            (now, (request, sc.service_time,
-                                   sc.pool_done, (args[1], args[2:]))))
-                        sc.queue.total_enqueued += 1
-                        if sc.obs_on:
-                            depth = len(items)
-                            if depth > pool.peak_queue_depth:
-                                pool.peak_queue_depth = depth
-                    else:  # pragma: no cover - invariant guard
-                        # Not h.cb: an _OP_STAGE entry has rewritten args.
-                        scalar += 1
-                        self._now = now
-                        if defer:
-                            flushrec()
-                        sc.station.submit(*args)
-                        now = self._now
-                        heap = self._heap
                 elif op == 0:  # _OP_LAUNCH
                     # Arrival admission: begin_send + timer model.
                     machine = args[0]
@@ -1316,54 +810,36 @@ class KernelSimulator(Simulator):
                         cbx(*args)
                         now = self._now
                         heap = self._heap
-                    else:
-                        gcl = data
-                        intended = request.intended_send_us
-                        if mc.ts:
-                            target = (intended if intended >= now
-                                      else now)
-                            rng = mc.rng
-                            if rng is None:
-                                overshoot = mc.slack / 2.0
-                            else:
-                                sfn = mc.sfn_u
-                                if sfn is not None and rng._buf is None:
-                                    if rng._kind == 0:
-                                        r = rng._run + 1
-                                        if r < rng._threshold:
-                                            rng._run = r
-                                            rng.scalar_served += 1
-                                            u = sfn()
-                                        else:
-                                            u = rng.random()
-                                    else:
-                                        rng._kind = 0
-                                        rng._run = 1
-                                        rng.scalar_served += 1
-                                        u = sfn()
-                                else:
-                                    u = mc.draw_u()
-                                overshoot = mc.slack * u
-                            wake = target + overshoot * mc.oscale
-                            # post_at arithmetic: now + (t - now).
-                            heappush(heap, (now + (wake - now), nseq(),
-                                            mc.k_do_send,
-                                            (True, gcl.push_sent,
-                                             (machine, request))))
+                        continue
+                    gcl = data
+                    intended = request.intended_send_us
+                    if mc.ts:
+                        target = intended if intended >= now else now
+                        draw_u = mc.draw_u
+                        if draw_u is None:
+                            overshoot = mc.slack / 2.0
                         else:
-                            delay = intended - now
-                            if not (delay >= 0.0):
-                                raise SimulationError(
-                                    f"cannot schedule in the past: "
-                                    f"{delay!r}")
-                            heappush(heap, (now + delay, nseq(),
-                                            mc.k_do_send,
-                                            (False, gcl.push_sent,
-                                             (machine, request))))
-                else:  # _OP_MEASURED
+                            overshoot = mc.slack * draw_u()
+                        wake = target + overshoot * mc.oscale
+                        # post_at arithmetic: now + (t - now).
+                        heappush(heap, (now + (wake - now), nseq(),
+                                        mc.k_do_send,
+                                        (True, gcl.push_sent,
+                                         (machine, request))))
+                    else:
+                        delay = intended - now
+                        if not (delay >= 0.0):
+                            raise SimulationError(
+                                f"cannot schedule in the past: {delay!r}")
+                        heappush(heap, (now + delay, nseq(),
+                                        mc.k_do_send,
+                                        (False, gcl.push_sent,
+                                         (machine, request))))
+                elif op == 6:  # _OP_MEASURED
                     gcm = data
                     request = args[1]
                     request.measured_complete_us = args[2]
+                    self._now = now
                     rb = gcm.rbuf
                     if rb is not None:
                         # Deferred columnar recording: buffered here,
@@ -1376,12 +852,10 @@ class KernelSimulator(Simulator):
                             gcm.rs.record_batch(rb)
                             del rb[:]
                     else:
-                        self._now = now
                         gcm.record(request)
                     gen = gcm.gen
                     gen.completed += 1
                     if gcm.after is not None:
-                        self._now = now
                         if defer:
                             flushrec()
                         gcm.after(args[0], request)
@@ -1390,12 +864,202 @@ class KernelSimulator(Simulator):
                     if gen.completed >= gen.num_requests:
                         all_done = gen._on_all_done
                         if all_done:
-                            self._now = now
                             if defer:
                                 flushrec()
                             all_done()
                             now = self._now
                             heap = self._heap
+                else:  # _OP_SUBMIT / _OP_FINISH: the station
+                    sc = data
+                    pool = sc.pool
+                    idle = pool._idle_servers
+                    items = sc.items
+                    if op == 5:  # _OP_FINISH
+                        server = args[0]
+                        job = args[1]
+                        pool.idle_since[server] = now
+                        idle.append(server)
+                        pool.jobs_completed += 1
+                        done_fn = args[3]
+                        if done_fn is sc.pool_done or done_fn == sc.pool_done:
+                            dctx = args[4]
+                            job.queue_wait_us += args[2]
+                            job.server_departure_us = now
+                            real_done = dctx[0]
+                            rctx = dctx[1]
+                            if real_done is sc.cdone:
+                                gcf = sc.cgc
+                            else:
+                                gcf = served_get(real_done)
+                                sc.cdone = real_done
+                                sc.cgc = gcf
+                            if gcf is not None:
+                                # Fused _served: link transit back.
+                                draw = gcf.draw_c
+                                base = (gcf.c_mean if draw is None
+                                        else float(draw(gcf.c_mu,
+                                                        gcf.c_sigma)))
+                                kb = job.size_kb
+                                observer = gcf.obs_c
+                                if observer is not None:
+                                    observer.messages += 1
+                                    observer.kb += kb
+                                delay = (base + kb * _US_PER_KB
+                                         if kb > 0.0 else base)
+                                heappush(heap, (now + delay, nseq(),
+                                                gcf.push_at_nic,
+                                                (rctx[0], job)))
+                            else:
+                                self._now = now
+                                if defer:
+                                    flushrec()
+                                real_done(job, *rctx)
+                                now = self._now
+                                heap = self._heap
+                        else:
+                            self._now = now
+                            if defer:
+                                flushrec()
+                            done_fn(job, args[2], *args[4])
+                            now = self._now
+                            heap = self._heap
+                        # ServerPool._dispatch tail: the overwhelmingly
+                        # common case -- one freed worker picks up one
+                        # queued job through the stock service-time
+                        # callback -- runs the fused occupancy body
+                        # below; anything else restores the popped
+                        # state and delegates.
+                        if not (items and idle):
+                            continue
+                        server = idle.pop()
+                        enq, item = items.popleft()
+                        stf = item[1]
+                        if not (stf is sc.service_time
+                                or stf == sc.service_time):
+                            idle.append(server)
+                            items.appendleft((enq, item))
+                            self._now = now
+                            if defer:
+                                flushrec()
+                            pool._dispatch()
+                            now = self._now
+                            heap = self._heap
+                            continue
+                        job = item[0]
+                        waited = now - enq
+                        done_fn = item[2]
+                        dctx = item[3]
+                    else:  # _OP_SUBMIT
+                        job = args[0]
+                        if job.server_arrival_us == 0.0:
+                            job.server_arrival_us = now
+                        if not idle:
+                            # All workers busy: queue, track depth.
+                            items.append(
+                                (now, (job, sc.service_time,
+                                       sc.pool_done, (args[1], args[2:]))))
+                            sc.queue.total_enqueued += 1
+                            if sc.obs_on:
+                                depth = len(items)
+                                if depth > pool.peak_queue_depth:
+                                    pool.peak_queue_depth = depth
+                            continue
+                        if items:  # pragma: no cover - invariant guard
+                            # Not h.cb: an _OP_STAGE entry has
+                            # rewritten args.
+                            scalar += 1
+                            self._now = now
+                            if defer:
+                                flushrec()
+                            sc.station.submit(*args)
+                            now = self._now
+                            heap = self._heap
+                            continue
+                        # Fast path: a worker is free, zero wait.
+                        sc.queue.total_enqueued += 1
+                        server = idle.pop()
+                        waited = 0.0
+                        done_fn = sc.pool_done
+                        dctx = (args[1], args[2:])
+                    # ServiceStation._service_time with
+                    # _sample_occupancy_us fused in.
+                    idle_gap = now - pool.idle_since[server]
+                    busy_m1 = sc.num - len(idle) - 1
+                    if busy_m1 < 0:
+                        busy_m1 = 0
+                    utilization = busy_m1 / sc.num
+                    skind = sc.skind
+                    if skind:
+                        base = _exp(sc.smu + sc.ssigma * sc.normal())
+                        if skind == 2:
+                            base += job.size_kb * sc.sukb
+                    else:
+                        self._now = now
+                        if defer:
+                            flushrec()
+                        base = sc.sample(sc.rng, job)
+                        heap = self._heap
+                    base = (base + sc.kstack) * sc.env
+                    base *= sc.smtf
+                    if not sc.smt_on:
+                        # SmtModel.interference_us, inlined.
+                        u = utilization
+                        if u < 0.0:
+                            u = 0.0
+                        elif u > 1.0:
+                            u = 1.0
+                        intensity = sc.intensity
+                        broad = u * intensity * sc.broad_us
+                        probability = sc.int_scale * u * intensity
+                        if probability > 1.0:
+                            probability = 1.0
+                        uniform = sc.uniform
+                        if uniform is None:
+                            base += broad + probability * sc.int_mean
+                        elif uniform() < probability:
+                            base += (broad + sc.int_mean
+                                     * sc.rng.standard_exponential())
+                        else:
+                            base += broad
+                    scaled = base * sc.fscale
+                    if sc.cpoll:
+                        wake = 0.0
+                    else:
+                        # CStateGovernor.wake_and_state, inlined.
+                        predicted = idle_gap
+                        normal = sc.normal
+                        if normal is not None and idle_gap > 0:
+                            noise = 1.0 + _PRED_NOISE * normal()
+                            if noise < 0.0:
+                                noise = 0.0
+                            predicted = idle_gap * noise
+                        tick = sc.tick
+                        if tick is not None and predicted > tick:
+                            predicted = tick
+                        table = sc.ctable
+                        chosen = table[0][1]
+                        for target_residency, spec in table:
+                            if target_residency <= predicted:
+                                chosen = spec
+                        wake = chosen.exit_latency_us
+                        if wake > idle_gap:
+                            wake = idle_gap
+                    occupancy = scaled + wake
+                    job.service_us += occupancy
+                    if occupancy < 0:
+                        raise SimulationError(
+                            f"negative service time {occupancy} "
+                            f"for job {job!r}")
+                    pool.busy_time_us += occupancy
+                    heappush(heap, (now + occupancy, nseq(), sc.k_finish,
+                                    (server, job, waited, done_fn, dctx)))
+                    if items and idle:
+                        self._now = now
+                        if defer:
+                            flushrec()
+                        pool._dispatch()
+                        now = self._now
+                        heap = self._heap
         finally:
             self._now = now
             flushrec()

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InsufficientSamplesError
 from repro.loadgen.measurement import (
+    RECORD_CHUNK,
     PointOfMeasurement,
     RunSamples,
     latency_at_point,
 )
 from repro.parameters import DEFAULT_PARAMETERS
 from repro.server.request import Request
+from repro.telemetry.columns import COLUMN_FIELDS, SampleColumns
 
 
 def make_request(index, send=0.0, nic=50.0, measured=80.0):
@@ -159,3 +163,91 @@ class TestColumnarSamples:
         samples.record(make_request(2, send=5.0))
         ids = [r.request_id for r in samples.measured_requests()]
         assert ids == [1, 2, 0]
+
+
+#: Every RunSamples reader, each returning a plain comparable value.
+READERS = {
+    "len": len,
+    "columns": lambda samples: [
+        samples.columns.column(name).tolist() for name in COLUMN_FIELDS],
+    "warmup_count": lambda samples: samples.warmup_count,
+    "measured_count": lambda samples: samples.measured_count,
+    "measured_order": lambda samples: samples.measured_order().tolist(),
+    "measured_requests": lambda samples: [
+        [getattr(request, name) for name in COLUMN_FIELDS]
+        for request in samples.measured_requests()],
+    **{f"latencies_{point.value}":
+       (lambda samples, point=point: samples.latencies_us(point).tolist())
+       for point in PointOfMeasurement},
+    "send_errors": lambda samples: samples.send_errors_us().tolist(),
+    "client_overheads": (
+        lambda samples: samples.client_overheads_us().tolist()),
+}
+
+
+def _read(samples, reader):
+    try:
+        return READERS[reader](samples)
+    except InsufficientSamplesError:
+        return "insufficient samples"
+
+
+def _random_request(rng, index):
+    # A coarse send grid makes ties, which the stable sort must keep
+    # in record order.
+    send = float(rng.integers(0, 40)) * 2.5
+    actual = send + float(rng.random())
+    nic = actual + 20.0 + 30.0 * float(rng.random())
+    return Request(
+        request_id=index, size_kb=float(rng.random()),
+        intended_send_us=send, actual_send_us=actual,
+        server_arrival_us=actual + 10.0,
+        queue_wait_us=float(rng.random()),
+        service_us=5.0 + float(rng.random()),
+        server_departure_us=nic - 10.0, client_nic_us=nic,
+        measured_complete_us=nic + 5.0 * float(rng.random()))
+
+
+class TestBatchedRecording:
+    """The fused kernel records through record_batch: completions
+    buffer, go in RECORD_CHUNK at a time, and the buffer is flushed
+    before anything reads the samples.  Every reader must then see
+    exactly what one SampleColumns.append per completion produces."""
+
+    @pytest.mark.parametrize("count", [
+        1, RECORD_CHUNK - 1, RECORD_CHUNK, RECORD_CHUNK + 1,
+        3 * RECORD_CHUNK + 17])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           warmup=st.sampled_from([0.0, 0.1, 0.5]),
+           reads=st.lists(
+               st.tuples(st.integers(0, 3 * RECORD_CHUNK + 17),
+                         st.sampled_from(sorted(READERS))),
+               max_size=12))
+    def test_batches_interleaved_with_reads_match_appends(
+            self, count, seed, warmup, reads):
+        rng = np.random.default_rng(seed)
+        samples = RunSamples(warmup_fraction=warmup)
+        appended = SampleColumns()
+        pending = []
+        schedule = sorted((position % (count + 1), reader)
+                          for position, reader in reads)
+        # Every reader once more after the last record.
+        schedule += [(count, reader) for reader in sorted(READERS)]
+        recorded = 0
+        for position, reader in schedule:
+            while recorded < position:
+                request = _random_request(rng, recorded)
+                pending.append(request)
+                appended.append(request)
+                recorded += 1
+                if len(pending) == RECORD_CHUNK:
+                    samples.record_batch(pending)
+                    pending = []
+            samples.record_batch(pending)
+            pending = []
+            # A fresh wrapper: its derived-array caches start empty.
+            expected = _read(
+                RunSamples.from_columns(appended, warmup), reader)
+            assert _read(samples, reader) == expected, (
+                f"{reader} after {recorded} records")

@@ -491,6 +491,46 @@ def test_telemetry_columns_bit_identical(workload):
 
 
 # ---------------------------------------------------------------------------
+# Component counters: draws served, links, stations, events
+# ---------------------------------------------------------------------------
+#: name -> (workload, client, qps, cluster).
+_COUNTER_PLANS = {
+    "memcached-LP": ("memcached", "LP", 100_000.0, None),
+    "memcached-HP": ("memcached", "HP", 100_000.0, None),
+    "hdsearch": ("hdsearch", "LP", 1_000.0, None),
+    "socialnetwork": ("socialnetwork", "LP", 300.0, None),
+    "synthetic": ("synthetic", "LP", 10_000.0, None),
+    "memcached-cluster": ("memcached", "LP", 100_000.0,
+                          ClusterSpec(nodes=4, lb_policy="power-of-two")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COUNTER_PLANS))
+def test_metrics_counters_match_reference(case):
+    """Every fused draw calls its stream's own method, so every
+    harvested counter -- draws served batched and scalar, blocks,
+    reconciles, link and station tallies, events dispatched -- equals
+    the reference engine's; only the kernel's fallback count is its
+    own."""
+    workload, client, qps, cluster = _COUNTER_PLANS[case]
+    results = {}
+    for engine in ENGINES:
+        builder = (experiment(workload)
+                   .client(client)
+                   .load(qps=qps, num_requests=300)
+                   .policy(runs=1, base_seed=3, engine=engine,
+                           metrics=True))
+        if cluster is not None:
+            builder = builder.cluster(cluster)
+        results[engine] = builder.build().testbed().run()
+    counters = dict(results["reference"].obs_metrics)
+    assert (counters["sampling.batched_served"]
+            + counters["sampling.scalar_served"]) > 0
+    assert (_without_fallbacks(results["vectorized"])
+            == results["reference"])
+
+
+# ---------------------------------------------------------------------------
 # Cross-process determinism under a hostile PYTHONHASHSEED
 # ---------------------------------------------------------------------------
 def _make_plans():
