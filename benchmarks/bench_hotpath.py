@@ -16,12 +16,11 @@ Both paths must produce bit-identical run metrics (asserted); the
 interesting output is the end-to-end speedup.  Results are written to
 ``BENCH_hotpath.json`` so CI can track the perf trajectory; the file
 also consolidates per-stage timings (arrival-train construction, event
-loop, summary), the batched-sampling stream counters, the pinned
-pre-batching mainline reference, an observability-off vs
-observability-on comparison (lifecycle tracing and the streaming
-sink, both against the uninstrumented columnar run), and -- when
-``benchmarks/bench_sampling.py`` ran first -- its per-distribution
-microbenchmark results.
+loop, summary), the pinned pre-batching mainline reference, an
+observability-off vs observability-on comparison (lifecycle tracing
+and the streaming sink, both against the uninstrumented columnar run),
+and -- when ``benchmarks/bench_sampling.py`` ran first -- its
+per-distribution microbenchmark results.
 
 Usage::
 
@@ -367,12 +366,11 @@ def time_stages(seed, qps, num_requests):
     samples.percentile_latency_us(99.0, PointOfMeasurement.NIC)
     summarize_s = time.perf_counter() - started
 
-    streams = testbed.streams.batched_stats()
     return {
         "arrival_train_seconds": round(start_s, 4),
         "event_loop_seconds": round(run_s, 4),
         "summarize_seconds": round(summarize_s, 4),
-    }, streams
+    }
 
 
 def time_observability(seed, qps, num_requests, repetitions,
@@ -532,7 +530,7 @@ def main(argv=None) -> int:
           f"({observability['streaming_overhead_pct']:+.1f}%, "
           f"p99 {observability['streaming_p99_delta_pct']:+.3f}%)")
 
-    stages, stream_stats = time_stages(args.seed, args.qps, num_requests)
+    stages = time_stages(args.seed, args.qps, num_requests)
     print(f"  stages             : arrival train "
           f"{stages['arrival_train_seconds']:.3f}s, event loop "
           f"{stages['event_loop_seconds']:.3f}s, summarize "
@@ -563,7 +561,6 @@ def main(argv=None) -> int:
         "metrics_identical": identical,
         "observability": observability,
         "per_stage": stages,
-        "sampling_streams": stream_stats,
         "kernel": kernel,
         "kernel_speedup_floor": KERNEL_SPEEDUP_FLOOR,
         "main_pre_batching": MAIN_PRE_BATCHING,

@@ -1,24 +1,27 @@
-"""Microbenchmark: scalar generator draws vs draw-ahead batched serving.
+"""Microbenchmark: Stream scalar draws vs ``numpy.random.Generator`` calls.
 
-Times every distribution the simulator draws on its request hot path
--- exponential, lognormal, normal, uniform -- three ways:
+Times every draw shape the simulator uses on its request hot path --
+exponential, lognormal, normal, uniform, and a mixed normal/uniform
+sequence (a station's service and SMT draws on one stream) -- two
+ways:
 
-* **scalar** -- one ``numpy.random.Generator`` method call per draw
-  (the pre-batching implementation);
-* **batched** -- the same draws served through
-  :class:`~repro.sim.sampling.BatchedStream` block mode;
-* **train** -- the whole-vector pull used for open-loop arrival
-  schedules (exponential/lognormal only).
+* **generator** -- one ``numpy.random.Generator`` method call per draw;
+* **stream** -- the same draws through
+  :class:`~repro.sim.sampling.Stream`, whose scalar draws call numpy's
+  C samplers directly (derived draws are one expression over them);
 
-Each mode is also checked for bit-identity against the scalar
+and, for exponential and lognormal, the ``size=`` **vector** form
+used for whole open-loop arrival schedules.
+
+Each row is also checked for bit-identity against the generator's own
 sequence, so the benchmark doubles as a smoke test.  The process exits
-non-zero when the batched path is *slower* than the scalar path
+non-zero when the stream is *slower* than the generator methods
 (geometric-mean speedup < 1), which is the CI regression gate for the
 sampling layer.
 
 Usage::
 
-    python benchmarks/bench_sampling.py            # 200k draws/dist
+    python benchmarks/bench_sampling.py            # 200k draws/row
     python benchmarks/bench_sampling.py --quick    # 20k draws (CI)
 """
 
@@ -37,66 +40,71 @@ sys.path.insert(
 
 import numpy as np  # noqa: E402
 
-from repro.sim.sampling import BatchedStream  # noqa: E402
+from repro.sim.sampling import Stream, c_samplers_active  # noqa: E402
 
 SEED = 4242
 
-#: (label, method, args) -- the scalar draw shapes used in the tree.
-DISTRIBUTIONS = (
-    ("exponential", "exponential", (6.0,)),
-    ("lognormal", "lognormal", (1.7917594692280558, 0.35)),
-    ("normal", "normal", (1.0, 0.25)),
-    ("uniform", "random", ()),
+#: (label, [(method, args), ...]) -- the scalar draw shapes used in
+#: the tree; a row cycles through its draws in order.
+ROWS = (
+    ("exponential", [("exponential", (6.0,))]),
+    ("lognormal", [("lognormal", (1.7917594692280558, 0.35))]),
+    ("normal", [("normal", (1.0, 0.25))]),
+    ("uniform", [("random", ())]),
+    ("mixed", [("standard_normal", ()), ("random", ())]),
 )
 
 
-def _time_loop(fn, count: int) -> float:
+def _time_draws(source, draws, count: int) -> float:
+    """Seconds for *count* draws cycling through *draws* on *source*."""
+    calls = [(getattr(source, method), args) for method, args in draws]
+    rounds = range(count // len(calls))
     started = time.perf_counter()
-    for _ in range(count):
-        fn()
+    for _ in rounds:
+        for fn, args in calls:
+            fn(*args)
     return time.perf_counter() - started
 
 
-def bench_distribution(label: str, method: str, args: tuple,
-                       count: int, repetitions: int) -> dict:
-    """Best-of-N per-draw timings for one distribution, all modes."""
-    scalar_s = batched_s = float("inf")
+def bench_row(label: str, draws, count: int, repetitions: int) -> dict:
+    """Best-of-N per-draw timings for one row, both ways."""
+    generator_s = stream_s = float("inf")
     for _ in range(repetitions):
-        gen = np.random.default_rng(SEED)
-        bound = getattr(gen, method)
-        scalar_s = min(scalar_s, _time_loop(lambda: bound(*args), count))
+        generator_s = min(generator_s, _time_draws(
+            np.random.default_rng(SEED), draws, count))
+        stream_s = min(stream_s, _time_draws(
+            Stream(np.random.default_rng(SEED)), draws, count))
 
-        stream = BatchedStream(np.random.default_rng(SEED))
-        bound = getattr(stream, method)
-        batched_s = min(batched_s, _time_loop(lambda: bound(*args), count))
-
-    # Bit-identity: the batched sequence must equal the scalar one.
-    gen = np.random.default_rng(SEED)
-    stream = BatchedStream(np.random.default_rng(SEED))
-    check = min(count, 50_000)
-    scalar_seq = [float(getattr(gen, method)(*args)) for _ in range(check)]
-    batched_seq = [getattr(stream, method)(*args) for _ in range(check)]
-    identical = scalar_seq == batched_seq
+    # Bit-identity: the stream's sequence must equal the generator's.
+    generator = np.random.default_rng(SEED)
+    stream = Stream(np.random.default_rng(SEED))
+    check = min(count, 50_000) // len(draws)
+    want = [float(getattr(generator, method)(*args))
+            for _ in range(check) for method, args in draws]
+    got = [getattr(stream, method)(*args)
+           for _ in range(check) for method, args in draws]
+    identical = got == want
 
     result = {
-        "scalar_us_per_draw": round(scalar_s / count * 1e6, 4),
-        "batched_us_per_draw": round(batched_s / count * 1e6, 4),
-        "speedup": round(scalar_s / batched_s, 3),
+        "generator_us_per_draw": round(generator_s / count * 1e6, 4),
+        "stream_us_per_draw": round(stream_s / count * 1e6, 4),
+        "speedup": round(generator_s / stream_s, 3),
         "bit_identical": identical,
     }
 
     if label in ("exponential", "lognormal"):
-        train_s = float("inf")
+        ((method, args),) = draws
+        vector_s = float("inf")
         for _ in range(repetitions):
-            stream = BatchedStream(np.random.default_rng(SEED))
+            stream = Stream(np.random.default_rng(SEED))
             started = time.perf_counter()
-            if label == "exponential":
-                stream.exponential_train(args[0], count)
-            else:
-                stream.lognormal_train(args[0], args[1], count)
-            train_s = min(train_s, time.perf_counter() - started)
-        result["train_us_per_draw"] = round(train_s / count * 1e6, 4)
-        result["train_speedup"] = round(scalar_s / train_s, 1)
+            getattr(stream, method)(*args, size=count)
+            vector_s = min(vector_s, time.perf_counter() - started)
+        vector = getattr(Stream(np.random.default_rng(SEED)), method)(
+            *args, size=check)
+        result["vector_us_per_draw"] = round(vector_s / count * 1e6, 4)
+        result["vector_speedup"] = round(generator_s / vector_s, 1)
+        result["bit_identical"] = identical and vector.tolist() == want
 
     return result
 
@@ -104,7 +112,7 @@ def bench_distribution(label: str, method: str, args: tuple,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="20k draws per distribution (CI smoke)")
+                        help="20k draws per row (CI smoke)")
     parser.add_argument("--draws", type=int, default=None)
     parser.add_argument("--repetitions", type=int, default=3)
     parser.add_argument("--json", default="BENCH_sampling.json",
@@ -112,36 +120,38 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     count = args.draws or (20_000 if args.quick else 200_000)
 
-    print(f"sampling microbenchmark, {count} draws per distribution, "
-          f"best of {args.repetitions}")
-    print(f"  {'distribution':<14}{'scalar':>10}{'batched':>10}"
-          f"{'speedup':>9}{'train':>10}  identical")
+    c_samplers = c_samplers_active()
+    print(f"sampling microbenchmark, {count} draws per row, best of "
+          f"{args.repetitions} (numpy's C samplers: "
+          f"{'on' if c_samplers else 'off, bound-method fallback'})")
+    print(f"  {'row':<14}{'generator':>11}{'stream':>10}"
+          f"{'speedup':>9}{'size=':>10}  identical")
 
     results = {}
     speedups = []
     all_identical = True
-    for label, method, dist_args in DISTRIBUTIONS:
-        row = bench_distribution(
-            label, method, dist_args, count, args.repetitions)
+    for label, draws in ROWS:
+        row = bench_row(label, draws, count, args.repetitions)
         results[label] = row
         speedups.append(row["speedup"])
         all_identical &= row["bit_identical"]
-        train = (f"{row['train_us_per_draw']:>8.3f}us"
-                 if "train_us_per_draw" in row else f"{'-':>10}")
-        print(f"  {label:<14}{row['scalar_us_per_draw']:>8.3f}us"
-              f"{row['batched_us_per_draw']:>8.3f}us"
-              f"{row['speedup']:>8.2f}x{train}  {row['bit_identical']}")
+        vector = (f"{row['vector_us_per_draw']:>8.3f}us"
+                  if "vector_us_per_draw" in row else f"{'-':>10}")
+        print(f"  {label:<14}{row['generator_us_per_draw']:>9.3f}us"
+              f"{row['stream_us_per_draw']:>8.3f}us"
+              f"{row['speedup']:>8.2f}x{vector}  {row['bit_identical']}")
 
     geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-    print(f"  geometric-mean batched speedup: {geomean:.2f}x "
+    print(f"  geometric-mean stream speedup: {geomean:.2f}x "
           f"(bit-identical: {all_identical})")
 
     payload = {
         "benchmark": "sampling",
-        "draws_per_distribution": count,
+        "draws_per_row": count,
         "repetitions": args.repetitions,
         "quick": bool(args.quick),
-        "distributions": results,
+        "c_samplers": c_samplers,
+        "rows": results,
         "geomean_speedup": round(geomean, 3),
         "bit_identical": all_identical,
     }
@@ -151,11 +161,11 @@ def main(argv=None) -> int:
     print(f"  wrote {args.json}")
 
     if not all_identical:
-        print("FAIL: batched sequence diverged from scalar sequence",
+        print("FAIL: stream sequence diverged from the generator's",
               file=sys.stderr)
         return 1
     if geomean < 1.0:
-        print(f"FAIL: batched path slower than scalar path "
+        print(f"FAIL: stream slower than the generator methods "
               f"({geomean:.2f}x < 1.0x)", file=sys.stderr)
         return 1
     return 0

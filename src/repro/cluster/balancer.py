@@ -10,9 +10,9 @@ and the tests (request conservation, least-outstanding invariants)
 assert against.
 
 Stochastic policies (``random``, ``power-of-two``) draw uniform
-primitives through the :class:`~repro.sim.sampling.BatchedStream`
-facade, so cluster runs keep the simulator's bit-exact determinism
-and the draw-ahead fast path.
+primitives through a :class:`~repro.sim.sampling.Stream`, so cluster
+runs keep the simulator's bit-exact determinism and numpy's C
+samplers.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class LoadBalancer:
             ``submit(request, done_fn)``.
         policy: one of :data:`~repro.cluster.spec.LB_POLICIES`.
         rng: randomness source for the stochastic policies; wrapped
-            in a :class:`~repro.sim.sampling.BatchedStream` so uniform
-            draws ride the draw-ahead block path.  Required for
-            ``random`` and ``power-of-two``.
+            in a :class:`~repro.sim.sampling.Stream` so uniform draws
+            call numpy's C sampler.  Required for ``random`` and
+            ``power-of-two``.
         name: diagnostic name.
     """
 

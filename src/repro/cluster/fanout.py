@@ -118,7 +118,7 @@ class FanoutService:
 
         ``fanout == shards`` touches every shard without consuming a
         draw; a partial fanout draws a uniform partial Fisher-Yates
-        shuffle (K draws, all served from one draw-ahead block).
+        shuffle (K uniform draws).
         """
         count = len(self._shards)
         if self.fanout == count:

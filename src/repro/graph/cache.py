@@ -5,15 +5,15 @@ look-aside cache with a fixed hit probability.  On a hit the request
 is answered after ``hit_service_us`` of local work; on a miss it
 traverses the downstream service, then pays ``fill_penalty_us`` to
 install the result before completing.  Hit decisions draw one uniform
-from the tier's :class:`~repro.sim.sampling.BatchedStream`; the
-degenerate ratios 0 and 1 consume no randomness at all (mirroring the
-``next_index(1)`` idiom), so an always-miss cache is draw-for-draw
-identical to no cache.
+from the tier's :class:`~repro.sim.sampling.Stream`, through its
+zero-argument C draw bound once; the degenerate ratios 0 and 1 consume
+no randomness at all (mirroring the ``next_index(1)`` idiom), so an
+always-miss cache is draw-for-draw identical to no cache.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.server.request import Request
@@ -54,7 +54,8 @@ class CacheTier:
         self.hit_ratio = float(hit_ratio)
         self.hit_service_us = float(hit_service_us)
         self.fill_penalty_us = float(fill_penalty_us)
-        self._rng = as_stream(rng) if rng is not None else None
+        stream = as_stream(rng)
+        self._uniform = None if stream is None else stream.draw_uniform
         self.name = name
         self.hits = 0
         self.misses = 0
@@ -83,51 +84,50 @@ class CacheTier:
             return True
         if self.hit_ratio <= 0.0:
             return False
-        return self._rng.next_uniform() < self.hit_ratio
+        return self._uniform() < self.hit_ratio
 
     def submit(self, request: Request, done_fn: Callable,
                *ctx: Any) -> None:
+        """Look *request* up; call ``done_fn(request, *ctx)`` when it
+        completes.  The caller's callback and context ride through
+        the hit, fill and miss continuations as data, so no
+        per-request closure is built."""
         sim = self._sim
         if request.server_arrival_us == 0.0:
             request.server_arrival_us = sim.now
-        if ctx:
-            inner = done_fn
-            def done(req, _inner=inner, _ctx=ctx):
-                _inner(req, *_ctx)
-            done_fn = done
         if self._is_hit():
             self.hits += 1
             request.service_us += self.hit_service_us
             sim.post(self.hit_service_us, self._finish_hit,
-                     request, done_fn, sim.now)
+                     request, done_fn, sim.now, *ctx)
         else:
             self.misses += 1
             self.downstream.submit(request, self._filled, done_fn,
-                                   sim.now)
+                                   sim.now, *ctx)
 
     def _finish_hit(self, request: Request, done_fn: Callable,
-                    started_us: float) -> None:
+                    started_us: float, *ctx: Any) -> None:
         sim = self._sim
         request.server_departure_us = sim.now
         if self._trace is not None:
             self._trace.span("cache.hit", started_us, sim.now,
                              request.request_id, self.name)
-        done_fn(request)
+        done_fn(request, *ctx)
 
     def _filled(self, request: Request, done_fn: Callable,
-                started_us: float) -> None:
+                started_us: float, *ctx: Any) -> None:
         request.service_us += self.fill_penalty_us
         self._sim.post(self.fill_penalty_us, self._finish_miss,
-                       request, done_fn, started_us)
+                       request, done_fn, started_us, *ctx)
 
     def _finish_miss(self, request: Request, done_fn: Callable,
-                     started_us: float) -> None:
+                     started_us: float, *ctx: Any) -> None:
         sim = self._sim
         request.server_departure_us = sim.now
         if self._trace is not None:
             self._trace.span("cache.miss", started_us, sim.now,
                              request.request_id, self.name)
-        done_fn(request)
+        done_fn(request, *ctx)
 
     # ------------------------------------------------------- metrics
     def utilization(self) -> float:

@@ -16,21 +16,25 @@ folded back into the root before the caller's completion runs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Tuple
 
 from repro.graph.spec import ResiliencePolicy
 from repro.server.request import Request
 
 
 class _CallState:
-    """Book-keeping for one root request in flight."""
+    """Book-keeping for one root request in flight: the caller's
+    ``done_fn`` and context ride here as data until the winning
+    response applies them."""
 
-    __slots__ = ("root", "done_fn", "completed", "retries_used",
+    __slots__ = ("root", "done_fn", "ctx", "completed", "retries_used",
                  "hedges_used", "timeout_event", "hedge_event")
 
-    def __init__(self, root: Request, done_fn: Callable) -> None:
+    def __init__(self, root: Request, done_fn: Callable,
+                 ctx: Tuple[Any, ...]) -> None:
         self.root = root
         self.done_fn = done_fn
+        self.ctx = ctx
         self.completed = False
         self.retries_used = 0
         self.hedges_used = 0
@@ -73,13 +77,8 @@ class ResilientDispatcher:
         sim = self._sim
         if request.server_arrival_us == 0.0:
             request.server_arrival_us = sim.now
-        if ctx:
-            inner = done_fn
-            def done(req, _inner=inner, _ctx=ctx):
-                _inner(req, *_ctx)
-            done_fn = done
         self.calls += 1
-        state = _CallState(request, done_fn)
+        state = _CallState(request, done_fn, ctx)
         self._launch_attempt(state, arm_timeout=True)
         if self.policy.hedges:
             state.hedge_event = sim.schedule(
@@ -162,7 +161,7 @@ class ResilientDispatcher:
         root.queue_wait_us += attempt.queue_wait_us
         root.server_departure_us = self._sim.now
         self.roots_completed += 1
-        state.done_fn(root)
+        state.done_fn(root, *state.ctx)
 
     # ------------------------------------------------------- metrics
     def node_utilizations(self):

@@ -114,8 +114,8 @@ class SimCore:
         config: the machine's hardware configuration.
         rng: random stream for governor prediction noise and timer
             slack; ``None`` makes the core fully deterministic.  A
-            :class:`~repro.sim.sampling.BatchedStream` is accepted
-            anywhere a generator is.
+            :class:`~repro.sim.sampling.Stream` is accepted anywhere
+            a generator is.
         polling: model a busy-wait loop that never idles.
         overhead_scale: run-level multiplicative factor on all overhead
             components (uncontrolled environment state; sampled once

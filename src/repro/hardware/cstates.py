@@ -118,7 +118,7 @@ class CStateGovernor:
         if rng is not None and idle_gap_us > 0:
             # loc + scale * z matches Generator.normal(loc, scale)
             # bit-for-bit while skipping its kwargs dispatch; rng may
-            # be a Generator or a BatchedStream.
+            # be a Generator or a Stream.
             noise = 1.0 + self.PREDICTION_NOISE * rng.standard_normal()
             if noise < 0.0:
                 noise = 0.0

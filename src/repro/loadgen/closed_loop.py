@@ -66,7 +66,7 @@ class ClosedLoopGenerator(LoadGenerator):
         if self._think_rng is None:
             return self.think_time_us
         # mean * std_exp == Generator.exponential(mean) bit-for-bit;
-        # a BatchedStream think_rng serves this from a block draw.
+        # a Stream think_rng serves it from numpy's C sampler.
         return self.think_time_us * float(
             self._think_rng.standard_exponential())
 

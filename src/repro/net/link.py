@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
+from repro.sim.sampling import as_stream
 
 #: Serialization cost per kilobyte at 10 GbE, in microseconds.
 US_PER_KB_10GBE = 0.8
@@ -36,12 +37,10 @@ class NetworkLink:
         self._sigma = params.network_sigma
         # lognormal(mu, sigma) has mean exp(mu + sigma^2/2).
         self._mu = math.log(self._mean) - 0.5 * self._sigma ** 2
-        # Bind the sampler once: one attribute lookup per message on
-        # the hot path instead of a generator-object traversal.  With
-        # a BatchedStream rng (the builders' wiring) every latency
-        # draw is served from a draw-ahead standard-normal block; a
-        # raw Generator keeps the scalar path.
-        self._draw = None if rng is None else rng.lognormal
+        # Bind the stream's zero-argument standard-normal draw once.
+        # A latency is exp(mu + sigma * z), numpy's own lognormal
+        # expression, so each message pays one C sampler call.
+        self._normal = None if rng is None else as_stream(rng).draw_normal
         #: optional :class:`~repro.obs.core.LinkObserver` (null-object
         #: contract: one None test per message when unobserved).
         self.observer = None
@@ -57,9 +56,9 @@ class NetworkLink:
         Args:
             message_kb: payload size; adds serialization delay.
         """
-        draw = self._draw
-        base = (self._mean if draw is None
-                else float(draw(self._mu, self._sigma)))
+        normal = self._normal
+        base = (self._mean if normal is None
+                else math.exp(self._mu + self._sigma * normal()))
         observer = self.observer
         if observer is not None:
             observer.on_message(message_kb)

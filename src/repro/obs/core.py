@@ -32,6 +32,7 @@ from repro.obs.sinks import (
     validate_sink_name,
 )
 from repro.obs.trace import DEFAULT_MAX_SPANS, Tracer
+from repro.sim.sampling import c_samplers_active
 
 
 class LinkObserver:
@@ -160,13 +161,10 @@ class Observability:
             # The vectorized engine: events it could not fuse
             # (duck-typed so the reference engine pays nothing).
             reg.counter("engine.kernel.scalar_fallbacks").add(fallbacks)
-        totals = {"blocks_drawn": 0, "batched_served": 0,
-                  "scalar_served": 0, "reconciles": 0}
-        for stats in testbed.streams.batched_stats().values():
-            for key in totals:
-                totals[key] += stats.get(key, 0)
-        for key, value in totals.items():
-            reg.counter(f"sampling.{key}").add(value)
+        # The one sampling fast path: 0.0 means every scalar draw of
+        # this process pays the Generator method call instead.
+        reg.gauge("sampling.c_samplers").set(
+            1.0 if c_samplers_active() else 0.0)
         for observer in self._links:
             reg.counter(f"net.{observer.name}.messages").add(
                 observer.messages)

@@ -2,7 +2,7 @@
 
 The registry is the run-scoped ledger behind :mod:`repro.obs`:
 components increment counters (events dispatched, heap compactions,
-stream refills), set gauges (utilization, peak queue depth), and feed
+link messages), set gauges (utilization, peak queue depth), and feed
 histograms (per-stage durations).  :meth:`MetricsRegistry.flatten`
 collapses everything into sorted ``(name, value)`` scalar pairs -- the
 shape that rides on :class:`~repro.core.testbed.RunMetrics`, survives

@@ -60,8 +60,8 @@ class ExponentialService:
         if rng is None:
             return self._mean_us
         # mean * std_exp is bit-identical to Generator.exponential(mean)
-        # and serves from a draw-ahead block when rng is a
-        # BatchedStream (see repro.sim.sampling).
+        # and calls numpy's C sampler when rng is a Stream (see
+        # repro.sim.sampling).
         return self._mean_us * float(rng.standard_exponential())
 
     def mean_service_us(self) -> float:
@@ -88,8 +88,8 @@ class LognormalService:
         if rng is None or self._sigma == 0:
             return self._mean_us
         # exp(mu + sigma * z) is bit-identical to
-        # Generator.lognormal(mu, sigma) (same libm exp in-process)
-        # and batch-servable via BatchedStream.standard_normal.
+        # Generator.lognormal(mu, sigma) (same libm exp in-process),
+        # and z is one C sampler call on a Stream.
         return math.exp(self._mu + self._sigma * float(rng.standard_normal()))
 
     def mean_service_us(self) -> float:

@@ -52,10 +52,8 @@ class ServiceStation:
         self.params = params
         # All of the station's stochastic effects (service times, SMT
         # interference, C-state wake prediction) draw through one
-        # batched facade over the provided generator; the facade
-        # serves the exact scalar sequence and engages draw-ahead
-        # blocks whenever the configuration's draws stay on a single
-        # primitive (e.g. lognormal service + prediction noise).
+        # Stream over the provided generator: the generator's exact
+        # scalar sequence, each draw one call into numpy's C samplers.
         self._rng = as_stream(rng)
         self._env_scale = float(env_scale)
         self._pool = ServerPool(sim, workers)

@@ -38,9 +38,11 @@ Three mechanisms stack:
   code outside the fused loop always sees every record, in order.
 
 The fused handlers inline the components' control flow, not their
-samplers: every draw calls the stream's own method (a
-:class:`~repro.sim.sampling.BatchedStream` decides block or scalar
-serving, a raw client-core generator goes through numpy's C samplers).
+samplers: every draw is a zero-argument numpy C sampler bound once per
+context (a station's :class:`~repro.sim.sampling.Stream` draws, a
+link's standard normal, a raw client-core generator's
+:func:`~repro.sim.sampling.scalar_samplers`), in the reference
+components' order and float expressions.
 
 A service graph's entry (``ServiceGraph.submit`` -> stock
 :class:`~repro.graph.testbed.GraphStage` -> adopted station) is fused
@@ -189,8 +191,8 @@ class _GC:
 
     __slots__ = ("gen", "sent", "served", "at_nic", "measured", "record",
                  "after", "submit_cb",
-                 "s_mu", "s_sigma", "s_mean", "draw_s", "obs_s",
-                 "c_mu", "c_sigma", "c_mean", "draw_c", "obs_c",
+                 "s_mu", "s_sigma", "s_mean", "normal_s", "obs_s",
+                 "c_mu", "c_sigma", "c_mean", "normal_c", "obs_c",
                  "k_sent", "k_at_nic", "k_measured",
                  "push_sent", "push_at_nic", "push_measured", "push_submit",
                  "rs", "rbuf")
@@ -210,12 +212,12 @@ class _GC:
         self.s_mu = link_s._mu
         self.s_sigma = link_s._sigma
         self.s_mean = link_s._mean
-        self.draw_s = link_s._draw
+        self.normal_s = link_s._normal
         self.obs_s = link_s.observer
         self.c_mu = link_c._mu
         self.c_sigma = link_c._sigma
         self.c_mean = link_c._mean
-        self.draw_c = link_c._draw
+        self.normal_c = link_c._normal
         self.obs_c = link_c.observer
         self.k_sent = _K(_OP_SENT, self, self.sent)
         self.k_at_nic = _K(_OP_AT_NIC, self, self.at_nic)
@@ -244,7 +246,7 @@ class _SC:
                  "int_mean", "kstack", "smtf", "fscale", "num", "cpoll",
                  "ctable", "tick", "pool_done", "service_time",
                  "finish_cb", "obs_on", "k_finish", "normal", "uniform",
-                 "skind", "smu", "ssigma", "sukb", "cdone", "cgc")
+                 "expo", "skind", "smu", "ssigma", "sukb", "cdone", "cgc")
 
     def __init__(self, station: Any) -> None:
         pool = station._pool
@@ -275,10 +277,11 @@ class _SC:
         self.finish_cb = pool._finish
         self.obs_on = pool._obs is not None
         self.k_finish = _K(_OP_FINISH, self, self.finish_cb)
-        # The station stream's own draws (None: a deterministic
-        # station); the stream decides block or scalar serving.
-        self.normal = None if rng is None else rng.standard_normal
-        self.uniform = None if rng is None else rng.random
+        # The station stream's zero-argument C draws (None: a
+        # deterministic station).
+        self.normal = None if rng is None else rng.draw_normal
+        self.uniform = None if rng is None else rng.draw_uniform
+        self.expo = None if rng is None else rng.draw_exponential
         # One-entry cache for the served-callback -> generator lookup
         # (stations overwhelmingly serve a single generator, and the
         # kernel pushes one stable bound method for it).
@@ -785,9 +788,9 @@ class KernelSimulator(Simulator):
                     gcs = data
                     request = args[1]
                     request.actual_send_us = args[2]
-                    draw = gcs.draw_s
-                    base = (gcs.s_mean if draw is None
-                            else float(draw(gcs.s_mu, gcs.s_sigma)))
+                    normal = gcs.normal_s
+                    base = (gcs.s_mean if normal is None
+                            else _exp(gcs.s_mu + gcs.s_sigma * normal()))
                     observer = gcs.obs_s
                     kb = request.size_kb
                     if observer is not None:
@@ -895,10 +898,10 @@ class KernelSimulator(Simulator):
                                 sc.cgc = gcf
                             if gcf is not None:
                                 # Fused _served: link transit back.
-                                draw = gcf.draw_c
-                                base = (gcf.c_mean if draw is None
-                                        else float(draw(gcf.c_mu,
-                                                        gcf.c_sigma)))
+                                normal = gcf.normal_c
+                                base = (gcf.c_mean if normal is None
+                                        else _exp(gcf.c_mu + gcf.c_sigma
+                                                  * normal()))
                                 kb = job.size_kb
                                 observer = gcf.obs_c
                                 if observer is not None:
@@ -1017,8 +1020,7 @@ class KernelSimulator(Simulator):
                         if uniform is None:
                             base += broad + probability * sc.int_mean
                         elif uniform() < probability:
-                            base += (broad + sc.int_mean
-                                     * sc.rng.standard_exponential())
+                            base += broad + sc.int_mean * sc.expo()
                         else:
                             base += broad
                     scaled = base * sc.fscale

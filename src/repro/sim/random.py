@@ -16,7 +16,7 @@ from typing import Dict, Iterator
 
 import numpy as np
 
-from repro.sim.sampling import BatchedStream
+from repro.sim.sampling import Stream
 
 #: The stream namespace active in this process (see
 #: :func:`stream_namespace`).  Empty outside a namespace block, which
@@ -63,7 +63,7 @@ class RandomStreams:
         self._root_seed = int(seed)
         self._namespace = _ACTIVE_NAMESPACE
         self._streams: Dict[str, np.random.Generator] = {}
-        self._batched: Dict[str, BatchedStream] = {}
+        self._wrapped: Dict[str, Stream] = {}
 
     @property
     def root_seed(self) -> int:
@@ -93,40 +93,20 @@ class RandomStreams:
             self._streams[name] = stream
         return stream
 
-    def stream(self, name: str) -> BatchedStream:
-        """Return (creating if needed) the batched facade for *name*.
+    def stream(self, name: str) -> Stream:
+        """Return (creating if needed) the :class:`Stream` for *name*.
 
-        The facade fronts the same generator :meth:`get` returns and
-        serves the identical value sequence (see
-        :mod:`repro.sim.sampling`), pulling block draws when the
-        stream's consumption allows.  Hot-path components should take
-        this; cold call sites may keep the raw generator.  Mixing both
-        for one name is safe only while the facade has no block in
-        flight (``stream(name).flush()`` re-synchronizes).
+        The stream fronts the same generator :meth:`get` returns, with
+        its scalar draws bound to numpy's C samplers (see
+        :mod:`repro.sim.sampling`).  Hot-path components should take
+        this; cold call sites may keep the raw generator.  Nothing is
+        drawn ahead, so mixing both for one name is always safe.
         """
-        batched = self._batched.get(name)
-        if batched is None:
-            batched = BatchedStream(self.get(name))
-            self._batched[name] = batched
-        return batched
-
-    def batched_stats(self) -> "Dict[str, Dict[str, int]]":
-        """Per-facade draw-ahead counters, keyed by stream name.
-
-        The supported way to observe how much of a run's randomness
-        was served from blocks vs scalar forwards (benchmarks, perf
-        triage).  Streams never requested via :meth:`stream` do not
-        appear.
-        """
-        return {
-            name: {
-                "batched_served": stream.batched_served,
-                "scalar_served": stream.scalar_served,
-                "blocks_drawn": stream.blocks_drawn,
-                "reconciles": stream.reconciles,
-            }
-            for name, stream in sorted(self._batched.items())
-        }
+        stream = self._wrapped.get(name)
+        if stream is None:
+            stream = Stream(self.get(name))
+            self._wrapped[name] = stream
+        return stream
 
     def names(self) -> tuple:
         """Names of the streams created so far (diagnostic)."""

@@ -110,20 +110,32 @@ def build_random_dag(sim, blueprints, seed):
 
 class TestRequestConservation:
     @given(st.lists(tier_blueprints, min_size=1, max_size=4),
-           st.integers(min_value=0, max_value=2 ** 16))
+           st.integers(min_value=0, max_value=2 ** 16),
+           st.integers(min_value=0, max_value=3))
     @settings(max_examples=60, deadline=None)
     def test_every_request_completes_exactly_once(
-            self, blueprints, seed):
+            self, blueprints, seed, ctx_len):
+        """Each submit carries its own ``ctx`` of *ctx_len* values;
+        every completion must hand back exactly that context."""
         sim = Simulator()
         entry = build_random_dag(sim, blueprints, seed)
         done = []
+
+        def completed(request, *ctx):
+            done.append((request, ctx))
+
         count = 25
+        contexts = [tuple(f"r{i}.{k}" for k in range(ctx_len))
+                    for i in range(count)]
         for i in range(count):
             request = Request(request_id=i, size_kb=2.0)
-            sim.post(float(i), entry.submit, request, done.append)
+            sim.post(float(i), entry.submit, request, completed,
+                     *contexts[i])
         sim.run()
         assert len(done) == count
-        assert sorted(r.request_id for r in done) == list(range(count))
+        assert sorted(r.request_id for r, _ in done) == list(range(count))
+        for request, ctx in done:
+            assert ctx == contexts[request.request_id]
         # Conservation holds *after* the event queue fully drains:
         # straggler attempts landed without re-completing anyone.
         assert sim.live_pending_events == 0

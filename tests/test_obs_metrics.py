@@ -1,5 +1,8 @@
 """Tests for the repro.obs metrics registry and run-level harvest."""
 
+import sys
+from dataclasses import replace
+
 import pytest
 
 from repro.api import experiment
@@ -8,6 +11,8 @@ from repro.campaign.serialize import (
     run_metrics_to_dict,
 )
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.sim import sampling
+from repro.sim.kernel import ENGINES
 
 
 class TestCounter:
@@ -113,6 +118,44 @@ class TestRunHarvest:
             run_metrics_to_dict(traced_metrics))
         assert restored.obs_metrics == traced_metrics.obs_metrics
         assert restored == traced_metrics
+
+    @staticmethod
+    def _sampler_gauge_runs():
+        """One ``metrics=True`` plan on each engine: the
+        ``sampling.c_samplers`` gauges, and the metrics without it."""
+        gauges, runs = [], []
+        for engine in ENGINES:
+            plan = (experiment("memcached").client("LP")
+                    .load(qps=50_000, num_requests=300)
+                    .policy(runs=1, base_seed=11, engine=engine,
+                            metrics=True)
+                    .build())
+            metrics = plan.testbed(11).run()
+            pairs = dict(metrics.obs_metrics)
+            gauges.append(pairs.pop("sampling.c_samplers"))
+            runs.append(replace(metrics, obs_metrics=tuple(pairs.items())))
+        return gauges, runs
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the C samplers must load on Linux; "
+                               "elsewhere the fallback may serve")
+    def test_c_samplers_gauge_reads_one_on_a_stock_plan(self):
+        gauges, _ = self._sampler_gauge_runs()
+        assert gauges == [1.0] * len(ENGINES)
+
+    def test_c_samplers_gauge_reads_zero_on_the_fallback(self):
+        """A failed sampler self-check shows in the gauge, on both
+        engines, and the fallback serves the same draws."""
+        _, served_by_c = self._sampler_gauge_runs()
+        sampling._c_samplers.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sampling, "_agrees", lambda api: False)
+                gauges, runs = self._sampler_gauge_runs()
+        finally:
+            sampling._c_samplers.cache_clear()
+        assert gauges == [0.0] * len(ENGINES)
+        assert runs == served_by_c
 
     def test_unobserved_run_has_empty_obs_metrics(self):
         plan = (experiment("memcached").client("LP")

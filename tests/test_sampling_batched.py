@@ -1,10 +1,11 @@
-"""Batched-vs-scalar bit-identity for the draw-ahead sampling layer.
+"""Stream-vs-Generator bit-identity for the sampling layer.
 
 Every distribution used anywhere in the tree must come out of a
-:class:`~repro.sim.sampling.BatchedStream` with the *exact* float
-sequence the raw scalar ``numpy.random.Generator`` calls would have
-produced -- across refill boundaries, across primitive switches
-(reconciliation), and for degenerate block sizes.
+:class:`~repro.sim.sampling.Stream` with the *exact* float sequence
+the raw ``numpy.random.Generator`` calls would have produced, in scalar
+and ``size=`` forms and across primitive switches, and leave the
+generator in the same state -- on numpy's C samplers and on the
+bound-method fallback.
 """
 
 import gc
@@ -15,7 +16,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
@@ -28,10 +29,9 @@ from repro.server.service import (
 )
 from repro.sim import sampling
 from repro.sim.random import RandomStreams
-from repro.sim.sampling import BatchedStream, as_stream, scalar_samplers
+from repro.sim.sampling import Stream, as_stream, scalar_samplers
 
 SEED = 20240917
-#: Enough draws to cross an 8192 block boundary.
 LONG = 20_000
 
 
@@ -39,14 +39,21 @@ def fresh():
     return np.random.default_rng(SEED)
 
 
-def stream(block_size=8192, promote_after=1):
-    return BatchedStream(fresh(), block_size=block_size,
-                         promote_after=promote_after)
+def assert_same(got, want):
+    """Equal values of the same type (arrays: same dtype and shape)."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    else:
+        assert type(got) is type(want)
+        assert got == want
 
 
 # --------------------------------------------------------------------------
-# Per-distribution identity, every block size, across refill boundaries.
-@pytest.mark.parametrize("block_size", [1, 2, 8192])
+# Per-distribution identity: scalar draws, one ``size=`` vector, scalar
+# draws again.
+@pytest.mark.parametrize("size", [1, 2, 8192])
 @pytest.mark.parametrize("method,args", [
     ("random", ()),
     ("standard_normal", ()),
@@ -57,29 +64,27 @@ def stream(block_size=8192, promote_after=1):
     ("uniform", (0.0, 30.0)),
     ("pareto", (1.5,)),
 ])
-def test_distribution_bit_identity(block_size, method, args):
-    count = 3 * 8192 + 17 if block_size == 8192 else 300
-    scalar_gen = fresh()
-    batched = stream(block_size=block_size)
-    scalar = [float(getattr(scalar_gen, method)(*args))
-              for _ in range(count)]
-    served = [getattr(batched, method)(*args) for _ in range(count)]
-    assert scalar == served
-    # The draws really were served from blocks, not forwarded.
-    assert batched.batched_served > 0
-    # (the first draw of a run is a scalar forward by design)
-    assert batched.blocks_drawn >= count // block_size - 1
+def test_distribution_bit_identity(size, method, args):
+    generator = fresh()
+    stream = Stream(fresh())
+    for _ in range(2):
+        for _ in range(300):
+            assert_same(getattr(stream, method)(*args),
+                        getattr(generator, method)(*args))
+        assert_same(getattr(stream, method)(*args, size=size),
+                    getattr(generator, method)(*args, size=size))
+    assert (stream.generator.bit_generator.state
+            == generator.bit_generator.state)
 
 
 def test_bimodal_mixture_bit_identity():
     """The bimodal service model's uniform mixture selector."""
     model = BimodalService(fast_us=4.0, slow_us=40.0, slow_fraction=0.1)
     scalar_gen = fresh()
-    batched = stream()
+    stream = Stream(fresh())
     scalar = [model.sample_service_us(scalar_gen) for _ in range(LONG)]
-    served = [model.sample_service_us(batched) for _ in range(LONG)]
+    served = [model.sample_service_us(stream) for _ in range(LONG)]
     assert scalar == served
-    assert batched.batched_served > 0
 
 
 @pytest.mark.parametrize("model", [
@@ -88,19 +93,23 @@ def test_bimodal_mixture_bit_identity():
 ])
 def test_service_models_bit_identity(model):
     scalar_gen = fresh()
-    batched = stream()
+    stream = Stream(fresh())
     scalar = [model.sample_service_us(scalar_gen) for _ in range(LONG)]
-    served = [model.sample_service_us(batched) for _ in range(LONG)]
+    served = [model.sample_service_us(stream) for _ in range(LONG)]
     assert scalar == served
 
 
 # --------------------------------------------------------------------------
-# Primitive switches: reconciliation must leave the bit stream exactly
-# where scalar consumption would have.
-@pytest.mark.parametrize("block_size,promote_after", [
+# Primitive switches: the stream's values and the generator's position
+# must agree with the raw generator's through any interleaving of
+# primitives, scalar draws and ``size=`` vectors.
+@pytest.mark.parametrize("size,every", [
     (1, 1), (2, 1), (16, 1), (8192, 2), (8192, 64),
 ])
-def test_interleaved_primitives_reconcile(block_size, promote_after):
+def test_interleaved_primitives_reconcile(size, every):
+    """4,000 scalar ops in an irregular interleaving with runs of
+    every length; after every *every*-th op, its ``size=`` form draws
+    *size* values."""
     ops = [
         ("lognormal", (1.5, 0.3)),
         ("random", ()),
@@ -109,142 +118,64 @@ def test_interleaved_primitives_reconcile(block_size, promote_after):
         ("pareto", (1.5,)),
         ("uniform", (0.0, 12.0)),
     ]
-    # A deterministic but irregular interleaving with runs of every
-    # length: op index = floor(i / (1 + i % 7)) % len(ops).
+    # op index = (i * (1 + i % 7)) % len(ops).
     schedule = [ops[(i * (1 + i % 7)) % len(ops)] for i in range(4_000)]
-    scalar_gen = fresh()
-    batched = BatchedStream(fresh(), block_size=block_size,
-                            promote_after=promote_after)
-    scalar = [float(getattr(scalar_gen, m)(*args)) for m, args in schedule]
-    served = [getattr(batched, m)(*args) for m, args in schedule]
-    assert scalar == served
-
-
-def test_reconcile_backs_off_on_mixed_streams():
-    """A thrashing stream stops promoting after a few reconciles."""
-    batched = BatchedStream(fresh(), block_size=8192, promote_after=1)
-    for _ in range(5_000):
-        batched.standard_normal()
-        batched.random()
-    assert batched.reconciles <= 12
-    # Long after backoff, draws are plain scalar forwards.
-    before = batched.scalar_served
-    batched.standard_normal()
-    batched.random()
-    assert batched.scalar_served == before + 2
-
-
-# --------------------------------------------------------------------------
-# Vector trains and the draws_remaining / refill API.
-def test_exponential_train_bit_identity():
-    scalar_gen = fresh()
-    batched = stream(promote_after=1)
-    scalar = [float(scalar_gen.exponential(5.0)) for _ in range(100)]
-    scalar += list(scalar_gen.standard_exponential(5_000) * 5.0)
-    scalar += [float(scalar_gen.exponential(5.0)) for _ in range(100)]
-    served = [batched.exponential(5.0) for _ in range(100)]
-    served += list(batched.exponential_train(5.0, 5_000))
-    served += [batched.exponential(5.0) for _ in range(100)]
-    assert scalar == served
-
-
-def test_lognormal_train_bit_identity():
-    scalar_gen = fresh()
-    batched = stream(promote_after=1)
-    scalar = list(scalar_gen.lognormal(2.0, 0.4, 1_000))
-    scalar += [float(scalar_gen.lognormal(2.0, 0.4)) for _ in range(10)]
-    served = list(batched.lognormal_train(2.0, 0.4, 1_000))
-    served += [batched.lognormal(2.0, 0.4) for _ in range(10)]
-    assert scalar == served
-
-
-def test_draws_remaining_and_refill():
-    batched = stream(block_size=64, promote_after=1)
-    assert batched.draws_remaining == 0
-    available = batched.refill("exponential")
-    assert available == 64
-    assert batched.draws_remaining == 64
-    # refill is idempotent and consumes nothing.
-    assert batched.refill("exponential") == 64
-    scalar_gen = fresh()
-    scalar = [float(scalar_gen.exponential(3.0)) for _ in range(64)]
-    served = [batched.next_exponential(3.0) for _ in range(64)]
-    assert scalar == served
-    assert batched.draws_remaining == 0
-    with pytest.raises(ValueError):
-        batched.refill("weibull")
+    generator = fresh()
+    stream = Stream(fresh())
+    for index, (method, args) in enumerate(schedule):
+        assert_same(getattr(stream, method)(*args),
+                    getattr(generator, method)(*args))
+        if index % every == 0:
+            assert_same(getattr(stream, method)(*args, size=size),
+                        getattr(generator, method)(*args, size=size))
+    assert (stream.generator.bit_generator.state
+            == generator.bit_generator.state)
 
 
 def test_next_aliases_match_generator():
     scalar_gen = fresh()
-    batched = stream()
-    scalar = []
-    for _ in range(500):
-        scalar.append(float(scalar_gen.exponential(11.0)))
-    served = [batched.next_exponential(11.0) for _ in range(500)]
-    assert scalar == served
-    scalar_gen, batched = fresh(), stream()
-    scalar = [float(scalar_gen.lognormal(0.5, 0.2)) for _ in range(500)]
-    served = [batched.next_lognormal(0.5, 0.2) for _ in range(500)]
-    assert scalar == served
-    scalar_gen, batched = fresh(), stream()
+    stream = Stream(fresh())
     scalar = [float(scalar_gen.random()) for _ in range(500)]
-    served = [batched.next_uniform() for _ in range(500)]
-    assert scalar == served
-    scalar_gen, batched = fresh(), stream()
-    scalar = [float(scalar_gen.normal(1.0, 0.25)) for _ in range(500)]
-    served = [batched.next_normal(1.0, 0.25) for _ in range(500)]
+    served = [stream.next_uniform() for _ in range(500)]
     assert scalar == served
 
 
 # --------------------------------------------------------------------------
 # Escape hatches.
 def test_delegation_flushes_and_stays_in_sync():
+    """A delegated method (``integers``) draws from the generator
+    itself, between the stream's own draws."""
     scalar_gen = fresh()
-    batched = stream(promote_after=1)
+    stream = Stream(fresh())
     scalar = [float(scalar_gen.lognormal(1.0, 0.2)) for _ in range(10)]
     scalar.append(float(scalar_gen.integers(0, 1000)))
     scalar += [float(scalar_gen.lognormal(1.0, 0.2)) for _ in range(10)]
-    served = [batched.lognormal(1.0, 0.2) for _ in range(10)]
-    served.append(float(batched.integers(0, 1000)))
-    served += [batched.lognormal(1.0, 0.2) for _ in range(10)]
+    served = [stream.lognormal(1.0, 0.2) for _ in range(10)]
+    served.append(float(stream.integers(0, 1000)))
+    served += [stream.lognormal(1.0, 0.2) for _ in range(10)]
     assert scalar == served
-
-
-def test_flush_repositions_the_raw_generator():
-    batched = stream(promote_after=1)
-    mirror = fresh()
-    first = [batched.standard_normal() for _ in range(7)]
-    assert first == [float(mirror.standard_normal()) for _ in range(7)]
-    batched.flush()
-    # After a flush the *raw* generator continues the scalar sequence.
-    assert float(batched.generator.standard_normal()) \
-        == float(mirror.standard_normal())
 
 
 def test_as_stream_passthrough():
     assert as_stream(None) is None
     wrapped = as_stream(fresh())
-    assert isinstance(wrapped, BatchedStream)
+    assert isinstance(wrapped, Stream)
     assert as_stream(wrapped) is wrapped
 
 
-def test_invalid_parameters_rejected():
-    with pytest.raises(ValueError):
-        BatchedStream(fresh(), block_size=0)
-    with pytest.raises(ValueError):
-        BatchedStream(fresh(), promote_after=0)
-
-
 def test_random_streams_stream_facade_shares_generator():
+    """``stream(name)`` fronts ``get(name)``'s generator, so draws
+    through either continue one sequence."""
     streams = RandomStreams(SEED)
     facade = streams.stream("network")
     assert streams.stream("network") is facade
     assert facade.generator is streams.get("network")
     mirror = RandomStreams(SEED).get("network")
     draws = [facade.lognormal(2.7, 0.25) for _ in range(200)]
+    draws.append(float(streams.get("network").lognormal(2.7, 0.25)))
+    draws += [facade.lognormal(2.7, 0.25) for _ in range(200)]
     assert draws == [float(mirror.lognormal(2.7, 0.25))
-                     for _ in range(200)]
+                     for _ in range(401)]
 
 
 # --------------------------------------------------------------------------
@@ -294,18 +225,6 @@ def test_lognormal_exp_matches_libm():
             == math.exp(mu + sigma * float(gen_b.standard_normal()))
 
 
-def test_batched_stats_accessor():
-    streams = RandomStreams(SEED)
-    facade = streams.stream("network")
-    for _ in range(200):
-        facade.lognormal(2.7, 0.25)
-    stats = streams.batched_stats()
-    assert set(stats) == {"network"}
-    counters = stats["network"]
-    assert counters["batched_served"] + counters["scalar_served"] == 200
-    assert counters["blocks_drawn"] >= 1
-
-
 def test_core_occupancy_value_equality():
     def occupancy():
         core = SimCore(DEFAULT_PARAMETERS, LP_CLIENT,
@@ -318,40 +237,31 @@ def test_core_occupancy_value_equality():
 
 class TestNextIndex:
     """The cluster layer's bounded-index draw (LB picks, shard
-    shuffles): one uniform per draw, block-served, exact scalar
-    replay."""
+    shuffles): one uniform per draw, exact scalar replay."""
 
     def test_matches_scalar_uniform_formula(self):
-        import numpy as np
-        from repro.sim.sampling import BatchedStream
-
-        batched = BatchedStream(np.random.default_rng(SEED))
+        stream = Stream(np.random.default_rng(SEED))
         scalar = np.random.default_rng(SEED)
         for n in (2, 3, 7, 1000):
             for _ in range(50):
                 expected = min(int(scalar.random() * n), n - 1)
-                assert batched.next_index(n) == expected
+                assert stream.next_index(n) == expected
 
     def test_in_range_and_full_coverage(self):
-        import numpy as np
-        from repro.sim.sampling import BatchedStream
-
-        stream = BatchedStream(np.random.default_rng(SEED))
+        stream = Stream(np.random.default_rng(SEED))
         seen = {stream.next_index(4) for _ in range(300)}
         assert seen == {0, 1, 2, 3}
 
     def test_degenerate_sizes_consume_no_draw(self):
-        import numpy as np
-        from repro.sim.sampling import BatchedStream
-
-        stream = BatchedStream(np.random.default_rng(SEED))
+        stream = Stream(np.random.default_rng(SEED))
+        before = stream.generator.bit_generator.state
         assert stream.next_index(1) == 0
         assert stream.next_index(0) == 0
-        assert stream.batched_served + stream.scalar_served == 0
+        assert stream.generator.bit_generator.state == before
 
 
 # --------------------------------------------------------------------------
-# The scalar forward: numpy's C samplers, bit for bit the methods.
+# The scalar draws: numpy's C samplers, bit for bit the methods.
 KIND_METHODS = ("random", "standard_normal", "standard_exponential")
 #: Runs of (kind, length): long same-kind runs, every switch, and the
 #: empty schedule.
@@ -387,44 +297,87 @@ def test_scalar_samplers_match_generator_methods(fallback, seed, runs):
 def test_c_samplers_engage_for_a_stock_generator():
     draws = scalar_samplers(fresh())
     assert all(isinstance(draw, partial) for draw in draws)
+    stream = Stream(fresh())
     assert all(isinstance(draw, partial)
-               for draw in BatchedStream(fresh())._scalar_fns)
+               for draw in (stream.draw_uniform, stream.draw_normal,
+                            stream.draw_exponential))
 
 
 def test_non_generator_gets_its_own_methods():
-    facade = BatchedStream(fresh())
+    facade = Stream(fresh())
     assert scalar_samplers(facade) == (
         facade.random, facade.standard_normal,
         facade.standard_exponential)
 
 
+#: (method, args) of every Stream method that mirrors a Generator one,
+#: plus ``integers``, which the stream delegates.
+MIRRORED = (
+    ("random", ()),
+    ("standard_normal", ()),
+    ("standard_exponential", ()),
+    ("exponential", (7.25,)),
+    ("lognormal", (1.7917594692280558, 0.35)),
+    ("normal", (1.0, 0.25)),
+    ("uniform", (2.5, 30.0)),
+    ("pareto", (1.5,)),
+    ("integers", (0, 1000)),
+)
+#: One op: (method, args, size); size None is the scalar form.
+STREAM_OPS = st.one_of(
+    st.builds(lambda pair, size: pair + (size,), st.sampled_from(MIRRORED),
+              st.none() | st.integers(0, 12)),
+    st.just(("next_uniform", (), None)),
+    st.builds(lambda n: ("next_index", (n,), None), st.integers(0, 40)),
+)
+
+
+def _raw_op(generator, method, args, size):
+    """What *method* means in plain Generator calls."""
+    if method == "next_uniform":
+        return generator.random()
+    if method == "next_index":
+        (n,) = args
+        return 0 if n <= 1 else min(int(generator.random() * n), n - 1)
+    if size is None:
+        return getattr(generator, method)(*args)
+    return getattr(generator, method)(*args, size=size)
+
+
+#: Every op once in each form, so every method is drawn on every run.
+EVERY_OP = ([pair + (size,) for pair in MIRRORED for size in (None, 3)]
+            + [("next_uniform", (), None), ("next_index", (7,), None),
+               ("next_index", (1,), None)])
+
+
 @pytest.mark.parametrize("fallback", [False, True],
                          ids=["c-samplers", "fallback"])
-def test_mixed_facade_stream_equals_raw_generator(fallback, monkeypatch):
-    """Promotion, reconcile and flush on a mixed-kind stream whose
-    scalar forward is the C path (or, forced, the methods)."""
-    if fallback:
-        monkeypatch.setattr(sampling, "_c_samplers", lambda: None)
-    generator = fresh()
-    batched = BatchedStream(generator, block_size=16, promote_after=4)
+@given(seed=st.integers(0, 2**64 - 1),
+       ops=st.lists(STREAM_OPS, max_size=120))
+@example(seed=SEED, ops=EVERY_OP)
+@settings(max_examples=60, deadline=None)
+def test_mixed_facade_stream_equals_raw_generator(fallback, seed, ops):
+    """Any interleaving of every Stream method -- scalar, ``size=``,
+    derived and delegated -- equals the raw generator's calls, value
+    for value, and leaves the same bit-generator state, whether the
+    scalar draws are the C samplers or (forced) the methods."""
+    with pytest.MonkeyPatch.context() as mp:
+        if fallback:
+            mp.setattr(sampling, "_c_samplers", lambda: None)
+        generator = np.random.default_rng(seed)
+        stream = Stream(generator)
     methods = (generator.random, generator.standard_normal,
                generator.standard_exponential)
-    assert (batched._scalar_fns == methods) \
-        == (sampling._c_samplers() is None)
-    mirror = fresh()
-    schedule = (["standard_normal"] * 30 + ["random"]
-                + ["standard_exponential"] * 3 + ["random"] * 40
-                + ["standard_normal", "standard_exponential"] * 10
-                + ["random"] * 7)
-    served = [getattr(batched, m)() for m in schedule]
-    assert served == [getattr(mirror, m)() for m in schedule]
-    assert batched.blocks_drawn > 0
-    assert batched.reconciles > 0
-    assert batched.scalar_served > 0
-    batched.flush()
-    assert (batched.generator.bit_generator.state
-            == mirror.bit_generator.state)
-    assert batched.generator.random() == mirror.random()
+    draws = (stream.draw_uniform, stream.draw_normal,
+             stream.draw_exponential)
+    assert (draws == methods) == (
+        fallback or sampling._c_samplers() is None)
+    mirror = np.random.default_rng(seed)
+    for method, args, size in ops:
+        served = getattr(stream, method)
+        got = served(*args) if size is None else served(*args, size=size)
+        assert_same(got, _raw_op(mirror, method, args, size))
+    assert generator.bit_generator.state == mirror.bit_generator.state
 
 
 class _WeakablePCG64(np.random.PCG64):

@@ -507,11 +507,10 @@ _COUNTER_PLANS = {
 
 @pytest.mark.parametrize("case", sorted(_COUNTER_PLANS))
 def test_metrics_counters_match_reference(case):
-    """Every fused draw calls its stream's own method, so every
-    harvested counter -- draws served batched and scalar, blocks,
-    reconciles, link and station tallies, events dispatched -- equals
-    the reference engine's; only the kernel's fallback count is its
-    own."""
+    """Every fused body draws and tallies as the reference components
+    do, so every harvested counter -- link and station tallies, events
+    dispatched, the sampler gauge -- equals the reference engine's;
+    only the kernel's fallback count is its own."""
     workload, client, qps, cluster = _COUNTER_PLANS[case]
     results = {}
     for engine in ENGINES:
@@ -523,9 +522,11 @@ def test_metrics_counters_match_reference(case):
         if cluster is not None:
             builder = builder.cluster(cluster)
         results[engine] = builder.build().testbed().run()
+    # Non-vacuity: the link tallies the fused SENT and FINISH bodies
+    # update inline were really counted.
     counters = dict(results["reference"].obs_metrics)
-    assert (counters["sampling.batched_served"]
-            + counters["sampling.scalar_served"]) > 0
+    assert any(value > 0 for name, value in counters.items()
+               if name.startswith("net.") and name.endswith(".messages"))
     assert (_without_fallbacks(results["vectorized"])
             == results["reference"])
 
