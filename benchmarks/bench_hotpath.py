@@ -9,7 +9,7 @@ twice with identical seeds:
   list-of-``Request`` sample store whose accessors re-sort on every
   call;
 * **columnar path** -- the current implementation: tuple-entry event
-  heap, batch-scheduled arrival train, and
+  heap, an arrival train that builds each request as it launches, and
   :class:`~repro.telemetry.SampleColumns` struct-of-arrays telemetry.
 
 Both paths must produce bit-identical run metrics (asserted); the
@@ -130,12 +130,12 @@ class LegacySimulator:
     post = schedule
     post_at = schedule_at
 
-    def post_at_batch(self, items):
-        count = 0
-        for time_us, callback, args in items:
-            self.schedule_at(time_us, callback, *args)
-            count += 1
-        return count
+    def post_train(self, times, callback, make_args):
+        # Eager, as the seed armed its arrivals: one Event per member,
+        # each member's args built up front, in index order.
+        for index, time_us in enumerate(np.asarray(times).tolist()):
+            self.schedule_at(time_us, callback, *make_args(index))
+        return len(times)
 
     def step(self):
         while self._heap:
@@ -423,7 +423,9 @@ def time_kernel(seed, qps, num_requests, repetitions):
 
     Both engines run the identical testbed; timing covers the event
     loop only (arrival-train construction and summary excluded), which
-    is what the kernel accelerates.  Bit-identity is asserted over
+    is what the kernel accelerates.  Per-launch request synthesis (the
+    request factory, run as each arrival fires) falls inside
+    ``sim.run()`` on both engines.  Bit-identity is asserted over
     every telemetry column of the final sample buffer -- not just the
     summary statistics -- so a divergence anywhere in the event order
     or the RNG draw sequence fails loudly.

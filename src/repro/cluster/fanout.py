@@ -17,7 +17,7 @@ one completion per injected request, always).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.cluster.balancer import (
     backend_expected_service_us,
@@ -31,16 +31,21 @@ from repro.sim.sampling import as_stream
 
 
 class _RootState:
-    """Per-root bookkeeping while its shard responses are in flight."""
+    """Per-root bookkeeping while its shard responses are in flight:
+    the caller's ``done_fn`` and context ride here as data until the
+    quorum response applies them."""
 
     __slots__ = ("pending", "max_service_us", "max_queue_wait_us",
-                 "completed")
+                 "completed", "done_fn", "ctx")
 
-    def __init__(self, pending: int) -> None:
+    def __init__(self, pending: int, done_fn: Callable[..., None],
+                 ctx: Tuple[Any, ...]) -> None:
         self.pending = pending
         self.max_service_us = 0.0
         self.max_queue_wait_us = 0.0
         self.completed = False
+        self.done_fn = done_fn
+        self.ctx = ctx
 
 
 class FanoutService:
@@ -139,13 +144,8 @@ class FanoutService:
         quorum response."""
         if request.server_arrival_us == 0.0:
             request.server_arrival_us = self._sim.now
-        if ctx:
-            inner = done_fn
-
-            def done_fn(job: Request) -> None:
-                inner(job, *ctx)
         selected = self.select_shards()
-        state = _RootState(pending=self.quorum)
+        state = _RootState(self.quorum, done_fn, ctx)
         sub_size_kb = request.size_kb / len(selected)
         for shard_index in selected:
             self.subs_issued += 1
@@ -158,7 +158,7 @@ class FanoutService:
             )
             link = self._links[shard_index]
             collector = self._make_collector(
-                request, state, shard_index, done_fn, self._sim.now)
+                request, state, shard_index, self._sim.now)
             if link is None:
                 self._shards[shard_index].submit(sub, collector)
             else:
@@ -167,25 +167,22 @@ class FanoutService:
                     self._shards[shard_index].submit, sub, collector)
 
     def _make_collector(self, root: Request, state: _RootState,
-                        shard_index: int,
-                        done_fn: Callable[[Request], None],
-                        dispatched_at: float = 0.0):
+                        shard_index: int, dispatched_at: float = 0.0):
         def shard_served(sub: Request) -> None:
             # The shard finished serving; the response still crosses
             # the shard's return link before it reaches the root.
             link = self._links[shard_index]
             if link is None:
-                self._at_root(root, state, sub, done_fn,
-                              shard_index, dispatched_at)
+                self._at_root(root, state, sub, shard_index,
+                              dispatched_at)
             else:
                 self._sim.post(
                     link.sample_latency_us(sub.size_kb),
-                    self._at_root, root, state, sub, done_fn,
-                    shard_index, dispatched_at)
+                    self._at_root, root, state, sub, shard_index,
+                    dispatched_at)
         return shard_served
 
     def _at_root(self, root: Request, state: _RootState, sub: Request,
-                 done_fn: Callable[[Request], None],
                  shard_index: int = -1,
                  dispatched_at: float = 0.0) -> None:
         self.subs_completed += 1
@@ -209,7 +206,7 @@ class FanoutService:
         root.queue_wait_us += state.max_queue_wait_us
         root.server_departure_us = self._sim.now
         self.roots_completed += 1
-        done_fn(root)
+        state.done_fn(root, *state.ctx)
 
     # ------------------------------------------------------------- metrics
     def node_utilizations(self) -> tuple:

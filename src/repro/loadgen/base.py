@@ -52,6 +52,15 @@ class LoadGenerator:
     Subclasses implement :meth:`start`; the request round-trip path
     (send -> network -> service -> network -> NIC -> generator
     timestamp) is common and lives here.
+
+    ``request_factory(index)`` is called once per request, in index
+    order, during the run: when the request launches (open loop, which
+    reads the factory in :meth:`start`) or is scheduled (closed loop).
+    It must not read the simulator or share a random stream with
+    run-time components, so when a request is built changes nothing.
+    Every in-tree factory qualifies: memcached draws only its
+    ``"etc"`` stream; hdsearch, socialnetwork and synthetic are
+    deterministic.
     """
 
     def __init__(self, sim: Simulator, machines: Sequence[ClientMachine],

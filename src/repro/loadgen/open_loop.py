@@ -48,7 +48,7 @@ class OpenLoopGenerator(LoadGenerator):
         self._arrival_rng = arrival_rng
 
     def start(self) -> None:
-        """Draw the whole arrival schedule and arm the send events.
+        """Draw the whole arrival schedule and arm it as one train.
 
         The gaps for the entire run are pulled as **one vector draw**
         (bit-identical to per-request scalar sampling, see
@@ -56,26 +56,21 @@ class OpenLoopGenerator(LoadGenerator):
         by a cumulative sum -- the first gap is rebased onto the
         current clock before summing, so the float accumulation order
         matches the scalar ``send_at += gap`` loop exactly.  The train
-        is then armed in one batch: the entries land in the
-        simulator's tuple fast path and are heapified once, so a run's
-        startup cost is O(n) instead of n sift-ups.
+        (:meth:`~repro.sim.engine.Simulator.post_train`) builds each
+        request when it launches.
         """
         gaps = self.interarrival.sample_train_us(
             self._arrival_rng, self.num_requests)
         gaps[0] += self._sim.now
-        send_times = np.cumsum(gaps).tolist()
+        send_times = np.cumsum(gaps)
+        intended = send_times.tolist()
         factory = self._request_factory
         machines = self.machines
         num_machines = len(machines)
-        launch = self._launch
 
-        def arrivals():
-            index = 0
-            for send_at in send_times:
-                request = factory(index)
-                request.intended_send_us = send_at
-                yield (send_at, launch,
-                       (machines[index % num_machines], request))
-                index += 1
+        def make_args(index: int) -> tuple:
+            request = factory(index)
+            request.intended_send_us = intended[index]
+            return (machines[index % num_machines], request)
 
-        self._sim.post_at_batch(arrivals())
+        self._sim.post_train(send_times, self._launch, make_args)

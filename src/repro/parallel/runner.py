@@ -118,9 +118,10 @@ def run_shard(plan: "ExperimentPlan", seed: int,
     know about:
 
     * the generator's request factory is wrapped to restripe local
-      ids ``0..count`` onto the shard's global stripe (factories are
-      read at send time, never captured by the kernel, so the swap is
-      effective for both loop disciplines and both engines);
+      ids ``0..count`` onto the shard's global stripe (the generator
+      reads its factory in ``start()``, after this swap, and the
+      kernel never captures it, so the swap is effective for both
+      loop disciplines and both engines);
     * a streaming-sink policy gets its sink rebuilt with the run's
       **global** request count, so the id-based warmup trims of the W
       shards union exactly to the unsharded trim set.

@@ -8,21 +8,29 @@ The heap holds two kinds of entries, both plain tuples so ordering is
 resolved by C-level tuple comparison instead of a Python ``__lt__``:
 
 * ``(time, seq, callback, args)`` -- the fire-and-forget fast path
-  (:meth:`Simulator.post` / :meth:`Simulator.post_at` /
-  :meth:`Simulator.post_at_batch`).  No handle object is allocated.
+  (:meth:`Simulator.post` / :meth:`Simulator.post_at`).  No handle
+  object is allocated.
 * ``(time, seq, event)`` -- the cancellable path
   (:meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`), which
   returns an :class:`Event` handle supporting ``cancel()``.
 
+A train (:meth:`Simulator.post_train`) keeps only its next member in
+the heap, as one more fast-path entry ``(time, seq, train, ())``
+under the member's reserved sequence number.  Firing it pushes the
+member after it, then runs the member's callback.
+
 Sequence numbers are unique, so tuple comparison never reaches the
-third element and the two entry shapes can share one heap.
+third element and the entry shapes can share one heap.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import SimulationError
 
@@ -68,6 +76,38 @@ class Event:
             "fired" if self.fired else "pending")
         name = getattr(self.callback, "__name__", repr(self.callback))
         return f"<Event t={self.time:.3f} {name} {state}>"
+
+
+class _Train:
+    """A :meth:`Simulator.post_train` train: member *i* fires
+    ``callback(*make_args(i))`` at ``times[i]`` under sequence number
+    ``seq0 + i``.  Its next member's heap entry is
+    ``(time, seq, train, ())``, so calling the train fires it."""
+
+    __slots__ = ("callback", "make_args", "_sim", "_times", "_seq0",
+                 "_next")
+
+    def __init__(self, sim: "Simulator", times: List[float], seq0: int,
+                 callback: Callable, make_args: Callable) -> None:
+        self.callback = callback
+        self.make_args = make_args
+        self._sim = sim
+        self._times = times
+        self._seq0 = seq0
+        self._next = 0
+
+    def advance(self) -> int:
+        """Push the next member's entry; return the firing index."""
+        index = self._next
+        after = index + 1
+        self._next = after
+        if after < len(self._times):
+            heappush(self._sim._heap, (self._times[after],
+                                       self._seq0 + after, self, ()))
+        return index
+
+    def __call__(self) -> None:
+        self.callback(*self.make_args(self.advance()))
 
 
 class Simulator:
@@ -156,35 +196,40 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past: {delay!r}")
         heappush(self._heap, (now + delay, next(self._seq), callback, args))
 
-    def post_at_batch(self, items: Iterable[
-            Tuple[float, Callable[..., Any], tuple]]) -> int:
-        """Bulk fire-and-forget scheduling for event trains.
+    def post_train(self, times: Sequence[float],
+                   callback: Callable[..., Any],
+                   make_args: Callable[[int], tuple]) -> int:
+        """Fire-and-forget ``callback(*make_args(i))`` at absolute time
+        ``times[i]`` for every member *i*; return the member count.
 
-        Args:
-            items: iterable of ``(time, callback, args)`` with *time*
-                absolute; insertion order breaks same-time ties.
-
-        Returns:
-            The number of entries scheduled.
+        Every member's sequence number is reserved now, in index
+        order, and ``make_args(i)`` runs when member *i* fires, so the
+        train fires exactly as ``post_at(times[i], callback,
+        *make_args(i))`` for every member up front would, without
+        building any member early.
 
         Raises:
-            SimulationError: if any time is before the current clock
-                (no entries are scheduled in that case).
-
-        One heapify over the extended heap replaces per-entry sift-up,
-        which is the win for interarrival trains scheduled up-front.
+            SimulationError: if the times are not non-decreasing, are
+                NaN or precede the clock (nothing is scheduled then).
         """
         now = self._now
+        # post_at's arithmetic, now + (t - now), for every member.
+        fire = now + (np.asarray(times, dtype=float) - now)
+        count = len(fire)
+        if not count:
+            return 0
+        if not (fire[0] >= now and (fire[1:] >= fire[:-1]).all()):
+            raise SimulationError(  # also rejects NaN
+                f"train times must be non-decreasing and not before "
+                f"t={now!r}")
         seq = self._seq
-        entries = [(now + (time - now), next(seq), callback, args)
-                   for time, callback, args in items]
-        for entry in entries:
-            if not (entry[0] >= now):  # also rejects NaN
-                raise SimulationError(
-                    f"cannot schedule in the past: {entry[0]!r}")
-        self._heap.extend(entries)
-        heapify(self._heap)
-        return len(entries)
+        seq0 = next(seq)
+        # Reserve the other members' numbers by advancing the shared
+        # counter (the kernel loop holds its bound __next__).
+        deque(itertools.islice(seq, count - 1), maxlen=0)
+        train = _Train(self, fire.tolist(), seq0, callback, make_args)
+        heappush(self._heap, (train._times[0], seq0, train, ()))
+        return count
 
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any],

@@ -15,7 +15,7 @@ completion (``ServerPool._finish``) and measurement (``_measured``) --
 and runs a *fused*, fully inlined handler for each, with the exact
 float arithmetic and draw sequence of the reference components.
 
-Three mechanisms stack:
+Two mechanisms stack:
 
 * **Pre-resolved continuations.**  Events the kernel itself schedules
   carry a :class:`_K` continuation in the heap entry's callback slot:
@@ -25,10 +25,6 @@ Three mechanisms stack:
   the exact reference callback alongside (and is itself callable as
   that callback), so entries left in the heap when ``run()`` exits
   convert back to plain reference format losslessly.
-
-* **Launch-train lifting.**  Open-loop launch trains are lifted out of
-  the heap into a sorted flat list and merged back lazily, so heap
-  operations run on a heap that only holds the in-flight working set.
 
 * **Deferred recording.**  With the stock
   :class:`~repro.loadgen.measurement.RunSamples` and no completion
@@ -43,6 +39,11 @@ context (a station's :class:`~repro.sim.sampling.Stream` draws, a
 link's standard normal, a raw client-core generator's
 :func:`~repro.sim.sampling.scalar_samplers`), in the reference
 components' order and float expressions.
+
+An open-loop arrival train (:meth:`~repro.sim.engine.Simulator.post_train`)
+keeps one heap entry; a member whose callback is a fused launch runs
+as ``_OP_LAUNCH``, with its args built by the train's ``make_args`` at
+the member's fire time.
 
 A service graph's entry (``ServiceGraph.submit`` -> stock
 :class:`~repro.graph.testbed.GraphStage` -> adopted station) is fused
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 import difflib
 import math
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import SimulationError, SpecValidationError
@@ -74,7 +75,7 @@ from repro.hardware.cstates import CStateGovernor
 from repro.hardware.uncore import UNCORE_RAMP_DOWN_GAP_US as _UNCORE_GAP_US
 from repro.loadgen.measurement import RECORD_CHUNK
 from repro.net.link import US_PER_KB_10GBE as _US_PER_KB
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, _Train
 from repro.sim.sampling import scalar_samplers
 
 __all__ = [
@@ -527,32 +528,17 @@ class KernelSimulator(Simulator):
         return fired
 
     def _run_kernel(self, dispatch: Dict[Any, Tuple[int, Any]]) -> int:
-        # The fused main loop.  Structural notes:
-        #
-        # * Launch-train extraction.  Open-loop runs pre-arm every
-        #   arrival up front, so the heap starts ~num_requests deep
-        #   and every push/pop pays log(num_requests) all run long
-        #   while the live working set is only the in-flight events.
-        #   The kernel lifts the pre-armed admission entries (already
-        #   sorted) out of the heap into a flat train and merges them
-        #   back lazily: next event = min(heap top, train head) by the
-        #   exact (time, seq) tuple order the heap would have used, so
-        #   the firing order is unchanged while heap operations run on
-        #   a heap that is orders of magnitude shallower.  The train
-        #   lives in loop locals; an abort restores it to the heap in
-        #   the finally block.
-        #
-        # * Deferred clock.  ``now`` lives in a local; ``self._now`` is
-        #   written back immediately before any foreign call (scalar
-        #   callbacks, pool._dispatch, completion hooks) and in the
-        #   finally block, and ``now``/``heap`` are refetched after
-        #   every foreign call (a callback may cancel events, and
-        #   _note_cancelled's compaction *rebinds* self._heap).
+        # The fused main loop.  Deferred clock: ``now`` lives in a
+        # local; ``self._now`` is written back immediately before any
+        # foreign call (scalar callbacks, a train's make_args,
+        # pool._dispatch, completion hooks) and in the finally block,
+        # and ``now``/``heap`` are refetched after every foreign call
+        # (a callback may cancel events, and _note_cancelled's
+        # compaction *rebinds* self._heap).
         fired = 0
         scalar = 0
         now = self._now
-        seqc = self._seq
-        nseq = seqc.__next__
+        nseq = self._seq.__next__
         minfo_get = self._minfo.get
         dispatch_get = dispatch.get
         served_get = self._served_map.get
@@ -561,60 +547,17 @@ class KernelSimulator(Simulator):
         # runs without them (streaming sink, hooks) skip every flush.
         defer = bool(self._rec_gcs)
         Kt = _K
+        Tt = _Train
 
         heap = self._heap
-        train: list = []
-        train_d: list = []
-        if dispatch:
-            keep = []
-            for e in heap:
-                if len(e) == 4:
-                    hd = dispatch_get(e[2])
-                    if hd is not None and hd[0] == 0:  # _OP_LAUNCH
-                        train.append(e)
-                        continue
-                keep.append(e)
-            if train:
-                train.sort()
-                train_d = [dispatch[e[2]][1] for e in train]
-                heap[:] = keep
-                heapify(heap)
-        ti = 0
-        tn = len(train)
-        head = train[0] if tn else None
         try:
-            while True:
-                # Train-aware selection: strict heap order over both
-                # sources (seqs are unique, so tuple compare never
-                # reaches the callback element).  The train head lives
-                # in a local and only changes when the train advances.
-                if head is None:
-                    if heap:
-                        entry = heappop(heap)
-                        from_train = False
-                    else:
-                        break
-                elif heap and heap[0] < head:
-                    entry = heappop(heap)
-                    from_train = False
-                else:
-                    entry = head
-                    from_train = True
-
-                # Resolve the continuation: train entries are known
-                # launches; kernel-pushed entries carry a _K; anything
-                # else probes the dispatch dict or runs scalar.
+            while heap:
+                entry = heappop(heap)
+                # Resolve the continuation: kernel-pushed entries carry
+                # a _K; anything else probes the dispatch dict or runs
+                # scalar.
                 h = entry[2]
-                if from_train:
-                    # Release the launched entry: its request now lives
-                    # only in flight, as on the reference heap.
-                    train[ti] = None
-                    ti += 1
-                    head = train[ti] if ti < tn else None
-                    op = 0  # _OP_LAUNCH
-                    data = train_d[ti - 1]
-                    args = entry[3]
-                elif type(h) is Kt:
+                if type(h) is Kt:
                     op = h.op
                     data = h.data
                     args = entry[3]
@@ -647,6 +590,11 @@ class KernelSimulator(Simulator):
                     continue
                 else:
                     handler = dispatch_get(h)
+                    if handler is None and type(h) is Tt:
+                        # Only a launch train fuses (args built below).
+                        handler = dispatch_get(h.callback)
+                        if handler is not None and handler[0] != 0:
+                            handler = None
                     if handler is None:
                         time = entry[0]
                         if time > now:
@@ -800,7 +748,15 @@ class KernelSimulator(Simulator):
                     heappush(heap, (now + delay, nseq(), gcs.push_submit,
                                     (request, gcs.served, args[0])))
                 elif op == 0:  # _OP_LAUNCH
-                    # Arrival admission: begin_send + timer model.
+                    # Arrival admission: begin_send + timer model.  A
+                    # train member pushes its successor, then builds its
+                    # args (a foreign call that reads no run records).
+                    if type(h) is Tt:
+                        index = h.advance()
+                        self._now = now
+                        args = h.make_args(index)
+                        now = self._now
+                        heap = self._heap
                     machine = args[0]
                     request = args[1]
                     mc = minfo_get(machine)
@@ -809,7 +765,7 @@ class KernelSimulator(Simulator):
                         self._now = now
                         if defer:
                             flushrec()
-                        cbx = h.cb if type(h) is Kt else h
+                        cbx = h.callback if type(h) is Tt else h
                         cbx(*args)
                         now = self._now
                         heap = self._heap
@@ -1066,11 +1022,6 @@ class KernelSimulator(Simulator):
             self._now = now
             flushrec()
             heap = self._heap
-            if ti < tn:
-                # Aborted mid-run: restore the unprocessed train so
-                # the heap reflects every pending event again.
-                heap.extend(train[ti:])
-                heapify(heap)
             # Convert leftover kernel-format entries back to plain
             # reference format (keys are unchanged, so heap order is
             # untouched).  A completed run leaves the heap empty.

@@ -86,8 +86,10 @@ def _memcached_request_factory(streams: RandomStreams):
     across all server nodes of a run).
 
     Sizes are drawn :data:`SIZE_BATCH` at a time and handed out in
-    call order.  Nothing else reads the ``etc`` stream, so drawing
-    ahead changes no request's size.
+    call order; the generator calls the factory in index order as each
+    request launches.  Nothing else reads the ``etc`` stream, so
+    neither drawing ahead nor building late changes any request's
+    size.
     """
     etc = EtcWorkload(streams.get("etc"))
     pending: List[float] = []

@@ -129,7 +129,7 @@ class TestRunControl:
 
 
 class TestFastPath:
-    """The fire-and-forget tuple path (post / post_at / post_at_batch)."""
+    """The fire-and-forget tuple path (post / post_at / post_train)."""
 
     def test_post_fires_in_time_order(self, sim):
         fired = []
@@ -156,28 +156,47 @@ class TestFastPath:
         with pytest.raises(SimulationError):
             sim.post_at(1.0, lambda: None)
 
-    def test_post_at_batch_schedules_train(self, sim):
+    def test_post_train_schedules_train(self, sim):
         fired = []
-        count = sim.post_at_batch(
-            (float(t), fired.append, (t,)) for t in (3, 1, 2))
-        assert count == 3
-        sim.run()
-        assert fired == [1, 2, 3]
+        with pytest.raises(SimulationError):
+            sim.post_train((3.0, 1.0, 2.0), fired.append, lambda i: (i,))
+        assert sim.pending_events == 0
+        assert sim.post_train((), fired.append, lambda i: (i,)) == 0
+        built = []
 
-    def test_post_at_batch_rejects_past_times(self, sim):
+        def make_args(index):
+            built.append((index, sim.now))
+            return (index,)
+
+        assert sim.post_train((1.0, 2.0, 3.0), fired.append, make_args) == 3
+        # One heap entry for the whole train; no member built yet.
+        assert sim.pending_events == 1
+        assert built == []
+        assert sim.run() == 3
+        assert fired == [0, 1, 2]
+        assert built == [(0, 1.0), (1, 2.0), (2, 3.0)]
+
+    def test_post_train_rejects_past_nan_and_decreasing_times(self, sim):
         sim.schedule(5.0, lambda: None)
         sim.run()
-        with pytest.raises(SimulationError):
-            sim.post_at_batch([(1.0, lambda: None, ())])
+        nan = float("nan")
+        for times in ((1.0,), (nan,), (6.0, nan), (nan, 6.0),
+                      (6.0, 7.0, 6.5), (6.0, 4.0)):
+            with pytest.raises(SimulationError):
+                sim.post_train(times, lambda *args: None, lambda i: ())
+            assert sim.pending_events == 0
+        # Nothing was reserved either: the next entry gets the next seq.
+        sim.post(0.0, lambda: None)
+        assert sim._heap[0][1] == 1
 
     def test_tie_break_by_insertion_across_both_paths(self, sim):
-        """>= 3 same-time events, mixing cancellable and fast-path
-        entries, fire in exact insertion order."""
+        """>= 3 same-time events, mixing cancellable, fast-path and
+        train entries, fire in exact insertion order."""
         fired = []
         sim.post(1.0, fired.append, "a")
         sim.schedule(1.0, fired.append, "b")
-        sim.post_at_batch([(1.0, fired.append, ("c",)),
-                           (1.0, fired.append, ("d",))])
+        tags = ("c", "d")
+        sim.post_train((1.0, 1.0), fired.append, lambda i: (tags[i],))
         sim.post(1.0, fired.append, "e")
         sim.run()
         assert fired == ["a", "b", "c", "d", "e"]

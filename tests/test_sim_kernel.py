@@ -22,6 +22,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.api import ClusterSpec, experiment
@@ -226,6 +228,243 @@ class TestCancellationMidRun:
                 assert sim.kernel_scalar_fallbacks == 2
                 assert sim.events_processed > 2
         assert results["reference"] == results["vectorized"]
+
+
+# ---------------------------------------------------------------------------
+# Trains (Simulator.post_train): both engines against eager posts
+# ---------------------------------------------------------------------------
+_TIMES = st.integers(min_value=0, max_value=4).map(float)
+_KINDS = st.sampled_from(("post", "schedule", "cancel"))
+#: ``(kind, time, after_train, nested_delay)``: a foreign op added
+#: before or after the train is posted; with a delay, its callback
+#: adds one more op that far out.
+_OPS = st.lists(st.tuples(_KINDS, _TIMES, st.booleans(),
+                          st.none() | st.sampled_from((0.0, 1.0))),
+                max_size=8)
+
+
+def _engaged_kernel():
+    """A kernel whose run() takes the fused loop: an adopted, never
+    started generator makes its dispatch non-empty."""
+    sim = workload_by_name("synthetic").build_testbed(
+        seed=1, client_config=LP_CLIENT, server_config=SERVER_BASELINE,
+        qps=10_000, num_requests=10, engine="vectorized").sim
+    assert sim._build_dispatch()
+    return sim
+
+
+class _Foreign:
+    """Adds foreign post/schedule/cancel ops and logs their firing."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.log = []
+        self.handles = []
+
+    def note(self, tag, nested_delay):
+        self.log.append((tag, self.sim.now))
+        if nested_delay is not None:
+            self.add("post", self.sim.now + nested_delay, tag + "+")
+
+    def add(self, kind, at, tag, nested_delay=None):
+        if kind == "post":
+            self.sim.post_at(at, self.note, tag, nested_delay)
+        elif kind == "schedule":
+            self.handles.append(
+                self.sim.schedule_at(at, self.note, tag, nested_delay))
+        elif self.handles:
+            self.handles[len(self.handles) // 2].cancel()
+
+    def add_all(self, ops, after_train):
+        for k, (kind, at, after, nested_delay) in enumerate(ops):
+            if after == after_train:
+                self.add(kind, at, f"op{k}", nested_delay)
+
+
+def _eager_train(sim):
+    """post_train as every member posted up front (what the generator
+    did before trains): ``post_at(t, callback, *make_args(i))``."""
+    def post_train(times, callback, make_args):
+        for index, at in enumerate(map(float, times)):
+            sim.post_at(at, callback, *make_args(index))
+        return len(times)
+    return post_train
+
+
+def _train_run(sim, times, ops, nested, train=True):
+    """One train among foreign ops; *nested* are ``(member, kind,
+    delay)`` ops added from inside member callbacks.  Returns the
+    fire log, the event count and make_args's ``(index, now)`` calls.
+    """
+    foreign = _Foreign(sim)
+    built = []
+
+    def member(index, payload):
+        foreign.log.append((payload, sim.now))
+        for j, (who, kind, delay) in enumerate(nested):
+            if who == index:
+                foreign.add(kind, sim.now + delay, f"m{index}.{j}")
+
+    def make_args(index):
+        built.append((index, sim.now))
+        return (index, f"member{index}")
+
+    foreign.add_all(ops, after_train=False)
+    post_train = sim.post_train if train else _eager_train(sim)
+    assert post_train(times, member, make_args) == len(times)
+    foreign.add_all(ops, after_train=True)
+    sim.run()
+    return foreign.log, sim.events_processed, built
+
+
+def _launch_run(engine, train, ops, arrivals=None):
+    """A memcached testbed whose launch train is interleaved with
+    foreign ops at its own arrival times (*ops* index *arrivals*)."""
+    testbed = workload_by_name("memcached").build_testbed(
+        seed=21, client_config=LP_CLIENT, server_config=SERVER_BASELINE,
+        qps=200_000, num_requests=40, engine=engine)
+    sim = testbed.sim
+    generator = testbed.generator
+    factory = generator._request_factory
+    built = []
+
+    def counting_factory(index):
+        built.append((index, sim.now))
+        return factory(index)
+
+    generator._request_factory = counting_factory
+    if not train:
+        sim.post_train = _eager_train(sim)
+    foreign = _Foreign(sim)
+    # An op's time 0..4 picks arrival 0, 9, ..., 36 of the 40.
+    timed = [(kind, arrivals[int(at) * 9], after, nested)
+             for kind, at, after, nested in ops] if arrivals else []
+    foreign.add_all(timed, after_train=False)
+    generator.start()
+    foreign.add_all(timed, after_train=True)
+    sim.run()
+    assert generator.drained
+    return (foreign.log, sim.events_processed, _column_digest(testbed),
+            built)
+
+
+class TestTrains:
+    @given(times=st.lists(_TIMES, min_size=1, max_size=8).map(sorted),
+           ops=_OPS,
+           nested=st.lists(st.tuples(st.integers(0, 7), _KINDS,
+                                     st.sampled_from((0.0, 1.0, 2.0))),
+                           max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_train_fires_as_eager_posts(self, times, ops, nested):
+        """Colliding member times among post/schedule/cancel at the
+        same timestamps, some added from callbacks: the fire order,
+        the callback args and the event count equal posting every
+        member up front, and make_args runs once per member, in index
+        order, at that member's own fire time."""
+        log, events, _ = _train_run(Simulator(), times, ops, nested,
+                                    train=False)
+        for sim in (Simulator(), _engaged_kernel()):
+            got = _train_run(sim, times, ops, nested)
+            assert got == (log, events, list(enumerate(times)))
+
+    @given(ops=_OPS)
+    @settings(max_examples=15, deadline=None)
+    def test_fused_launch_train_fires_as_eager_posts(self, ops):
+        """The kernel's fused launch train, interleaved with foreign
+        ops at its members' own times, equals eager posting on both
+        engines: same foreign log, events and telemetry columns, and
+        each request is built when it launches."""
+        arrivals = [at for _, at in _launch_run("reference", True, [])[3]]
+        want = _launch_run("reference", False, ops, arrivals)
+        for engine in ENGINES:
+            for train in (True, False):
+                got = _launch_run(engine, train, ops, arrivals)
+                assert got[:3] == want[:3]
+                if train:
+                    assert got[3] == list(enumerate(arrivals))
+
+    def test_launch_train_on_an_unadopted_machine(self):
+        """A machine the kernel does not adopt (a hot-path method
+        wrapped on the instance) launches each member through the
+        train's callback, scalar, bit-identical to the reference."""
+        digests = {}
+        for engine in ENGINES:
+            testbed = workload_by_name("memcached").build_testbed(
+                seed=3, client_config=LP_CLIENT,
+                server_config=SERVER_BASELINE,
+                qps=100_000, num_requests=200, engine=engine)
+            for machine in testbed.generator.machines:
+                machine.begin_send = (
+                    lambda *args, _send=machine.begin_send: _send(*args))
+            testbed.run()
+            digests[engine] = _column_digest(testbed)
+        assert testbed.sim.kernel_scalar_fallbacks >= 200
+        assert digests["reference"] == digests["vectorized"]
+
+    def test_step_bounded_runs_and_clear_with_a_pending_train(self):
+        for sim in (Simulator(), _engaged_kernel()):
+            fired = []
+            sim.post_train((1.0, 2.0, 3.0, 4.0, 5.0), fired.append,
+                           lambda index: (index,))
+            sim.post_at(2.0, fired.append, "x")
+            assert sim.step()
+            assert fired == [0] and sim.now == 1.0
+            assert sim.run(max_events=2) == 2
+            assert fired == [0, 1, "x"]
+            assert sim.run_until(3.5) == 1
+            assert fired == [0, 1, "x", 2] and sim.now == 3.5
+            assert sim.run() == 2
+            assert fired == [0, 1, "x", 2, 3, 4]
+            assert sim.events_processed == 6
+            sim.post_train((6.0, 7.0), fired.append, lambda index: (index,))
+            sim.clear()
+            assert sim.pending_events == 0
+            assert sim.run() == 0
+            assert fired == [0, 1, "x", 2, 3, 4]
+
+    def test_callback_raising_mid_train_keeps_the_next_member(self):
+        for sim in (Simulator(), _engaged_kernel()):
+            fired = []
+
+            def member(index, fired=fired):
+                fired.append(index)
+                if index == 2:
+                    raise RuntimeError("boom")
+
+            sim.post_train((1.0, 2.0, 3.0, 4.0, 5.0), member,
+                           lambda index: (index,))
+            with pytest.raises(RuntimeError):
+                sim.run()
+            assert fired == [0, 1, 2]
+            assert sim.events_processed == 3 and sim.now == 3.0
+            # The next member waits in reference format: a plain
+            # fire-and-forget entry whose callback fires it.
+            (entry,) = sim._heap
+            assert len(entry) == 4 and entry[:2] == (4.0, 3)
+            assert callable(entry[2]) and entry[3] == ()
+            assert sim.run() == 2
+            assert fired == [0, 1, 2, 3, 4]
+
+    def test_train_survives_heap_compaction(self):
+        """Cancelling most of the heap from a member's callback
+        rebinds the heap list; the train keeps pushing onto the new
+        one."""
+        for sim in (Simulator(), _engaged_kernel()):
+            fired = []
+            victims = [sim.schedule_at(50.0, fired.append, "victim")
+                       for _ in range(100)]
+
+            def member(index, fired=fired, victims=victims):
+                fired.append(index)
+                if index == 1:
+                    for victim in victims:
+                        victim.cancel()
+
+            sim.post_train((1.0, 2.0, 3.0, 4.0), member,
+                           lambda index: (index,))
+            assert sim.run() == 4
+            assert fired == [0, 1, 2, 3]
+            assert sim.compactions >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +681,10 @@ def _column_digest(testbed):
 
 
 def test_fused_run_keeps_requests_in_flight_only():
-    """Completed requests wait in the kernel's record buffer for at
-    most RECORD_CHUNK completions, and a launched request is held by
-    nothing but its in-flight events; neither changes a column."""
+    """Requests are built when they launch, completed ones wait in the
+    kernel's record buffer for at most RECORD_CHUNK completions, and
+    a launched request is held by nothing but its in-flight events;
+    none of it changes a column."""
     num_requests = 3 * RECORD_CHUNK + 17
     testbeds = {
         engine: workload_by_name("memcached").build_testbed(
@@ -452,24 +692,35 @@ def test_fused_run_keeps_requests_in_flight_only():
             server_config=SERVER_BASELINE,
             qps=100_000, num_requests=num_requests, engine=engine)
         for engine in ENGINES}
-    samples = testbeds["vectorized"].generator.samples
+    generator = testbeds["vectorized"].generator
+    samples = generator.samples
+    factory = generator._request_factory
+    built = [0]
+    built_at_batch = []
     batches = []
     excess_live = []
     record_batch = samples.record_batch
 
+    def counting_factory(index):
+        built[0] += 1
+        return factory(index)
+
     def recording_batch(requests):
-        # Every request not yet recorded may be alive (queued to
-        # launch, in flight, or in this batch); no recorded one may.
+        # Only built requests not yet recorded may be alive (in
+        # flight, or in this batch); no recorded one may.
         live = sum(type(obj) is Request for obj in gc.get_objects())
-        excess_live.append(live - (num_requests - len(samples)))
+        excess_live.append(live - (built[0] - len(samples)))
+        built_at_batch.append(built[0])
         batches.append(len(requests))
         record_batch(requests)
 
+    generator._request_factory = counting_factory
     samples.record_batch = recording_batch
     for testbed in testbeds.values():
         testbed.run()
+    assert built_at_batch[0] < num_requests
     assert max(batches) == RECORD_CHUNK
-    assert sum(batches) == len(samples) == num_requests
+    assert sum(batches) == len(samples) == built[0] == num_requests
     assert max(excess_live) <= 0
     assert (_column_digest(testbeds["vectorized"])
             == _column_digest(testbeds["reference"]))
