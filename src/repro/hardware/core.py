@@ -25,9 +25,9 @@ costs, and its frequency governor sees 100% utilization.
 
 Per-event accounting runs a few times per simulated request, so the
 hot path (:meth:`SimCore.handle_event_finish_us`) returns only the
-finish timestamp; :meth:`SimCore.handle_event` layers the full
-:class:`CoreOccupancy` record on the same arithmetic for tests and
-diagnostics.
+finish timestamp; :meth:`SimCore.handle_event` wraps the same
+occupancy body in the full :class:`CoreOccupancy` record for tests
+and diagnostics.
 """
 
 from __future__ import annotations
@@ -162,22 +162,15 @@ class SimCore:
         """Simulated time at which the core next becomes free."""
         return self._available_at
 
-    def idle_gap_before(self, arrival_us: float) -> float:
-        """Idle period the core would have had before *arrival_us*."""
-        return max(0.0, arrival_us - self._available_at)
-
-    def _thread_wake_cost(self) -> float:
-        return self._thread_wake_us
-
     # ------------------------------------------------------------------
-    def handle_event_finish_us(self, arrival_us: float,
-                               work_us_nominal: float,
-                               wakes_thread: bool = True) -> float:
-        """Handle an event; return only the finish timestamp.
+    def _occupy(self, arrival_us: float, work_us_nominal: float,
+                wakes_thread: bool) -> tuple:
+        """Handle one event: the body of :meth:`handle_event` and
+        :meth:`handle_event_finish_us`.
 
-        The request hot path: identical accounting and float
-        arithmetic to :meth:`handle_event`, without materializing the
-        :class:`CoreOccupancy` record.
+        Returns ``(finish, start, queue_wait, wake_latency, work,
+        state, freq)``; *state* is the C-state woken from, or None when
+        the core polled or was busy.
         """
         if arrival_us < self._last_arrival - 1e-9:
             raise ValueError(
@@ -186,8 +179,7 @@ class SimCore:
             )
         self._last_arrival = arrival_us
 
-        available = self._available_at
-        gap = available - arrival_us
+        gap = self._available_at - arrival_us
         if gap > 0.0:
             queue_wait = gap
             idle_gap = 0.0
@@ -200,6 +192,7 @@ class SimCore:
         dvfs_ramp = 0.0
         uncore_penalty = 0.0
         ctx = 0.0
+        state = None
 
         frequency = self.frequency
         if self.polling:
@@ -235,7 +228,17 @@ class SimCore:
         self.total_wake_us += wake_latency
         self.events_handled += 1
         self._available_at = finish
-        return finish
+        return finish, start, queue_wait, wake_latency, work, state, freq
+
+    def handle_event_finish_us(self, arrival_us: float,
+                               work_us_nominal: float,
+                               wakes_thread: bool = True) -> float:
+        """Handle an event; return only the finish timestamp.
+
+        The request hot path: :meth:`handle_event` without the
+        :class:`CoreOccupancy` record.
+        """
+        return self._occupy(arrival_us, work_us_nominal, wakes_thread)[0]
 
     def handle_event(self, arrival_us: float, work_us_nominal: float,
                      wakes_thread: bool = True) -> CoreOccupancy:
@@ -251,71 +254,17 @@ class SimCore:
         Returns:
             The :class:`CoreOccupancy` record, whose ``finish_us`` is
             the earliest time software could observe the event.
-
-        Mirrors :meth:`handle_event_finish_us` exactly (same branches,
-        same float expressions); a change to one must be made to both.
-        ``tests/test_sampling_batched.py`` pins the two in lockstep.
         """
-        if arrival_us < self._last_arrival - 1e-9:
-            raise ValueError(
-                f"event at {arrival_us} precedes earlier arrival "
-                f"{self._last_arrival}"
-            )
-        self._last_arrival = arrival_us
-
-        queue_wait = max(0.0, self._available_at - arrival_us)
-        idle_gap = max(0.0, arrival_us - self._available_at)
-        start = arrival_us + queue_wait
-
-        wake_latency = 0.0
-        dvfs_ramp = 0.0
-        uncore_penalty = 0.0
-        ctx = 0.0
-        cstate_name = "C0"
-
-        if self.polling:
-            # A busy-wait loop burned the gap spinning: no sleep, no
-            # wake path, and the governor sees the spin as busy time.
-            if idle_gap > 0:
-                self.frequency.account_busy(idle_gap)
-        elif queue_wait == 0.0:
-            wake_latency, state = self.cstates.wake_and_state(
-                idle_gap, self._rng)
-            cstate_name = state.name
-            if (wake_latency > 0.0
-                    and state.target_residency_us >= _DEEP_SLEEP_RESIDENCY_US
-                    and self._governor_ramps):
-                dvfs_ramp = self._wake_dvfs_ramp_us
-            uncore_penalty = self.uncore.wake_penalty_us(idle_gap)
-            if wakes_thread:
-                ctx = self._thread_wake_us
-
-        freq, stall = self.frequency.evaluate_fast(start)
-        if self.polling:
-            # A busy-wait loop absorbs the transition while spinning;
-            # it never lands on an event's observable path.
-            stall = 0.0
-
-        overhead = (wake_latency + dvfs_ramp + uncore_penalty + ctx
-                    + stall) * self.overhead_scale
-        work = work_us_nominal * (self._nominal_ghz / freq)
-        finish = start + overhead + work
-
-        busy = finish - start
-        self.frequency.account_busy(busy)
-        self.total_busy_us += busy
-        self.total_wake_us += wake_latency
-        self.events_handled += 1
-        self._available_at = finish
-
+        finish, start, queue_wait, wake, work, state, freq = self._occupy(
+            arrival_us, work_us_nominal, wakes_thread)
         return CoreOccupancy(
             arrival_us=arrival_us,
             start_us=start,
             finish_us=finish,
-            wake_latency_us=wake_latency,
+            wake_latency_us=wake,
             queue_wait_us=queue_wait,
             work_us=work,
-            cstate=cstate_name,
+            cstate="C0" if state is None else state.name,
             freq_ghz=freq,
         )
 

@@ -15,23 +15,20 @@ completion (``ServerPool._finish``) and measurement (``_measured``) --
 and runs a *fused*, fully inlined handler for each, with the exact
 float arithmetic and draw sequence of the reference components.
 
-Two mechanisms stack:
+One dispatch table, built at run start from the adopted components,
+maps each such stock bound method to its fused handler, and one probe
+of it resolves every popped entry.  The heap holds reference-format
+entries only: a fused handler pushes the very callback the reference
+component would, so an entry left in the heap by ``step()``,
+``run(max_events)`` or an aborted run fires unchanged on either loop.
 
-* **Pre-resolved continuations.**  Events the kernel itself schedules
-  carry a :class:`_K` continuation in the heap entry's callback slot:
-  the fused handler's opcode and context, resolved once at dispatch
-  build.  Dispatching one is a single ``type`` test and two slot
-  loads -- no dict probe over bound-method hash/eq.  A ``_K`` keeps
-  the exact reference callback alongside (and is itself callable as
-  that callback), so entries left in the heap when ``run()`` exits
-  convert back to plain reference format losslessly.
-
-* **Deferred recording.**  With the stock
-  :class:`~repro.loadgen.measurement.RunSamples` and no completion
-  hook, completed requests are buffered and written
-  :data:`~repro.loadgen.measurement.RECORD_CHUNK` at a time through
-  ``RunSamples.record_batch``, flushed before every foreign call so
-  code outside the fused loop always sees every record, in order.
+One mechanism stands beside the fused handlers: **deferred
+recording**.  With the stock
+:class:`~repro.loadgen.measurement.RunSamples` and no completion
+hook, completed requests are buffered and written
+:data:`~repro.loadgen.measurement.RECORD_CHUNK` at a time through
+``RunSamples.record_batch``, flushed before every foreign call so
+code outside the fused loop always sees every record, in order.
 
 The fused handlers inline the components' control flow, not their
 samplers: every draw is a zero-argument numpy C sampler bound once per
@@ -47,9 +44,9 @@ the member's fire time.
 
 A service graph's entry (``ServiceGraph.submit`` -> stock
 :class:`~repro.graph.testbed.GraphStage` -> adopted station) is fused
-too: the generator's submit continuation rewrites its args to the
-stage's ``(request, stage._forward, done_fn, *ctx)`` and runs the
-station's fused submit.
+too: the generator's stock ``ServiceGraph.submit`` is one more table
+entry, which rewrites its args to the stage's ``(request,
+stage._forward, done_fn, *ctx)`` and runs the station's fused submit.
 
 Fallback: anything the kernel does not recognise -- a cancellable
 :class:`~repro.sim.engine.Event`, an obs-traced component, a hot-path
@@ -103,7 +100,7 @@ def _stock(obj: Any, name: str, base: type) -> bool:
 
 
 # Handler opcodes.  DO_SEND/AT_NIC share one fused client-core body,
-# SUBMIT/FINISH one fused station body.
+# SUBMIT/FINISH/STAGE one fused station body.
 _OP_LAUNCH = 0
 _OP_DO_SEND = 1
 _OP_AT_NIC = 2
@@ -116,32 +113,6 @@ _OP_MEASURED = 6
 _OP_STAGE = 7
 
 
-class _K:
-    """A pre-resolved continuation: opcode + context + the reference
-    callback it stands for.
-
-    Kernel-scheduled heap entries carry one of these in the callback
-    slot; the main loop resolves it with a single ``type`` test.  It
-    is callable as the underlying reference callback, so an entry (or
-    a continuation riding in an args tuple) that escapes to the scalar
-    world -- ``step()``, ``run(max_events)``, an aborted run -- still
-    fires correctly.
-    """
-
-    __slots__ = ("op", "data", "cb")
-
-    def __init__(self, op: int, data: Any, cb: Callable[..., Any]) -> None:
-        self.op = op
-        self.data = data
-        self.cb = cb
-
-    def __call__(self, *args: Any) -> Any:
-        return self.cb(*args)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<_K op={self.op} {self.cb!r}>"
-
-
 # ---------------------------------------------------------------- contexts
 class _MC:
     """Per-:class:`ClientMachine` context: every constant the fused
@@ -150,8 +121,7 @@ class _MC:
     __slots__ = ("machine", "do_send", "ts", "send_work", "recv_work",
                  "core", "oscale", "polling", "slack", "freq",
                  "cpoll", "ctable", "tick", "unc_dyn", "unc_pen",
-                 "twake", "nghz", "ramp", "gramps", "draw_u", "draw_n",
-                 "k_do_send")
+                 "twake", "nghz", "ramp", "gramps", "draw_u", "draw_n")
 
     def __init__(self, machine: Any) -> None:
         core = machine.core
@@ -184,7 +154,6 @@ class _MC:
                       else (None, None))
         self.draw_u = draws[0]
         self.draw_n = draws[1]
-        self.k_do_send = _K(_OP_DO_SEND, self, self.do_send)
 
 
 class _GC:
@@ -194,8 +163,6 @@ class _GC:
                  "after", "submit_cb",
                  "s_mu", "s_sigma", "s_mean", "normal_s", "obs_s",
                  "c_mu", "c_sigma", "c_mean", "normal_c", "obs_c",
-                 "k_sent", "k_at_nic", "k_measured",
-                 "push_sent", "push_at_nic", "push_measured", "push_submit",
                  "rs", "rbuf")
 
     def __init__(self, gen: Any,
@@ -220,17 +187,6 @@ class _GC:
         self.c_mean = link_c._mean
         self.normal_c = link_c._normal
         self.obs_c = link_c.observer
-        self.k_sent = _K(_OP_SENT, self, self.sent)
-        self.k_at_nic = _K(_OP_AT_NIC, self, self.at_nic)
-        self.k_measured = _K(_OP_MEASURED, self, self.measured)
-        # Continuations the fused handlers *push*.  These stay the raw
-        # reference callbacks unless the dispatch build proves the
-        # stock implementation is in effect (an overridden hook must
-        # keep receiving its scalar call).
-        self.push_sent: Any = self.sent
-        self.push_at_nic: Any = self.at_nic
-        self.push_measured: Any = self.measured
-        self.push_submit: Any = self.submit_cb
         # Deferred recording (dispatch build enables it when the stock
         # RunSamples/SampleColumns pair is in place and there is no
         # completion hook): completed requests buffer in rbuf and
@@ -246,8 +202,8 @@ class _SC:
                  "env", "smt_on", "intensity", "broad_us", "int_scale",
                  "int_mean", "kstack", "smtf", "fscale", "num", "cpoll",
                  "ctable", "tick", "pool_done", "service_time",
-                 "finish_cb", "obs_on", "k_finish", "normal", "uniform",
-                 "expo", "skind", "smu", "ssigma", "sukb", "cdone", "cgc")
+                 "finish_cb", "obs_on", "normal", "uniform", "expo",
+                 "skind", "smu", "ssigma", "sukb")
 
     def __init__(self, station: Any) -> None:
         pool = station._pool
@@ -277,17 +233,11 @@ class _SC:
         self.service_time = station._service_time
         self.finish_cb = pool._finish
         self.obs_on = pool._obs is not None
-        self.k_finish = _K(_OP_FINISH, self, self.finish_cb)
         # The station stream's zero-argument C draws (None: a
         # deterministic station).
         self.normal = None if rng is None else rng.draw_normal
         self.uniform = None if rng is None else rng.draw_uniform
         self.expo = None if rng is None else rng.draw_exponential
-        # One-entry cache for the served-callback -> generator lookup
-        # (stations overwhelmingly serve a single generator, and the
-        # kernel pushes one stable bound method for it).
-        self.cdone: Any = None
-        self.cgc: Any = None
         # Service-model specialization: the two stock lognormal-core
         # models are sampled inline off the station stream.  Exact
         # types only -- a subclass keeps the generic
@@ -365,10 +315,10 @@ class KernelSimulator(Simulator):
     def _release(self) -> None:
         """Forget every adoption once the heap has drained.
 
-        Contexts and their continuations point at each other and at
-        the components, which point back at this simulator; emptying
-        them breaks every such cycle, so a finished testbed is freed
-        by reference counting, as a reference-engine one is.
+        Contexts point at the components, which point back at this
+        simulator; emptying them breaks every such cycle, so a
+        finished testbed is freed by reference counting, as a
+        reference-engine one is.
         """
         for ctx in self._contexts:
             for name in type(ctx).__slots__:
@@ -389,7 +339,7 @@ class KernelSimulator(Simulator):
         or station qualifies only when the exact reference
         implementation would run (no tracer, no overridden hot-path
         method, no bounded queue).  Anything that fails a check simply
-        keeps its scalar path.
+        keeps its scalar path: its callback is no key of the table.
         """
         from repro.graph.testbed import GraphStage, ServiceGraph
         from repro.hardware.core import SimCore
@@ -444,8 +394,10 @@ class KernelSimulator(Simulator):
                         for name in ("begin_send", "_do_send",
                                      "deliver_response"))
                     and type(core) is SimCore
-                    and _stock(core, "timed_sleep_until", SimCore)
-                    and _stock(core, "handle_event_finish_us", SimCore)
+                    and all(_stock(core, name, SimCore)
+                            for name in ("timed_sleep_until",
+                                         "handle_event_finish_us",
+                                         "_occupy"))
                     and type(core.cstates) is CStateGovernor
                     and type(core.frequency) is FrequencyModel
                     and type(core.timer) is TimerModel
@@ -472,13 +424,10 @@ class KernelSimulator(Simulator):
                 dispatch[gc.gen._launch] = (_OP_LAUNCH, gc)
             if _stock(gen, "_sent", LoadGenerator):
                 dispatch[gc.sent] = (_OP_SENT, gc)
-                gc.push_sent = gc.k_sent
             if _stock(gen, "_at_client_nic", LoadGenerator):
                 dispatch[gc.at_nic] = (_OP_AT_NIC, gc)
-                gc.push_at_nic = gc.k_at_nic
             if _stock(gen, "_measured", LoadGenerator):
                 dispatch[gc.measured] = (_OP_MEASURED, gc)
-                gc.push_measured = gc.k_measured
                 samples = gen.samples
                 if (after is None
                         and type(samples) is RunSamples
@@ -489,10 +438,7 @@ class KernelSimulator(Simulator):
                     rec_gcs.append(gc)
             if _stock(gen, "_served", LoadGenerator):
                 served[gc.served] = gc
-            sub = dispatch.get(gc.submit_cb)
-            if sub is not None and sub[0] == _OP_SUBMIT:
-                gc.push_submit = _K(_OP_SUBMIT, sub[1], gc.submit_cb)
-            elif (type(gen.service) is ServiceGraph
+            if (type(gen.service) is ServiceGraph
                     and _stock(gen.service, "submit", ServiceGraph)):
                 # ServiceGraph.submit -> GraphStage.submit -> the entry
                 # station: fuse the chain into the station's SUBMIT.
@@ -503,9 +449,8 @@ class KernelSimulator(Simulator):
                         and stage.downstream is not None):
                     sub = dispatch.get(stage.local.submit)
                     if sub is not None and sub[0] == _OP_SUBMIT:
-                        gc.push_submit = _K(_OP_STAGE,
-                                            (sub[1], stage._forward),
-                                            gc.submit_cb)
+                        dispatch[gc.submit_cb] = (
+                            _OP_STAGE, (sub[1], stage._forward))
 
         self._dispatch = dispatch
         return dispatch
@@ -546,76 +491,25 @@ class KernelSimulator(Simulator):
         # Only deferred records need flushing before a foreign call;
         # runs without them (streaming sink, hooks) skip every flush.
         defer = bool(self._rec_gcs)
-        Kt = _K
         Tt = _Train
 
         heap = self._heap
         try:
             while heap:
                 entry = heappop(heap)
-                # Resolve the continuation: kernel-pushed entries carry
-                # a _K; anything else probes the dispatch dict or runs
-                # scalar.
                 h = entry[2]
-                if type(h) is Kt:
-                    op = h.op
-                    data = h.data
-                    args = entry[3]
-                    if op == 7:  # _OP_STAGE: GraphStage.submit's
-                        # forwarding as data, then the station's SUBMIT.
-                        data, fwd = data
-                        args = (args[0], fwd) + args[1:]
-                        op = 4
-                elif len(entry) == 3:
-                    event = h
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    event.fired = True
-                    time = entry[0]
-                    if time > now:
-                        now = time
-                    elif time < now - 1e-9:
-                        raise SimulationError(
-                            f"event at t={time} is behind clock t={now}"
-                        )
-                    fired += 1
-                    scalar += 1
-                    self._now = now
-                    if defer:
-                        flushrec()
-                    event.callback(*event.args)
-                    now = self._now
-                    heap = self._heap
-                    continue
-                else:
-                    handler = dispatch_get(h)
-                    if handler is None and type(h) is Tt:
+                handler = dispatch_get(h)
+                if handler is None:
+                    if len(entry) == 3:
+                        if h.cancelled:
+                            self._cancelled_in_heap -= 1
+                            continue
+                        h.fired = True
+                    elif type(h) is Tt:
                         # Only a launch train fuses (args built below).
                         handler = dispatch_get(h.callback)
                         if handler is not None and handler[0] != 0:
                             handler = None
-                    if handler is None:
-                        time = entry[0]
-                        if time > now:
-                            now = time
-                        elif time < now - 1e-9:
-                            raise SimulationError(
-                                f"event at t={time} is behind clock t={now}"
-                            )
-                        fired += 1
-                        scalar += 1
-                        self._now = now
-                        if defer:
-                            flushrec()
-                        h(*entry[3])
-                        now = self._now
-                        heap = self._heap
-                        continue
-                    op = handler[0]
-                    data = handler[1]
-                    args = entry[3]
-
                 time = entry[0]
                 if time > now:
                     now = time
@@ -624,15 +518,29 @@ class KernelSimulator(Simulator):
                         f"event at t={time} is behind clock t={now}"
                     )
                 fired += 1
+                if handler is None:
+                    # An Event, or a callback the table does not fuse.
+                    scalar += 1
+                    self._now = now
+                    if defer:
+                        flushrec()
+                    if len(entry) == 3:
+                        h.callback(*h.args)
+                    else:
+                        h(*entry[3])
+                    now = self._now
+                    heap = self._heap
+                    continue
+                op, data = handler
+                args = entry[3]
 
                 if op == 1 or op == 2:  # _OP_DO_SEND / _OP_AT_NIC
-                    # Client core event: one fused
-                    # SimCore.handle_event_finish_us body for both the
-                    # send and the receive side -- identical branches,
-                    # float expressions and draw sequence, with the
-                    # C-state governor, uncore and frequency fast
-                    # paths inlined (stateful slow paths still
-                    # delegate to the model objects).
+                    # Client core event: one fused SimCore._occupy
+                    # body for both the send and the receive side --
+                    # identical branches, float expressions and draw
+                    # sequence, with the C-state governor, uncore and
+                    # frequency fast paths inlined (stateful slow
+                    # paths still delegate to the model objects).
                     if op == 1:
                         mc = data
                         work = mc.send_work
@@ -644,8 +552,7 @@ class KernelSimulator(Simulator):
                             self._now = now
                             if defer:
                                 flushrec()
-                            cbx = h.cb if type(h) is Kt else h
-                            cbx(*args)
+                            h(*args)
                             now = self._now
                             heap = self._heap
                             continue
@@ -729,7 +636,7 @@ class KernelSimulator(Simulator):
                     else:
                         mc.machine.responses_handled += 1
                         heappush(heap, (now + (finish - now), nseq(),
-                                        data.push_measured,
+                                        data.measured,
                                         (args[0], args[1], finish)))
                 elif op == 3:  # _OP_SENT
                     # Link transit client->server.
@@ -745,7 +652,7 @@ class KernelSimulator(Simulator):
                         observer.messages += 1
                         observer.kb += kb
                     delay = base + kb * _US_PER_KB if kb > 0.0 else base
-                    heappush(heap, (now + delay, nseq(), gcs.push_submit,
+                    heappush(heap, (now + delay, nseq(), gcs.submit_cb,
                                     (request, gcs.served, args[0])))
                 elif op == 0:  # _OP_LAUNCH
                     # Arrival admission: begin_send + timer model.  A
@@ -782,8 +689,8 @@ class KernelSimulator(Simulator):
                         wake = target + overshoot * mc.oscale
                         # post_at arithmetic: now + (t - now).
                         heappush(heap, (now + (wake - now), nseq(),
-                                        mc.k_do_send,
-                                        (True, gcl.push_sent,
+                                        mc.do_send,
+                                        (True, gcl.sent,
                                          (machine, request))))
                     else:
                         delay = intended - now
@@ -791,8 +698,8 @@ class KernelSimulator(Simulator):
                             raise SimulationError(
                                 f"cannot schedule in the past: {delay!r}")
                         heappush(heap, (now + delay, nseq(),
-                                        mc.k_do_send,
-                                        (False, gcl.push_sent,
+                                        mc.do_send,
+                                        (False, gcl.sent,
                                          (machine, request))))
                 elif op == 6:  # _OP_MEASURED
                     gcm = data
@@ -828,7 +735,11 @@ class KernelSimulator(Simulator):
                             all_done()
                             now = self._now
                             heap = self._heap
-                else:  # _OP_SUBMIT / _OP_FINISH: the station
+                else:  # _OP_SUBMIT / _OP_FINISH / _OP_STAGE: the station
+                    if op == 7:  # _OP_STAGE: GraphStage.submit's
+                        # forwarding as data, then the station's SUBMIT.
+                        data, fwd = data
+                        args = (args[0], fwd) + args[1:]
                     sc = data
                     pool = sc.pool
                     idle = pool._idle_servers
@@ -846,12 +757,7 @@ class KernelSimulator(Simulator):
                             job.server_departure_us = now
                             real_done = dctx[0]
                             rctx = dctx[1]
-                            if real_done is sc.cdone:
-                                gcf = sc.cgc
-                            else:
-                                gcf = served_get(real_done)
-                                sc.cdone = real_done
-                                sc.cgc = gcf
+                            gcf = served_get(real_done)
                             if gcf is not None:
                                 # Fused _served: link transit back.
                                 normal = gcf.normal_c
@@ -866,7 +772,7 @@ class KernelSimulator(Simulator):
                                 delay = (base + kb * _US_PER_KB
                                          if kb > 0.0 else base)
                                 heappush(heap, (now + delay, nseq(),
-                                                gcf.push_at_nic,
+                                                gcf.at_nic,
                                                 (rctx[0], job)))
                             else:
                                 self._now = now
@@ -908,7 +814,7 @@ class KernelSimulator(Simulator):
                         waited = now - enq
                         done_fn = item[2]
                         dctx = item[3]
-                    else:  # _OP_SUBMIT
+                    else:  # _OP_SUBMIT (or a rewritten _OP_STAGE)
                         job = args[0]
                         if job.server_arrival_us == 0.0:
                             job.server_arrival_us = now
@@ -924,8 +830,8 @@ class KernelSimulator(Simulator):
                                     pool.peak_queue_depth = depth
                             continue
                         if items:  # pragma: no cover - invariant guard
-                            # Not h.cb: an _OP_STAGE entry has
-                            # rewritten args.
+                            # Not h: an _OP_STAGE hit has rewritten
+                            # the args.
                             scalar += 1
                             self._now = now
                             if defer:
@@ -1009,7 +915,7 @@ class KernelSimulator(Simulator):
                             f"negative service time {occupancy} "
                             f"for job {job!r}")
                     pool.busy_time_us += occupancy
-                    heappush(heap, (now + occupancy, nseq(), sc.k_finish,
+                    heappush(heap, (now + occupancy, nseq(), sc.finish_cb,
                                     (server, job, waited, done_fn, dctx)))
                     if items and idle:
                         self._now = now
@@ -1021,13 +927,6 @@ class KernelSimulator(Simulator):
         finally:
             self._now = now
             flushrec()
-            heap = self._heap
-            # Convert leftover kernel-format entries back to plain
-            # reference format (keys are unchanged, so heap order is
-            # untouched).  A completed run leaves the heap empty.
-            for idx, e in enumerate(heap):
-                if len(e) == 4 and type(e[2]) is Kt:
-                    heap[idx] = (e[0], e[1], e[2].cb, e[3])
             self._events_processed += fired
             self.kernel_scalar_fallbacks += scalar
         return fired

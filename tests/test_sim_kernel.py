@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -36,7 +37,7 @@ from repro.errors import ExperimentError, SpecValidationError
 from repro.graph.spec import GraphTierSpec, ServiceGraphSpec
 from repro.graph.testbed import GraphStage, ServiceGraph
 from repro.server.request import Request
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, _Train
 from repro.sim.kernel import (
     DEFAULT_ENGINE,
     RECORD_CHUNK,
@@ -122,16 +123,42 @@ class TestEngineRegistry:
 # ---------------------------------------------------------------------------
 # Event-loop primitives: both engines, identical semantics
 # ---------------------------------------------------------------------------
+def _engaged_kernel():
+    """A kernel whose run() takes the fused loop: an adopted, never
+    started generator makes its dispatch non-empty."""
+    sim = workload_by_name("synthetic").build_testbed(
+        seed=1, client_config=LP_CLIENT, server_config=SERVER_BASELINE,
+        qps=10_000, num_requests=10, engine="vectorized").sim
+    assert sim._build_dispatch()
+    return sim
+
+
 def _both_engines():
-    return [Simulator(), KernelSimulator()]
+    return [Simulator(), _engaged_kernel()]
+
+
+@pytest.fixture
+def fused_loops(monkeypatch):
+    """The simulators that entered the kernel's fused loop, in order."""
+    entered = []
+    run_kernel = KernelSimulator._run_kernel
+
+    def spy(self, dispatch):
+        entered.append(self)
+        return run_kernel(self, dispatch)
+
+    monkeypatch.setattr(KernelSimulator, "_run_kernel", spy)
+    return entered
 
 
 class TestTieBreaking:
-    def test_identical_timestamps_fire_in_insertion_order(self):
+    def test_identical_timestamps_fire_in_insertion_order(self,
+                                                          fused_loops):
         """Fast-path (4-tuple) and cancellable (3-tuple) entries at the
         exact same time must fire in seq order on both engines."""
         logs = []
-        for sim in _both_engines():
+        sims = _both_engines()
+        for sim in sims:
             fired = []
             sim.post_at(5.0, fired.append, "post-a")
             sim.schedule_at(5.0, fired.append, "sched-b")
@@ -144,13 +171,15 @@ class TestTieBreaking:
             logs.append(fired)
         assert logs[0] == ["early", "post-a", "sched-b", "post-c", "sched-d"]
         assert logs[0] == logs[1]
+        assert fused_loops == sims[1:]
 
-    def test_ties_created_during_run_preserve_order(self):
+    def test_ties_created_during_run_preserve_order(self, fused_loops):
         """Callbacks posting new work at the current time: the new
         entry's seq is larger, so it fires after anything already
         queued at that time -- on both engines."""
         logs = []
-        for sim in _both_engines():
+        sims = _both_engines()
+        for sim in sims:
             fired = []
 
             def chain(tag, sim=sim, fired=fired):
@@ -164,14 +193,16 @@ class TestTieBreaking:
             logs.append(fired)
         assert logs[0] == ["first", "second", "nested"]
         assert logs[0] == logs[1]
+        assert fused_loops == sims[1:]
 
 
 class TestCancellationMidRun:
-    def test_cancel_pending_event_from_callback(self):
+    def test_cancel_pending_event_from_callback(self, fused_loops):
         """A callback cancelling a later event: the kernel must see the
         cancellation even though the entry is already heap-resident."""
         logs = []
-        for sim in _both_engines():
+        sims = _both_engines()
+        for sim in sims:
             fired = []
             victim = sim.schedule_at(10.0, fired.append, "victim")
             sim.post_at(5.0, lambda: victim.cancel())
@@ -182,11 +213,13 @@ class TestCancellationMidRun:
             logs.append(fired)
         assert logs[0] == ["survivor"]
         assert logs[0] == logs[1]
+        assert fused_loops == sims[1:]
 
-    def test_cancel_same_timestamp_later_entry(self):
+    def test_cancel_same_timestamp_later_entry(self, fused_loops):
         """Cancelling an event that shares the current timestamp (it
         is next in the tie run) must still suppress it."""
-        for sim in _both_engines():
+        sims = _both_engines()
+        for sim in sims:
             fired = []
             handles = {}
 
@@ -199,6 +232,7 @@ class TestCancellationMidRun:
             sim.post_at(7.0, fired.append, "after")
             sim.run()
             assert fired == ["killer", "after"]
+        assert fused_loops == sims[1:]
 
     def test_cancellation_mid_batch_in_workload(self):
         """Cancellable events injected into a real workload run: the
@@ -241,16 +275,6 @@ _KINDS = st.sampled_from(("post", "schedule", "cancel"))
 _OPS = st.lists(st.tuples(_KINDS, _TIMES, st.booleans(),
                           st.none() | st.sampled_from((0.0, 1.0))),
                 max_size=8)
-
-
-def _engaged_kernel():
-    """A kernel whose run() takes the fused loop: an adopted, never
-    started generator makes its dispatch non-empty."""
-    sim = workload_by_name("synthetic").build_testbed(
-        seed=1, client_config=LP_CLIENT, server_config=SERVER_BASELINE,
-        qps=10_000, num_requests=10, engine="vectorized").sim
-    assert sim._build_dispatch()
-    return sim
 
 
 class _Foreign:
@@ -465,6 +489,71 @@ class TestTrains:
             assert sim.run() == 4
             assert fired == [0, 1, 2, 3]
             assert sim.compactions >= 1
+
+
+# ---------------------------------------------------------------------------
+# The heap holds reference-format entries only: hooks and resumption
+# ---------------------------------------------------------------------------
+def _memcached_testbed(engine, seed, qps, num_requests):
+    return workload_by_name("memcached").build_testbed(
+        seed=seed, client_config=LP_CLIENT, server_config=SERVER_BASELINE,
+        qps=qps, num_requests=num_requests, engine=engine)
+
+
+class TestReferenceFormatHeap:
+    @pytest.mark.parametrize("hook", [
+        "_launch", "_sent", "_at_client_nic", "_served", "_measured",
+        "_after_completion"])
+    def test_hook_assigned_on_the_instance_keeps_its_call(self, hook):
+        """A generator hook wrapped on the instance before the run is
+        no stock method: the kernel pushes the wrapper, as the
+        reference components do, and calls it instead of fusing it,
+        once per request, without changing a column."""
+        plain = _memcached_testbed("reference", 8, 100_000, 300)
+        plain.run()
+        for engine in ENGINES:
+            testbed = _memcached_testbed(engine, 8, 100_000, 300)
+            generator = testbed.generator
+            calls = [0]
+
+            def wrapper(*args, _method=getattr(generator, hook)):
+                calls[0] += 1
+                return _method(*args)
+
+            setattr(generator, hook, wrapper)
+            testbed.run()
+            assert calls[0] == 300
+            assert _column_digest(testbed) == _column_digest(plain)
+
+    def test_aborted_fused_run_resumes_exactly(self):
+        """A foreign callback raising mid-run leaves only
+        reference-format entries behind; a bounded scalar run and a
+        fused run then finish it exactly as the reference engine
+        does."""
+        results = {}
+        for engine in ENGINES:
+            testbed = _memcached_testbed(engine, 4, 200_000, 600)
+            sim = testbed.sim
+
+            def boom():
+                raise RuntimeError("boom")
+
+            testbed.generator.start()
+            sim.post_at(1_000.0, boom)
+            with pytest.raises(RuntimeError):
+                sim.run()
+            assert sim.now == 1_000.0
+            leftovers = [entry[2] for entry in sim._heap]
+            assert leftovers and all(
+                isinstance(callback, (types.MethodType, _Train))
+                for callback in leftovers)
+            assert sim.run(max_events=50) == 50
+            sim.run()
+            results[engine] = (_column_digest(testbed),
+                               sim.events_processed,
+                               testbed.generator.drained)
+        assert results["reference"][2]
+        assert results["vectorized"] == results["reference"]
 
 
 # ---------------------------------------------------------------------------
