@@ -811,12 +811,14 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         print(f"  median true p99:     {true_p99:10.1f} us")
         tier_metrics = [(name, value)
                         for name, value in result.runs[0].obs_metrics
-                        if name.startswith(("cache.", "resilience."))]
+                        if name.startswith(("cache.", "fanout.",
+                                            "resilience."))]
         if tier_metrics:
             print(f"  tier counters (seed "
                   f"{plan.policy.seed_schedule()[0]} run):")
+            width = max(34, max(len(name) for name, _ in tier_metrics))
             for name, value in tier_metrics:
-                print(f"    {name:<34} {value:>12g}")
+                print(f"    {name:<{width}} {value:>12g}")
         return 0
     except (ReproError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """A load-balancer station fronting replicated server groups.
 
-:class:`LoadBalancer` presents the same ``submit(request, done_fn)``
-interface as a :class:`~repro.server.station.ServiceStation`, so a
-workload generator drives a cluster exactly as it drives one server.
+:class:`LoadBalancer` presents the same ``submit(request, done_fn,
+*ctx)`` interface as a :class:`~repro.server.station.ServiceStation`,
+so a workload generator drives a cluster exactly as it drives one
+server.
 Each incoming request is dispatched to one backend chosen by a
 :data:`~repro.cluster.spec.LB_POLICIES` policy; the balancer tracks
 per-backend outstanding and dispatch counts, which the policies read
@@ -64,7 +65,8 @@ class LoadBalancer:
         sim: the run's simulator (kept for interface symmetry with
             stations; dispatch itself is instantaneous).
         backends: server groups with a station-compatible
-            ``submit(request, done_fn)``.
+            ``submit(request, done_fn, *ctx)`` that calls
+            ``done_fn(request, *ctx)`` on completion.
         policy: one of :data:`~repro.cluster.spec.LB_POLICIES`.
         rng: randomness source for the stochastic policies; wrapped
             in a :class:`~repro.sim.sampling.Stream` so uniform draws
@@ -165,13 +167,17 @@ class LoadBalancer:
                 trace.instant("lb.dispatch", self._sim.now,
                               request.request_id, self.name,
                               detail=index)
+        self._backends[index].submit(request, self._backend_done,
+                                     index, done_fn, *ctx)
 
-        def backend_done(job: Request) -> None:
-            self.outstanding[index] -= 1
-            self.completed += 1
-            done_fn(job, *ctx)
-
-        self._backends[index].submit(request, backend_done)
+    def _backend_done(self, job: Request, index: int,
+                      done_fn: Callable[..., None], *ctx: Any) -> None:
+        """Backend *index* served *job*: release its slot and forward
+        the completion (a stable bound method; the context rides as
+        data, so no per-request closure is built)."""
+        self.outstanding[index] -= 1
+        self.completed += 1
+        done_fn(job, *ctx)
 
     # ------------------------------------------------------------- metrics
     def node_utilizations(self) -> tuple:

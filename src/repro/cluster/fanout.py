@@ -53,8 +53,14 @@ class FanoutService:
 
     Args:
         sim: the run's simulator.
-        shards: shard backends (stations, tiered services, or nested
-            balancers) with ``submit(request, done_fn)``.
+        shards: shard backends (stations, tiered services, nested
+            balancers, graph stages, ...) honoring
+            ``submit(request, done_fn, *ctx)``: each calls
+            ``done_fn(request, *ctx)`` when it has served the request.
+            The fan-out passes each shard its context as data (the
+            root, its bookkeeping, the shard index and the dispatch
+            time) with the stable bound :meth:`_shard_served` as
+            ``done_fn``, so no per-sub-request closure is built.
         links: one :class:`~repro.net.link.NetworkLink` per shard (the
             root->shard and shard->root hops), or ``None`` for
             co-located shards.
@@ -107,6 +113,10 @@ class FanoutService:
         self._trace = obs.tracer if obs is not None else None
         if obs is not None:
             obs.on_fanout(self)
+        # Accelerated-kernel handshake (see repro.sim.kernel).
+        adopt = getattr(sim, "adopt_fanout", None)
+        if adopt is not None:
+            adopt(self)
 
     # ------------------------------------------------------------------
     @property
@@ -142,11 +152,13 @@ class FanoutService:
                done_fn: Callable[..., None], *ctx: Any) -> None:
         """Fan *request* out; call ``done_fn(request, *ctx)`` on the
         quorum response."""
+        sim = self._sim
         if request.server_arrival_us == 0.0:
-            request.server_arrival_us = self._sim.now
+            request.server_arrival_us = sim.now
         selected = self.select_shards()
         state = _RootState(self.quorum, done_fn, ctx)
         sub_size_kb = request.size_kb / len(selected)
+        served = self._shard_served
         for shard_index in selected:
             self.subs_issued += 1
             self.shard_dispatched[shard_index] += 1
@@ -157,30 +169,28 @@ class FanoutService:
                 actual_send_us=request.actual_send_us,
             )
             link = self._links[shard_index]
-            collector = self._make_collector(
-                request, state, shard_index, self._sim.now)
             if link is None:
-                self._shards[shard_index].submit(sub, collector)
+                self._shards[shard_index].submit(
+                    sub, served, request, state, shard_index, sim.now)
             else:
-                self._sim.post(
-                    link.sample_latency_us(sub.size_kb),
-                    self._shards[shard_index].submit, sub, collector)
+                sim.post(link.sample_latency_us(sub.size_kb),
+                         self._shards[shard_index].submit,
+                         sub, served, request, state, shard_index,
+                         sim.now)
 
-    def _make_collector(self, root: Request, state: _RootState,
-                        shard_index: int, dispatched_at: float = 0.0):
-        def shard_served(sub: Request) -> None:
-            # The shard finished serving; the response still crosses
-            # the shard's return link before it reaches the root.
-            link = self._links[shard_index]
-            if link is None:
-                self._at_root(root, state, sub, shard_index,
-                              dispatched_at)
-            else:
-                self._sim.post(
-                    link.sample_latency_us(sub.size_kb),
-                    self._at_root, root, state, sub, shard_index,
-                    dispatched_at)
-        return shard_served
+    def _shard_served(self, sub: Request, root: Request,
+                      state: _RootState, shard_index: int,
+                      dispatched_at: float) -> None:
+        """A shard finished serving *sub*; the response still crosses
+        the shard's return link before it reaches the root."""
+        link = self._links[shard_index]
+        if link is None:
+            self._at_root(root, state, sub, shard_index, dispatched_at)
+        else:
+            self._sim.post(
+                link.sample_latency_us(sub.size_kb),
+                self._at_root, root, state, sub, shard_index,
+                dispatched_at)
 
     def _at_root(self, root: Request, state: _RootState, sub: Request,
                  shard_index: int = -1,

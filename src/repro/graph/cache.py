@@ -65,6 +65,10 @@ class CacheTier:
         self._trace = obs.tracer if obs is not None else None
         if obs is not None:
             obs.on_cache(self)
+        # Accelerated-kernel handshake (see repro.sim.kernel).
+        adopt = getattr(sim, "adopt_cache", None)
+        if adopt is not None:
+            adopt(self)
 
     @property
     def lookups(self) -> int:

@@ -228,9 +228,12 @@ def build_graph_testbed(
         params: machine timing constants.
         obs: optional :class:`~repro.obs.Observability` context.
         engine: event-loop engine name.  The vectorized kernel fuses
-            the entry stage's station; balancer fronts and the cache,
-            resilience and fanout tiers take its scalar-fallback path.
-            Either way the run is bit-identical to the reference loop.
+            the entry stage's station, the cache's hit and miss
+            completions and the fan-out's return path (the shard hop
+            and ``_at_root``); balancer fronts, the fan-out's submit
+            side and the resilience timers take its scalar-fallback
+            path.  Either way the run is bit-identical to the
+            reference loop.
         arrival: optional arrival-shape spec (or dict / shape name)
             selecting a time-varying process.
         **workload_params: workload-specific parameters.

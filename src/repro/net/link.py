@@ -61,7 +61,8 @@ class NetworkLink:
                 else math.exp(self._mu + self._sigma * normal()))
         observer = self.observer
         if observer is not None:
-            observer.on_message(message_kb)
+            observer.messages += 1
+            observer.kb += message_kb
         if message_kb > 0.0:
             return base + message_kb * US_PER_KB_10GBE
         return base

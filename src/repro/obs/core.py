@@ -38,8 +38,9 @@ from repro.sim.sampling import c_samplers_active
 class LinkObserver:
     """Message accounting attached to one network link.
 
-    The link calls :meth:`on_message` per sampled transit -- two plain
-    attribute adds -- only when an observer is attached.
+    The link bumps :attr:`messages` and :attr:`kb` in place per sampled
+    transit -- two plain attribute adds -- only when an observer is
+    attached.
     """
 
     __slots__ = ("name", "messages", "kb")
@@ -48,10 +49,6 @@ class LinkObserver:
         self.name = name
         self.messages = 0
         self.kb = 0.0
-
-    def on_message(self, message_kb: float) -> None:
-        self.messages += 1
-        self.kb += message_kb
 
 
 class Observability:

@@ -47,16 +47,28 @@ A service graph's entry (``ServiceGraph.submit`` -> stock
 too: the generator's stock ``ServiceGraph.submit`` is one more table
 entry, which rewrites its args to the stage's ``(request,
 stage._forward, done_fn, *ctx)`` and runs the station's fused submit.
+So are a :class:`~repro.cluster.fanout.FanoutService`'s ``_at_root``
+(straggler drop, max aggregation, quorum completion) and a
+:class:`~repro.graph.cache.CacheTier`'s ``_finish_hit`` and
+``_finish_miss``.
+
+A second table, the **completion table**, maps the callback a
+completion calls next to its fused body.  The station's FINISH, the
+quorum completion and the cache completions resolve their ``done_fn``
+through it: a generator's ``_served`` is the hop back to the client,
+and a fan-out's ``_shard_served`` the shard's return hop over its
+link.  Any other ``done_fn`` (a stage's forward hop into the cache,
+the resilience tier's ``_responded``, ...) is called as it is.
 
 Fallback: anything the kernel does not recognise -- a cancellable
-:class:`~repro.sim.engine.Event`, an obs-traced component, a hot-path
-method overridden by a subclass or assigned on the instance, a
-balancer/fanout front or a graph's cache, resilience and fanout tiers
--- is executed through the ordinary scalar path (and counted in
-``kernel_scalar_fallbacks``).  A run that adopts nothing (a traced
-run, say) skips the fused loop and runs the reference loop outright.
-Correctness never depends on adoption; adoption only removes
-interpreter overhead.
+:class:`~repro.sim.engine.Event` (the resilience tier's hedge, timeout
+and retry timers), an obs-traced component, a method overridden by a
+subclass or assigned on the instance, a balancer front or the
+fan-out's submit side -- is executed through the ordinary scalar path
+(an event is counted in ``kernel_scalar_fallbacks``).  A run that
+adopts nothing (a traced run, say) skips the fused loop and runs the
+reference loop outright.  Correctness never depends on adoption;
+adoption only removes interpreter overhead.
 """
 
 from __future__ import annotations
@@ -111,6 +123,14 @@ _OP_MEASURED = 6
 #: A graph's entry stage: rewrites ``(request, done_fn, *ctx)`` to
 #: ``(request, stage._forward, done_fn, *ctx)``, then runs SUBMIT.
 _OP_STAGE = 7
+#: A shard response at the root: ``FanoutService._at_root``.
+_OP_AT_ROOT = 8
+#: ``CacheTier._finish_hit`` / ``_finish_miss``.
+_OP_CACHE_DONE = 9
+
+# Completion kinds: what a fused completion ``done_fn(job, *ctx)`` runs.
+_C_CLIENT = 0  # LoadGenerator._served: the hop back to the client
+_C_SHARD = 1  # FanoutService._shard_served: the shard's return hop
 
 
 # ---------------------------------------------------------------- contexts
@@ -156,14 +176,18 @@ class _MC:
         self.draw_n = draws[1]
 
 
+def _link_consts(link: Any) -> Tuple[float, float, float, Any, Any]:
+    """A :class:`~repro.net.link.NetworkLink`'s transit constants:
+    ``(mu, sigma, mean, normal draw or None, observer or None)``."""
+    return (link._mu, link._sigma, link._mean, link._normal,
+            link.observer)
+
+
 class _GC:
     """Per-:class:`LoadGenerator` context."""
 
     __slots__ = ("gen", "sent", "served", "at_nic", "measured", "record",
-                 "after", "submit_cb",
-                 "s_mu", "s_sigma", "s_mean", "normal_s", "obs_s",
-                 "c_mu", "c_sigma", "c_mean", "normal_c", "obs_c",
-                 "rs", "rbuf")
+                 "after", "submit_cb", "link_s", "rs", "rbuf")
 
     def __init__(self, gen: Any,
                  after: Optional[Callable[..., None]]) -> None:
@@ -174,19 +198,8 @@ class _GC:
         self.measured = gen._measured
         self.record = gen.samples.record
         self.after = after
-        link_s = gen._link_to_server
-        link_c = gen._link_to_client
         self.submit_cb = gen.service.submit
-        self.s_mu = link_s._mu
-        self.s_sigma = link_s._sigma
-        self.s_mean = link_s._mean
-        self.normal_s = link_s._normal
-        self.obs_s = link_s.observer
-        self.c_mu = link_c._mu
-        self.c_sigma = link_c._sigma
-        self.c_mean = link_c._mean
-        self.normal_c = link_c._normal
-        self.obs_c = link_c.observer
+        self.link_s = _link_consts(gen._link_to_server)
         # Deferred recording (dispatch build enables it when the stock
         # RunSamples/SampleColumns pair is in place and there is no
         # completion hook): completed requests buffer in rbuf and
@@ -282,10 +295,12 @@ class KernelSimulator(Simulator):
         self.kernel_scalar_fallbacks = 0
         self._adopted_generators: list = []
         self._adopted_stations: list = []
+        self._adopted_fanouts: list = []
+        self._adopted_caches: list = []
         self._dispatch: Optional[Dict[Any, Tuple[int, Any]]] = None
         self._contexts: list = []
         self._minfo: Dict[Any, _MC] = {}
-        self._served_map: Dict[Any, _GC] = {}
+        self._completions: Dict[Any, Tuple[int, Any]] = {}
         self._rec_gcs: list = []
 
     def _flush_records(self) -> None:
@@ -312,6 +327,16 @@ class KernelSimulator(Simulator):
         self._adopted_stations.append(station)
         self._dispatch = None
 
+    def adopt_fanout(self, fanout: Any) -> None:
+        """Hook called by :class:`FanoutService` at construction."""
+        self._adopted_fanouts.append(fanout)
+        self._dispatch = None
+
+    def adopt_cache(self, cache: Any) -> None:
+        """Hook called by :class:`CacheTier` at construction."""
+        self._adopted_caches.append(cache)
+        self._dispatch = None
+
     def _release(self) -> None:
         """Forget every adoption once the heap has drained.
 
@@ -326,21 +351,27 @@ class KernelSimulator(Simulator):
         self._contexts = []
         self._adopted_generators = []
         self._adopted_stations = []
+        self._adopted_fanouts = []
+        self._adopted_caches = []
         self._dispatch = None
         self._minfo = {}
-        self._served_map = {}
+        self._completions = {}
         self._rec_gcs = []
 
     # ------------------------------------------------------------- build
     def _build_dispatch(self) -> Dict[Any, Tuple[int, Any]]:
-        """Map stable bound-method callbacks to fused handlers.
+        """Map stable bound-method callbacks to fused handlers, and
+        completion callbacks to fused completions.
 
-        Adoption is per-method and conservative: a generator, machine
-        or station qualifies only when the exact reference
-        implementation would run (no tracer, no overridden hot-path
-        method, no bounded queue).  Anything that fails a check simply
-        keeps its scalar path: its callback is no key of the table.
+        Adoption is per-method and conservative: a generator, machine,
+        station, fan-out or cache qualifies only when the exact
+        reference implementation would run (exact type, no tracer, no
+        overridden method, no bounded queue).  Anything that fails a
+        check simply keeps its scalar path: its callback is no key of
+        either table.
         """
+        from repro.cluster.fanout import FanoutService
+        from repro.graph.cache import CacheTier
         from repro.graph.testbed import GraphStage, ServiceGraph
         from repro.hardware.core import SimCore
         from repro.hardware.frequency import FrequencyModel
@@ -357,11 +388,11 @@ class KernelSimulator(Simulator):
         dispatch: Dict[Any, Tuple[int, Any]] = {}
         contexts: list = []
         minfo: Dict[Any, _MC] = {}
-        served: Dict[Any, _GC] = {}
+        completions: Dict[Any, Tuple[int, Any]] = {}
         rec_gcs: list = []
         self._contexts = contexts
         self._minfo = minfo
-        self._served_map = served
+        self._completions = completions
         self._rec_gcs = rec_gcs
 
         # Stations first: generators resolve their submit target
@@ -437,7 +468,8 @@ class KernelSimulator(Simulator):
                     gc.rbuf = []
                     rec_gcs.append(gc)
             if _stock(gen, "_served", LoadGenerator):
-                served[gc.served] = gc
+                completions[gc.served] = (_C_CLIENT, (
+                    gc.at_nic, _link_consts(gen._link_to_client)))
             if (type(gen.service) is ServiceGraph
                     and _stock(gen.service, "submit", ServiceGraph)):
                 # ServiceGraph.submit -> GraphStage.submit -> the entry
@@ -451,6 +483,29 @@ class KernelSimulator(Simulator):
                     if sub is not None and sub[0] == _OP_SUBMIT:
                         dispatch[gc.submit_cb] = (
                             _OP_STAGE, (sub[1], stage._forward))
+
+        for fanout in self._adopted_fanouts:
+            if not (type(fanout) is FanoutService
+                    and fanout._trace is None
+                    and all(link is None or type(link) is NetworkLink
+                            for link in fanout._links)):
+                continue
+            if _stock(fanout, "_at_root", FanoutService):
+                dispatch[fanout._at_root] = (_OP_AT_ROOT, fanout)
+            if _stock(fanout, "_shard_served", FanoutService):
+                # Per shard, the return link (None: co-located, its
+                # _shard_served calls _at_root directly).
+                completions[fanout._shard_served] = (_C_SHARD, (
+                    fanout._at_root,
+                    [None if link is None else _link_consts(link)
+                     for link in fanout._links]))
+
+        for cache in self._adopted_caches:
+            if type(cache) is not CacheTier or cache._trace is not None:
+                continue
+            for name in ("_finish_hit", "_finish_miss"):
+                if _stock(cache, name, CacheTier):
+                    dispatch[getattr(cache, name)] = (_OP_CACHE_DONE, None)
 
         self._dispatch = dispatch
         return dispatch
@@ -486,7 +541,7 @@ class KernelSimulator(Simulator):
         nseq = self._seq.__next__
         minfo_get = self._minfo.get
         dispatch_get = dispatch.get
-        served_get = self._served_map.get
+        completion_get = self._completions.get
         flushrec = self._flush_records
         # Only deferred records need flushing before a foreign call;
         # runs without them (streaming sink, hooks) skip every flush.
@@ -643,10 +698,9 @@ class KernelSimulator(Simulator):
                     gcs = data
                     request = args[1]
                     request.actual_send_us = args[2]
-                    normal = gcs.normal_s
-                    base = (gcs.s_mean if normal is None
-                            else _exp(gcs.s_mu + gcs.s_sigma * normal()))
-                    observer = gcs.obs_s
+                    mu, sigma, mean, normal, observer = gcs.link_s
+                    base = (mean if normal is None
+                            else _exp(mu + sigma * normal()))
                     kb = request.size_kb
                     if observer is not None:
                         observer.messages += 1
@@ -735,86 +789,18 @@ class KernelSimulator(Simulator):
                             all_done()
                             now = self._now
                             heap = self._heap
-                else:  # _OP_SUBMIT / _OP_FINISH / _OP_STAGE: the station
-                    if op == 7:  # _OP_STAGE: GraphStage.submit's
-                        # forwarding as data, then the station's SUBMIT.
-                        data, fwd = data
-                        args = (args[0], fwd) + args[1:]
-                    sc = data
-                    pool = sc.pool
-                    idle = pool._idle_servers
-                    items = sc.items
-                    if op == 5:  # _OP_FINISH
-                        server = args[0]
-                        job = args[1]
-                        pool.idle_since[server] = now
-                        idle.append(server)
-                        pool.jobs_completed += 1
-                        done_fn = args[3]
-                        if done_fn is sc.pool_done or done_fn == sc.pool_done:
-                            dctx = args[4]
-                            job.queue_wait_us += args[2]
-                            job.server_departure_us = now
-                            real_done = dctx[0]
-                            rctx = dctx[1]
-                            gcf = served_get(real_done)
-                            if gcf is not None:
-                                # Fused _served: link transit back.
-                                normal = gcf.normal_c
-                                base = (gcf.c_mean if normal is None
-                                        else _exp(gcf.c_mu + gcf.c_sigma
-                                                  * normal()))
-                                kb = job.size_kb
-                                observer = gcf.obs_c
-                                if observer is not None:
-                                    observer.messages += 1
-                                    observer.kb += kb
-                                delay = (base + kb * _US_PER_KB
-                                         if kb > 0.0 else base)
-                                heappush(heap, (now + delay, nseq(),
-                                                gcf.at_nic,
-                                                (rctx[0], job)))
-                            else:
-                                self._now = now
-                                if defer:
-                                    flushrec()
-                                real_done(job, *rctx)
-                                now = self._now
-                                heap = self._heap
-                        else:
-                            self._now = now
-                            if defer:
-                                flushrec()
-                            done_fn(job, args[2], *args[4])
-                            now = self._now
-                            heap = self._heap
-                        # ServerPool._dispatch tail: the overwhelmingly
-                        # common case -- one freed worker picks up one
-                        # queued job through the stock service-time
-                        # callback -- runs the fused occupancy body
-                        # below; anything else restores the popped
-                        # state and delegates.
-                        if not (items and idle):
-                            continue
-                        server = idle.pop()
-                        enq, item = items.popleft()
-                        stf = item[1]
-                        if not (stf is sc.service_time
-                                or stf == sc.service_time):
-                            idle.append(server)
-                            items.appendleft((enq, item))
-                            self._now = now
-                            if defer:
-                                flushrec()
-                            pool._dispatch()
-                            now = self._now
-                            heap = self._heap
-                            continue
-                        job = item[0]
-                        waited = now - enq
-                        done_fn = item[2]
-                        dctx = item[3]
-                    else:  # _OP_SUBMIT (or a rewritten _OP_STAGE)
+                else:
+                    # The station (SUBMIT / STAGE / FINISH) and the
+                    # graph's completions (AT_ROOT / CACHE_DONE).
+                    if op == 4 or op == 7:  # _OP_SUBMIT / _OP_STAGE
+                        if op == 7:  # GraphStage.submit's forwarding
+                            # as data, then the station's SUBMIT.
+                            data, fwd = data
+                            args = (args[0], fwd) + args[1:]
+                        sc = data
+                        pool = sc.pool
+                        idle = pool._idle_servers
+                        items = sc.items
                         job = args[0]
                         if job.server_arrival_us == 0.0:
                             job.server_arrival_us = now
@@ -846,6 +832,119 @@ class KernelSimulator(Simulator):
                         waited = 0.0
                         done_fn = sc.pool_done
                         dctx = (args[1], args[2:])
+                    else:
+                        # A completion: the event's own body sets
+                        # ``cfn(cjob, *cctx)``, the callback it calls
+                        # next, and the completion table resolves it.
+                        if op == 5:  # _OP_FINISH: ServerPool._finish
+                            sc = data
+                            pool = sc.pool
+                            idle = pool._idle_servers
+                            items = sc.items
+                            server = args[0]
+                            cjob = args[1]
+                            pool.idle_since[server] = now
+                            idle.append(server)
+                            pool.jobs_completed += 1
+                            cfn = args[3]
+                            if cfn is sc.pool_done or cfn == sc.pool_done:
+                                dctx = args[4]
+                                cjob.queue_wait_us += args[2]
+                                cjob.server_departure_us = now
+                                cfn = dctx[0]
+                                cctx = dctx[1]
+                            else:
+                                cctx = (args[2],) + args[4]
+                        elif op == 8:  # _OP_AT_ROOT
+                            # FanoutService._at_root: subs_completed
+                            # counts stragglers too.
+                            data.subs_completed += 1
+                            state = args[1]
+                            if state.completed:
+                                continue  # a straggler past the quorum
+                            sub = args[2]
+                            if sub.service_us > state.max_service_us:
+                                state.max_service_us = sub.service_us
+                            if sub.queue_wait_us > state.max_queue_wait_us:
+                                state.max_queue_wait_us = sub.queue_wait_us
+                            state.pending -= 1
+                            if state.pending > 0:
+                                continue
+                            state.completed = True
+                            cjob = args[0]
+                            cjob.service_us += state.max_service_us
+                            cjob.queue_wait_us += state.max_queue_wait_us
+                            cjob.server_departure_us = now
+                            data.roots_completed += 1
+                            cfn = state.done_fn
+                            cctx = state.ctx
+                        else:  # _OP_CACHE_DONE: _finish_hit/_finish_miss
+                            cjob = args[0]
+                            cjob.server_departure_us = now
+                            cfn = args[1]
+                            cctx = args[3:]
+                        kind, cdata = completion_get(cfn, (-1, None))
+                        if kind == 0:  # _C_CLIENT: the client hop
+                            target, link = cdata
+                            cargs = (cctx[0], cjob)
+                        elif kind == 1:  # _C_SHARD: the shard's hop
+                            target, links = cdata
+                            link = links[cctx[2]]
+                            cargs = (cctx[0], cctx[1], cjob, cctx[2],
+                                     cctx[3])
+                        else:
+                            link = None
+                        if link is not None:
+                            # NetworkLink.sample_latency_us, then
+                            # Simulator.post.
+                            mu, sigma, mean, normal, observer = link
+                            base = (mean if normal is None
+                                    else _exp(mu + sigma * normal()))
+                            kb = cjob.size_kb
+                            if observer is not None:
+                                observer.messages += 1
+                                observer.kb += kb
+                            delay = (base + kb * _US_PER_KB
+                                     if kb > 0.0 else base)
+                            heappush(heap, (now + delay, nseq(), target,
+                                            cargs))
+                        else:
+                            # Not in the table (or a co-located shard):
+                            # called as it is.
+                            self._now = now
+                            if defer:
+                                flushrec()
+                            cfn(cjob, *cctx)
+                            now = self._now
+                            heap = self._heap
+                        if op != 5:
+                            continue
+                        # ServerPool._dispatch tail: the overwhelmingly
+                        # common case -- one freed worker picks up one
+                        # queued job through the stock service-time
+                        # callback -- runs the fused occupancy body
+                        # below; anything else restores the popped
+                        # state and delegates.
+                        if not (items and idle):
+                            continue
+                        server = idle.pop()
+                        enq, item = items.popleft()
+                        stf = item[1]
+                        if not (stf is sc.service_time
+                                or stf == sc.service_time):
+                            idle.append(server)
+                            items.appendleft((enq, item))
+                            self._now = now
+                            if defer:
+                                flushrec()
+                            pool._dispatch()
+                            now = self._now
+                            heap = self._heap
+                            continue
+                        job = item[0]
+                        waited = now - enq
+                        done_fn = item[2]
+                        dctx = item[3]
                     # ServiceStation._service_time with
                     # _sample_occupancy_us fused in.
                     idle_gap = now - pool.idle_since[server]

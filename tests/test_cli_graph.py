@@ -17,6 +17,7 @@ class TestGraphCommand:
         assert "median p99 latency" in out
         assert "cache.cache.hit_rate" in out
         assert "resilience.leaf.hedges" in out
+        assert "leaf-fanout[n0].subs_completed" in out
 
     def test_diurnal_arrival_is_reported(self, capsys):
         exit_code = cli_main([

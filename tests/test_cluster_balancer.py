@@ -22,9 +22,9 @@ class StubBackend:
         self._util = util
         self.served = 0
 
-    def submit(self, request, done_fn):
+    def submit(self, request, done_fn, *ctx):
         self.served += 1
-        self._sim.post(self.delay_us, done_fn, request)
+        self._sim.post(self.delay_us, done_fn, request, *ctx)
 
     def utilization(self):
         return self._util

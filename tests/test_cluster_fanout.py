@@ -18,13 +18,13 @@ class StubShard:
         self.delay_us = delay_us
         self.served = 0
 
-    def submit(self, request, done_fn):
+    def submit(self, request, done_fn, *ctx):
         self.served += 1
 
         def finish(job):
             job.service_us += self.delay_us
             job.server_departure_us = self._sim.now
-            done_fn(job)
+            done_fn(job, *ctx)
 
         self._sim.post(self.delay_us, finish, request)
 
@@ -127,9 +127,9 @@ class TestCompletionSemantics:
         sizes = []
         original = StubShard.submit
 
-        def spy(self, request, done_fn):
+        def spy(self, request, done_fn, *ctx):
             sizes.append(request.size_kb)
-            original(self, request, done_fn)
+            original(self, request, done_fn, *ctx)
 
         StubShard.submit = spy
         try:

@@ -81,10 +81,10 @@ class _DelayShard:
         self._sim = sim
         self._delay = delay_us
 
-    def submit(self, request, done_fn):
+    def submit(self, request, done_fn, *ctx):
         def finish(job):
             job.service_us += self._delay
-            done_fn(job)
+            done_fn(job, *ctx)
         self._sim.post(self._delay, finish, request)
 
 

@@ -33,7 +33,9 @@ from repro.campaign.serialize import experiment_result_to_dict
 from repro.campaign.spec import CampaignSpec
 from repro.config.serialize import content_hash
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
+from repro.cluster.fanout import FanoutService
 from repro.errors import ExperimentError, SpecValidationError
+from repro.graph.cache import CacheTier
 from repro.graph.spec import GraphTierSpec, ServiceGraphSpec
 from repro.graph.testbed import GraphStage, ServiceGraph
 from repro.server.request import Request
@@ -649,12 +651,31 @@ def test_traced_run_skips_the_fused_loop(monkeypatch):
 _GRAPH_REQUESTS = 600
 
 
+def _cached_graph(hit_ratio):
+    """memcached-cached's tiers with a fixed hit ratio, no policy."""
+    return ServiceGraphSpec(tiers=(
+        GraphTierSpec(name="frontend", downstream=("cache",)),
+        GraphTierSpec(name="cache", kind="cache", downstream=("leaf",),
+                      hit_ratio=hit_ratio, hit_service_us=4.0,
+                      fill_penalty_us=6.0),
+        GraphTierSpec(name="leaf", shape=ClusterSpec(shards=8)),
+    ))
+
+
 #: name -> (workload, qps, topology).
 _GRAPHS = {
     "memcached-cached": ("memcached", 200_000.0, "memcached-cached"),
     "hdsearch-graph": ("hdsearch", 1_000.0, "hdsearch-graph"),
     "frontend-only": ("memcached", 200_000.0, ServiceGraphSpec(
         tiers=(GraphTierSpec(name="frontend"),))),
+    # Two downstream tiers, joined by a FanoutService without links.
+    "colocated-join": ("memcached", 100_000.0, ServiceGraphSpec(tiers=(
+        GraphTierSpec(name="frontend", downstream=("left", "right")),
+        GraphTierSpec(name="left"),
+        GraphTierSpec(name="right"),
+    ))),
+    "always-hit": ("memcached", 200_000.0, _cached_graph(1.0)),
+    "always-miss": ("memcached", 200_000.0, _cached_graph(0.0)),
 }
 
 
@@ -759,6 +780,169 @@ class TestGraphEntryFusion:
 
 
 # ---------------------------------------------------------------------------
+# Service-graph completions: the shard hop, _at_root and the cache
+# completions, fused
+# ---------------------------------------------------------------------------
+def _counters(metrics):
+    return dict(metrics.obs_metrics)
+
+
+def _tier_total(counters, prefix, suffix):
+    return sum(value for name, value in counters.items()
+               if name.startswith(prefix) and name.endswith(suffix))
+
+
+def _subs(counters):
+    return _tier_total(counters, "fanout.", ".subs_completed")
+
+
+def _lookups(counters):
+    return counters["cache.cache.hits"] + counters["cache.cache.misses"]
+
+
+def _leaf_fanout(testbed):
+    return testbed.service.dispatchers["leaf"].backend.local
+
+
+def _cache(testbed):
+    return testbed.service.caches["cache"]
+
+
+def _assign(locate, name, cls):
+    """An override assigning a counting pass-through to
+    ``locate(testbed).<name>``; it returns the list the pass-through
+    appends one request id to per call."""
+    def install(testbed):
+        target, calls = locate(testbed), []
+        stock = getattr(cls, name)
+
+        def passthrough(request, *rest):
+            calls.append(request.request_id)
+            stock(target, request, *rest)
+
+        setattr(target, name, passthrough)
+        return calls
+    return install
+
+
+class _CountingFanout(FanoutService):
+    """A FanoutService subclass: no longer the type the kernel fuses."""
+
+    def _at_root(self, root, state, sub, shard_index=-1,
+                 dispatched_at=0.0):
+        self.calls.append(root.request_id)
+        super()._at_root(root, state, sub, shard_index, dispatched_at)
+
+
+class _CountingCache(CacheTier):
+    """A CacheTier subclass: no longer the type the kernel fuses."""
+
+    def submit(self, request, done_fn, *ctx):
+        self.calls.append(request.request_id)
+        super().submit(request, done_fn, *ctx)
+
+
+def _subclass(locate, cls):
+    def install(testbed):
+        target = locate(testbed)
+        target.__class__ = cls
+        target.calls = []
+        return target.calls
+    return install
+
+
+#: override -> (install, calls it sees, fallback events it adds), the
+#: last two as functions of the run's counters.  A completion the
+#: table no longer fuses is called in place, inside the fused event
+#: that reaches it, so only an un-fused *event* adds a fallback.
+_COMPLETION_OVERRIDES = {
+    "fanout._shard_served": (
+        _assign(_leaf_fanout, "_shard_served", FanoutService),
+        _subs, lambda counters: 0),
+    "fanout._at_root": (
+        _assign(_leaf_fanout, "_at_root", FanoutService), _subs, _subs),
+    "cache._finish_hit": (
+        _assign(_cache, "_finish_hit", CacheTier),
+        lambda counters: counters["cache.cache.hits"],
+        lambda counters: counters["cache.cache.hits"]),
+    "cache._finish_miss": (
+        _assign(_cache, "_finish_miss", CacheTier),
+        lambda counters: counters["cache.cache.misses"],
+        lambda counters: counters["cache.cache.misses"]),
+    "cache.submit": (
+        _assign(_cache, "submit", CacheTier), _lookups,
+        lambda counters: 0),
+    # The frontend's _forward is also the graph entry's, whose fused
+    # SUBMIT it un-fuses: one fallback per request.
+    "stage._forward": (
+        _assign(lambda testbed: testbed.service._entry, "_forward",
+                GraphStage),
+        lambda counters: _GRAPH_REQUESTS,
+        lambda counters: _GRAPH_REQUESTS),
+    "FanoutService subclass": (
+        _subclass(_leaf_fanout, _CountingFanout), _subs, _subs),
+    "CacheTier subclass": (
+        _subclass(_cache, _CountingCache), _lookups, _lookups),
+}
+
+
+class TestGraphCompletionFusion:
+    @pytest.mark.parametrize("override", sorted(_COMPLETION_OVERRIDES))
+    def test_override_unfuses_exactly_its_events(self, override):
+        """Each fused completion body is keyed on a stock method of an
+        exact type.  Overriding one -- assigned on the instance or by
+        a subclass -- calls the override as often on both engines,
+        raises the fallbacks by exactly the events it un-fuses, and
+        changes no number."""
+        install, seen, unfused = _COMPLETION_OVERRIDES[override]
+        testbed = _graph_testbed("vectorized", metrics=True)
+        stock = testbed.run()
+        digests = {"stock": _column_digest(testbed)}
+        counters = _counters(stock)
+        results = {}
+        for engine in ENGINES:
+            testbed = _graph_testbed(engine, metrics=True)
+            calls = install(testbed)
+            results[engine] = testbed.run()
+            digests[engine] = _column_digest(testbed)
+            assert len(calls) == seen(counters) > 0
+        assert (_fallbacks(results["vectorized"])
+                == _fallbacks(stock) + unfused(counters))
+        assert (_without_fallbacks(results["vectorized"])
+                == results["reference"] == _without_fallbacks(stock))
+        assert len(set(digests.values())) == 1
+
+    def test_only_the_hedge_timers_fall_back(self):
+        """On memcached-cached every event but a hedge timer firing
+        (a cancellable Event) runs fused."""
+        counters = _counters(
+            _graph_testbed("vectorized", metrics=True).run())
+        assert counters["resilience.leaf.hedges"] > 0
+        assert (counters["engine.kernel.scalar_fallbacks"]
+                == counters["resilience.leaf.hedges"])
+
+    @pytest.mark.parametrize("graph, counter, count", [
+        ("colocated-join", "fanout.frontend-join.subs_completed",
+         2 * _GRAPH_REQUESTS),
+        ("always-hit", "cache.cache.hits", _GRAPH_REQUESTS),
+        ("always-miss", "cache.cache.misses", _GRAPH_REQUESTS)])
+    def test_graph_bit_identical_across_engines(self, graph, counter,
+                                                count):
+        """A co-located fan-out's shards reach _at_root by a direct
+        scalar call; a cache's degenerate ratios decide without a
+        draw.  Either way both engines agree, counters included."""
+        results, digests = {}, {}
+        for engine in ENGINES:
+            testbed = _graph_testbed(engine, graph, metrics=True)
+            results[engine] = testbed.run()
+            digests[engine] = _column_digest(testbed)
+        assert _counters(results["reference"])[counter] == count
+        assert (_without_fallbacks(results["vectorized"])
+                == results["reference"])
+        assert digests["vectorized"] == digests["reference"]
+
+
+# ---------------------------------------------------------------------------
 # Telemetry bit-identity, column by column
 # ---------------------------------------------------------------------------
 def _column_digest(testbed):
@@ -775,6 +959,10 @@ def test_fused_run_keeps_requests_in_flight_only():
     a launched request is held by nothing but its in-flight events;
     none of it changes a column."""
     num_requests = 3 * RECORD_CHUNK + 17
+    # Requests an earlier test left alive (or in an uncollected cycle)
+    # are no concern of this one: count only the excess over them.
+    gc.collect()
+    baseline = sum(type(obj) is Request for obj in gc.get_objects())
     testbeds = {
         engine: workload_by_name("memcached").build_testbed(
             seed=5, client_config=LP_CLIENT,
@@ -798,7 +986,7 @@ def test_fused_run_keeps_requests_in_flight_only():
         # Only built requests not yet recorded may be alive (in
         # flight, or in this batch); no recorded one may.
         live = sum(type(obj) is Request for obj in gc.get_objects())
-        excess_live.append(live - (built[0] - len(samples)))
+        excess_live.append(live - baseline - (built[0] - len(samples)))
         built_at_batch.append(built[0])
         batches.append(len(requests))
         record_batch(requests)
@@ -833,7 +1021,7 @@ def test_telemetry_columns_bit_identical(workload):
 # ---------------------------------------------------------------------------
 # Component counters: draws served, links, stations, events
 # ---------------------------------------------------------------------------
-#: name -> (workload, client, qps, cluster).
+#: name -> (workload, client, qps, topology: a ClusterSpec or a graph).
 _COUNTER_PLANS = {
     "memcached-LP": ("memcached", "LP", 100_000.0, None),
     "memcached-HP": ("memcached", "HP", 100_000.0, None),
@@ -842,33 +1030,53 @@ _COUNTER_PLANS = {
     "synthetic": ("synthetic", "LP", 10_000.0, None),
     "memcached-cluster": ("memcached", "LP", 100_000.0,
                           ClusterSpec(nodes=4, lb_policy="power-of-two")),
+    "memcached-cached": ("memcached", "LP", 200_000.0, "memcached-cached"),
+    # Partial fan-out draws, a straggler past the quorum per root, and
+    # shards busy enough to queue (the quorum's max queue wait).
+    "hdsearch-quorum": ("hdsearch", "LP", 4_000.0, ClusterSpec(
+        nodes=2, shards=4, fanout=2, quorum=1, lb_policy="power-of-two")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_COUNTER_PLANS))
 def test_metrics_counters_match_reference(case):
     """Every fused body draws and tallies as the reference components
-    do, so every harvested counter -- link and station tallies, events
-    dispatched, the sampler gauge -- equals the reference engine's;
+    do, so every harvested counter -- link and station tallies, fan-out,
+    cache and resilience tallies, events dispatched, the sampler
+    gauge -- and every telemetry column equals the reference engine's;
     only the kernel's fallback count is its own."""
-    workload, client, qps, cluster = _COUNTER_PLANS[case]
-    results = {}
+    workload, client, qps, topology = _COUNTER_PLANS[case]
+    results, digests = {}, {}
     for engine in ENGINES:
         builder = (experiment(workload)
                    .client(client)
                    .load(qps=qps, num_requests=300)
                    .policy(runs=1, base_seed=3, engine=engine,
                            metrics=True))
-        if cluster is not None:
-            builder = builder.cluster(cluster)
-        results[engine] = builder.build().testbed().run()
+        if isinstance(topology, ClusterSpec):
+            builder = builder.cluster(topology)
+        elif topology is not None:
+            builder = builder.graph(topology)
+        testbed = builder.build().testbed()
+        results[engine] = testbed.run()
+        digests[engine] = _column_digest(testbed)
     # Non-vacuity: the link tallies the fused SENT and FINISH bodies
-    # update inline were really counted.
+    # (and the shard hops) update inline were really counted.
     counters = dict(results["reference"].obs_metrics)
     assert any(value > 0 for name, value in counters.items()
                if name.startswith("net.") and name.endswith(".messages"))
+    if case == "hdsearch-quorum":
+        assert (_subs(counters)
+                > _tier_total(counters, "fanout.", ".roots_completed") > 0)
+        columns = testbed.generator.samples.columns
+        assert (columns.column("queue_wait_us") > 0.0).any()
+    if case == "memcached-cached":
+        assert counters["cache.cache.misses"] > 0
+        assert counters["resilience.leaf.hedges"] > 0
     assert (_without_fallbacks(results["vectorized"])
             == results["reference"])
+    # The per-request timings (queue wait, service, departure) too.
+    assert digests["vectorized"] == digests["reference"]
 
 
 # ---------------------------------------------------------------------------
