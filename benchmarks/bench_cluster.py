@@ -34,8 +34,9 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     os.pardir, "src"))
 
-from repro.cluster import ClusterSpec, build_cluster_testbed  # noqa: E402
+from repro.cluster import ClusterSpec  # noqa: E402
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE  # noqa: E402
+from repro.workloads.registry import workload_by_name  # noqa: E402
 
 BASE_QPS = 200_000.0
 NODES = 4
@@ -44,8 +45,8 @@ SEED = 7
 
 def run_topology(cluster, qps, num_requests):
     started = time.perf_counter()
-    testbed = build_cluster_testbed(
-        "memcached", seed=SEED, client_config=LP_CLIENT,
+    testbed = workload_by_name("memcached").build_testbed(
+        seed=SEED, client_config=LP_CLIENT,
         server_config=SERVER_BASELINE, qps=qps,
         num_requests=num_requests, cluster=cluster)
     metrics = testbed.run()

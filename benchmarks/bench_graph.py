@@ -34,10 +34,11 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     os.pardir, "src"))
 
-from repro.cluster import ClusterSpec, build_cluster_testbed  # noqa: E402
+from repro.cluster import ClusterSpec  # noqa: E402
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE  # noqa: E402
-from repro.graph import build_graph_testbed, graph_preset  # noqa: E402
+from repro.graph import graph_preset  # noqa: E402
 from repro.loadgen.interarrival import ArrivalSpec  # noqa: E402
+from repro.workloads.registry import workload_by_name  # noqa: E402
 
 QPS = 100_000.0
 SEED = 7
@@ -49,8 +50,8 @@ OVERHEAD_CEILING = 4.0
 
 def run_flat(num_requests):
     started = time.perf_counter()
-    testbed = build_cluster_testbed(
-        "memcached", seed=SEED, client_config=LP_CLIENT,
+    testbed = workload_by_name("memcached").build_testbed(
+        seed=SEED, client_config=LP_CLIENT,
         server_config=SERVER_BASELINE, qps=QPS,
         num_requests=num_requests, cluster=ClusterSpec(shards=8))
     metrics = testbed.run()
@@ -60,8 +61,8 @@ def run_flat(num_requests):
 
 def run_graph(num_requests, arrival=None):
     started = time.perf_counter()
-    testbed = build_graph_testbed(
-        "memcached", seed=SEED, client_config=LP_CLIENT,
+    testbed = workload_by_name("memcached").build_testbed(
+        seed=SEED, client_config=LP_CLIENT,
         server_config=SERVER_BASELINE, qps=QPS,
         num_requests=num_requests,
         graph=graph_preset("memcached-cached"), arrival=arrival)

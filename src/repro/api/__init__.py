@@ -22,8 +22,10 @@ serializable spec; run it anywhere::
 Validation happens at construction: unknown workloads fail with a
 did-you-mean error listing the registry, unknown workload parameters
 fail naming the valid keys.  New workloads join the API by calling
-:func:`register_workload` with a :class:`WorkloadDefinition` (builder
-+ parameter schema); see :mod:`repro.workloads.registry`.
+:func:`register_workload` with a :class:`WorkloadDefinition` (its
+server group, load generator and request factory + parameter
+schema), and then run on every topology; see
+:mod:`repro.workloads.registry`.
 """
 
 from repro.api.builder import PlanBuilder, experiment

@@ -27,6 +27,7 @@ the existing :class:`~repro.core.experiment.ExperimentResult`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import (
@@ -153,7 +154,7 @@ class LoadSpec:
         qps: offered load.
         num_requests: requests per run.
         warmup_fraction: leading samples to discard; ``None`` keeps
-            the workload builder's default.
+            the testbed assembly's default.
         generator: load-generator choice; ``"default"`` keeps the
             workload's own (Mutilate, wrk2, the HDSearch client).
         arrival: optional time-varying arrival shape (an
@@ -175,9 +176,9 @@ class LoadSpec:
         object.__setattr__(self, "generator", str(self.generator))
         object.__setattr__(self, "arrival",
                            as_arrival_spec(self.arrival))
-        if self.qps <= 0:
+        if not 0.0 < self.qps < math.inf:
             raise SpecValidationError(
-                f"qps must be > 0, got {self.qps!r}")
+                f"qps must be finite and > 0, got {self.qps!r}")
         if self.num_requests < 1:
             raise SpecValidationError(
                 f"num_requests must be >= 1, got {self.num_requests!r}")
@@ -587,78 +588,23 @@ class ExperimentPlan:
         kwargs = self.workload.param_dict()
         if self.load.warmup_fraction is not None:
             kwargs["warmup_fraction"] = self.load.warmup_fraction
-        if self.load.arrival is not None:
-            kwargs["arrival"] = self.load.arrival
         policy = self.policy
 
-        if self.graph is not None:
-            # Deferred import for the same reason as the cluster
-            # branch: the graph assembly pulls in every workload.
-            from repro.graph.testbed import build_graph_testbed
-            graph = self.graph
-
-            def build_graph(seed: int) -> Testbed:
-                extra = dict(kwargs)
-                obs = policy.observability()
-                if obs is not None:
-                    extra["obs"] = obs
-                if policy.engine != DEFAULT_ENGINE:
-                    extra["engine"] = policy.engine
-                return build_graph_testbed(
-                    self.workload.name, seed,
-                    client_config=self.hardware.client,
-                    server_config=self.hardware.server,
-                    qps=self.load.qps,
-                    num_requests=self.load.num_requests,
-                    graph=graph,
-                    **extra)
-
-            return build_graph
-
-        if not self.cluster.is_single_server:
-            # Deferred import: the assembly module pulls in every
-            # workload's building blocks, which only matters once a
-            # plan actually deploys a cluster.
-            from repro.cluster.testbed import build_cluster_testbed
-            cluster = self.cluster
-
-            def build_cluster(seed: int) -> Testbed:
-                # A fresh Observability per run: contexts are
-                # single-use like testbeds.  The kwarg is only passed
-                # when observability is on, so builders that predate
-                # it keep working untouched.  Same for the engine:
-                # the default kernel is spelled by absence.
-                extra = dict(kwargs)
-                obs = policy.observability()
-                if obs is not None:
-                    extra["obs"] = obs
-                if policy.engine != DEFAULT_ENGINE:
-                    extra["engine"] = policy.engine
-                return build_cluster_testbed(
-                    self.workload.name, seed,
-                    client_config=self.hardware.client,
-                    server_config=self.hardware.server,
-                    qps=self.load.qps,
-                    num_requests=self.load.num_requests,
-                    cluster=cluster,
-                    **extra)
-
-            return build_cluster
-
         def build(seed: int) -> Testbed:
-            extra = dict(kwargs)
-            obs = policy.observability()
-            if obs is not None:
-                extra["obs"] = obs
-            if policy.engine != DEFAULT_ENGINE:
-                extra["engine"] = policy.engine
+            # A fresh Observability per run: contexts are single-use
+            # like testbeds.
             return definition.build_testbed(
                 seed,
                 client_config=self.hardware.client,
                 server_config=self.hardware.server,
                 qps=self.load.qps,
                 num_requests=self.load.num_requests,
-                **extra)
+                cluster=self.cluster,
+                graph=self.graph,
+                obs=policy.observability(),
+                engine=policy.engine,
+                arrival=self.load.arrival,
+                **kwargs)
 
         return build
 

@@ -185,7 +185,7 @@ class CampaignSpec:
         num_requests: requests per run.
         base_seed: campaign-wide base seed; per-condition blocks are
             derived via :func:`cell_seed`.
-        extra: extra kwargs forwarded to the testbed builder.
+        extra: extra kwargs forwarded to the testbed assembly.
         cluster: server-side topology every condition deploys on
             (spec, dict, or ``None`` for single-server).
         engine: event-loop engine every condition runs on (``None``

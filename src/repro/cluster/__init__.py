@@ -6,9 +6,12 @@ behind a load balancer, shards with fan-out and quorum, per-shard
 replication); :class:`LoadBalancer` and :class:`FanoutService`
 implement the request lifecycle with the same ``submit(request,
 done_fn)`` interface as a single
-:class:`~repro.server.station.ServiceStation`; and
-:func:`build_cluster_testbed` assembles any adapter-registered
-workload into a cluster :class:`~repro.core.testbed.Testbed`.
+:class:`~repro.server.station.ServiceStation`.  There is no separate
+cluster testbed: every registered workload deploys as a cluster
+through the one assembly,
+:meth:`~repro.workloads.registry.WorkloadDefinition.build_testbed`
+(``cluster=...``), which builds the service tree with
+:func:`repro.cluster.testbed.build_cluster_service`.
 
 Plans carry the topology::
 
@@ -38,16 +41,8 @@ from repro.cluster.spec import (
     ClusterSpec,
     as_cluster_spec,
 )
-from repro.cluster.testbed import (
-    ClusterAdapter,
-    build_cluster_testbed,
-    cluster_adapter,
-    clustered_workloads,
-    register_cluster_adapter,
-)
 
 __all__ = [
-    "ClusterAdapter",
     "ClusterSpec",
     "FanoutService",
     "LB_LEAST_OUTSTANDING",
@@ -58,10 +53,6 @@ __all__ = [
     "LoadBalancer",
     "SINGLE_SERVER",
     "as_cluster_spec",
-    "build_cluster_testbed",
-    "cluster_adapter",
-    "clustered_workloads",
     "least_outstanding_choice",
     "power_of_two_choice",
-    "register_cluster_adapter",
 ]

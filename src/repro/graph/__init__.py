@@ -7,10 +7,13 @@ with backoff, hedged duplicates) and a hit-ratio cache model that
 short-circuits downstream fan-out on hits.
 
 Everything composes with the existing stack: tiers reuse the cluster
-assembly for their own shapes, randomness flows through the batched
-stream facade, telemetry lands in the observability registry, and
-plans carry a frozen :class:`ServiceGraphSpec` exactly the way they
-carry a :class:`~repro.cluster.spec.ClusterSpec`.
+assembly for their own shapes, telemetry lands in the observability
+registry, and plans carry a frozen :class:`ServiceGraphSpec` exactly
+the way they carry a :class:`~repro.cluster.spec.ClusterSpec`.  Every
+registered workload deploys as a graph through the one testbed
+assembly,
+:meth:`~repro.workloads.registry.WorkloadDefinition.build_testbed`
+(``graph=...``).
 """
 
 from repro.graph.cache import CacheTier
@@ -34,7 +37,6 @@ from repro.graph.spec import (
 from repro.graph.testbed import (
     GraphStage,
     ServiceGraph,
-    build_graph_testbed,
     build_service_graph,
 )
 
@@ -53,7 +55,6 @@ __all__ = [
     "TIER_SERVICE",
     "as_graph_spec",
     "as_resilience_policy",
-    "build_graph_testbed",
     "build_service_graph",
     "graph_preset",
     "graph_preset_names",

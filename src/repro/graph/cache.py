@@ -13,6 +13,7 @@ always-miss cache is draw-for-draw identical to no cache.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
@@ -42,9 +43,12 @@ class CacheTier:
         if not 0.0 <= hit_ratio <= 1.0:
             raise ConfigurationError(
                 f"hit_ratio must be in [0, 1], got {hit_ratio}")
-        if hit_service_us < 0 or fill_penalty_us < 0:
+        if not (0.0 <= hit_service_us < math.inf
+                and 0.0 <= fill_penalty_us < math.inf):
             raise ConfigurationError(
-                "cache service costs must be >= 0")
+                f"cache service costs must be finite and >= 0, got "
+                f"hit_service_us={hit_service_us}, "
+                f"fill_penalty_us={fill_penalty_us}")
         if 0.0 < hit_ratio < 1.0 and rng is None:
             raise ConfigurationError(
                 f"cache {name!r} with fractional hit_ratio needs an "

@@ -21,6 +21,7 @@ builder a deterministic construction order for free.
 from __future__ import annotations
 
 import difflib
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -94,9 +95,9 @@ class ResiliencePolicy:
                            float(self.hedge_after_us))
         object.__setattr__(self, "hedges", int(self.hedges))
         for name in _POLICY_FIELDS:
-            if getattr(self, name) < 0:
+            if not 0 <= getattr(self, name) < math.inf:
                 raise SpecValidationError(
-                    f"resilience {name} must be >= 0, "
+                    f"resilience {name} must be finite and >= 0, "
                     f"got {getattr(self, name)}")
         if (self.max_retries > 0) != (self.timeout_us > 0):
             raise SpecValidationError(
@@ -238,10 +239,11 @@ class GraphTierSpec:
                 raise SpecValidationError(
                     f"cache tier {name!r} hit_ratio must be in "
                     f"[0, 1], got {self.hit_ratio}")
-            if self.hit_service_us < 0 or self.fill_penalty_us < 0:
-                raise SpecValidationError(
-                    f"cache tier {name!r} service costs must be "
-                    f">= 0")
+            for attr in ("hit_service_us", "fill_penalty_us"):
+                if not 0.0 <= getattr(self, attr) < math.inf:
+                    raise SpecValidationError(
+                        f"cache tier {name!r} {attr} must be finite "
+                        f"and >= 0, got {getattr(self, attr)}")
         else:
             for attr in ("hit_ratio", "hit_service_us",
                          "fill_penalty_us"):

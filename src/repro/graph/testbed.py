@@ -1,7 +1,9 @@
-"""Service-graph testbed assembly: one workload, many tiers.
+"""Service-graph assembly: one workload, many tiers.
 
 Builds a :class:`~repro.graph.spec.ServiceGraphSpec` into a live
-service tree and wraps it in the same
+service tree for the one testbed assembly,
+:meth:`~repro.workloads.registry.WorkloadDefinition.build_testbed`
+(``graph=...``), which wraps it in the same
 :class:`~repro.core.testbed.Testbed` everything above consumes.  Each
 tier reuses the cluster layer's assembly for its own shape (so a
 leaf-shard tier is literally a :class:`~repro.cluster.fanout.
@@ -19,29 +21,20 @@ reproducible and adding a tier never perturbs another tier's draws.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
 from repro.cluster.fanout import FanoutService
-from repro.cluster.testbed import (
-    ClusterAdapter,
-    build_cluster_service,
-    cluster_adapter,
-)
+from repro.cluster.testbed import build_cluster_service
 from repro.config.knobs import HardwareConfig
-from repro.config.presets import SERVER_BASELINE
-from repro.core.testbed import Testbed
 from repro.graph.cache import CacheTier
 from repro.graph.resilience import ResilientDispatcher
-from repro.graph.spec import (
-    TIER_CACHE,
-    GraphTierSpec,
-    ServiceGraphSpec,
-    as_graph_spec,
-)
-from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
+from repro.graph.spec import TIER_CACHE, ServiceGraphSpec
+from repro.parameters import SkylakeParameters
 from repro.sim.engine import Simulator
-from repro.sim.kernel import make_simulator
 from repro.sim.random import RandomStreams
+
+if TYPE_CHECKING:
+    from repro.workloads.registry import WorkloadDefinition
 
 
 class GraphStage:
@@ -144,7 +137,8 @@ class ServiceGraph:
         return total
 
 
-def build_service_graph(adapter: ClusterAdapter, sim: Simulator,
+def build_service_graph(definition: "WorkloadDefinition",
+                        sim: Simulator,
                         streams: RandomStreams,
                         server_config: HardwareConfig,
                         params: SkylakeParameters,
@@ -182,10 +176,10 @@ def build_service_graph(adapter: ClusterAdapter, sim: Simulator,
             caches[tier.name] = stage
         else:
             local = build_cluster_service(
-                adapter, sim, streams, server_config, params,
+                definition, sim, streams, server_config, params,
                 tier.shape,
                 stream_prefix=f"{tier.name}/",
-                label=f"{adapter.workload}.{tier.name}",
+                label=f"{definition.name}.{tier.name}",
                 **workload_params)
             stage = GraphStage(local, downstream, name=tier.name)
         if tier.policy.is_noop:
@@ -196,73 +190,3 @@ def build_service_graph(adapter: ClusterAdapter, sim: Simulator,
             dispatchers[tier.name] = dispatcher
             entries[tier.name] = dispatcher
     return ServiceGraph(spec, entries, caches, dispatchers)
-
-
-def build_graph_testbed(
-        workload: str,
-        seed: int,
-        client_config: HardwareConfig,
-        server_config: HardwareConfig = SERVER_BASELINE,
-        qps: float = 1_000.0,
-        num_requests: int = 1_000,
-        graph: Any = None,
-        warmup_fraction: float = 0.1,
-        params: SkylakeParameters = DEFAULT_PARAMETERS,
-        obs: Any = None,
-        engine: Any = None,
-        arrival: Any = None,
-        **workload_params: Any) -> Testbed:
-    """Assemble one single-use service-graph testbed for *workload*.
-
-    Args:
-        workload: registered workload name (must have a cluster
-            adapter; the graph reuses its service and generator
-            pieces).
-        seed: root seed; every tier's streams derive from it.
-        client_config: client hardware configuration.
-        server_config: hardware configuration of every server node.
-        qps: offered load at the graph's entry tier.
-        num_requests: requests per run.
-        graph: the topology (:class:`ServiceGraphSpec` or dict).
-        warmup_fraction: leading samples to discard.
-        params: machine timing constants.
-        obs: optional :class:`~repro.obs.Observability` context.
-        engine: event-loop engine name.  The vectorized kernel fuses
-            the entry stage's station, the cache's hit and miss
-            completions and the fan-out's return path (the shard hop
-            and ``_at_root``); balancer fronts, the fan-out's submit
-            side and the resilience timers take its scalar-fallback
-            path.  Either way the run is bit-identical to the
-            reference loop.
-        arrival: optional arrival-shape spec (or dict / shape name)
-            selecting a time-varying process.
-        **workload_params: workload-specific parameters.
-    """
-    spec = as_graph_spec(graph)
-    if spec is None:
-        raise ValueError("build_graph_testbed needs a graph spec")
-    adapter = cluster_adapter(workload)
-    sim = make_simulator(engine)
-    if obs is not None:
-        obs.install(sim)
-    streams = RandomStreams(seed)
-    service = build_service_graph(
-        adapter, sim, streams, server_config, params, spec,
-        **workload_params)
-    request_factory = adapter.make_request_factory(streams)
-    gen_extra: Dict[str, Any] = {}
-    if arrival is not None:
-        from repro.loadgen.interarrival import arrival_process
-        gen_extra["interarrival"] = arrival_process(arrival, qps)
-    generator = adapter.make_generator(
-        sim, streams, client_config, service, qps, num_requests,
-        request_factory=request_factory,
-        warmup_fraction=warmup_fraction,
-        params=params,
-        **gen_extra,
-    )
-    return Testbed(
-        sim, streams, generator, service,
-        workload=str(workload), qps=qps,
-        client_config=client_config, server_config=server_config,
-    )

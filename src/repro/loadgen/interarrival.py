@@ -397,26 +397,31 @@ class ArrivalSpec:
                        "spike_factor"))
         self._require(shape == ARRIVAL_TRACE, ("path",))
         if shape == ARRIVAL_DIURNAL:
-            if self.period_us <= 0:
+            if not 0.0 < self.period_us < math.inf:
                 raise SpecValidationError(
-                    f"diurnal arrivals need period_us > 0, "
+                    f"diurnal arrivals need a finite period_us > 0, "
                     f"got {self.period_us}")
             if not 0.0 <= self.amplitude <= 1.0:
                 raise SpecValidationError(
                     f"diurnal amplitude must be in [0, 1], "
                     f"got {self.amplitude}")
+            if not math.isfinite(self.phase_us):
+                raise SpecValidationError(
+                    f"diurnal phase_us must be finite, "
+                    f"got {self.phase_us}")
         elif shape == ARRIVAL_FLASH_CROWD:
-            if self.spike_duration_us <= 0:
+            if not 0.0 < self.spike_duration_us < math.inf:
                 raise SpecValidationError(
-                    f"flash-crowd arrivals need spike_duration_us "
-                    f"> 0, got {self.spike_duration_us}")
-            if self.spike_factor < 1.0:
+                    f"flash-crowd arrivals need a finite "
+                    f"spike_duration_us > 0, "
+                    f"got {self.spike_duration_us}")
+            if not 1.0 <= self.spike_factor < math.inf:
                 raise SpecValidationError(
-                    f"flash-crowd spike_factor must be >= 1, "
-                    f"got {self.spike_factor}")
-            if self.spike_start_us < 0:
+                    f"flash-crowd spike_factor must be finite and "
+                    f">= 1, got {self.spike_factor}")
+            if not 0.0 <= self.spike_start_us < math.inf:
                 raise SpecValidationError(
-                    f"spike_start_us must be >= 0, "
+                    f"spike_start_us must be finite and >= 0, "
                     f"got {self.spike_start_us}")
         elif shape == ARRIVAL_TRACE and not self.path:
             raise SpecValidationError(
@@ -523,9 +528,9 @@ def arrival_process(arrival: Any,
                     qps: float) -> Optional[InterarrivalProcess]:
     """The runtime process for an optional arrival spec.
 
-    The shared helper workload builders use to thread a plan's
-    ``arrival`` through to their generator: ``None`` (or the default
-    Poisson spec) returns ``None``, which keeps the builder's stock
+    The helper the testbed assembly uses to thread a plan's
+    ``arrival`` through to its generator: ``None`` (or the default
+    Poisson spec) returns ``None``, which keeps the generator's stock
     exponential process.
     """
     spec = as_arrival_spec(arrival)

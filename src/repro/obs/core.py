@@ -17,12 +17,14 @@ attributes they already keep (events processed, dispatch counts,
 busy time); :meth:`Observability.finalize` harvests them all into the
 :class:`~repro.obs.metrics.MetricsRegistry` once, after the run
 drains, and returns the flattened pairs that ride on
-:class:`~repro.core.testbed.RunMetrics.obs_metrics`.
+:class:`~repro.core.testbed.RunMetrics.obs_metrics`.  A sharded
+repetition folds its shard workers' pairs with
+:func:`merge_shard_metrics`, which knows each metric's kind.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import MetricPairs, MetricsRegistry
 from repro.obs.sinks import (
@@ -216,3 +218,35 @@ class Observability:
             reg.counter("trace.dropped").add(tracer.dropped)
         self._finalized = reg.flatten()
         return self._finalized
+
+
+def merge_shard_metrics(shards: Sequence[MetricPairs]) -> MetricPairs:
+    """One repetition's metrics from its replica shards' pairs.
+
+    Counters add across shards.  The gauges :meth:`Observability.
+    finalize` sets do not: a ``*.utilization`` and
+    ``sampling.c_samplers`` average over the shards (as the run's
+    ``server_utilization`` does), a ``*.peak_*`` takes the largest,
+    and a ``cache.<name>.hit_rate`` is recomputed from the summed
+    hits and misses.  Names keep their first-seen order.
+    """
+    totals: Dict[str, float] = {}
+    counts: Dict[str, int] = {}
+    for pairs in shards:
+        for name, value in pairs:
+            name, value = str(name), float(value)
+            if name.rpartition(".")[2].startswith("peak_"):
+                totals[name] = max(totals.get(name, value), value)
+            else:
+                totals[name] = totals.get(name, 0.0) + value
+            counts[name] = counts.get(name, 0) + 1
+    for name in totals:
+        if (name.endswith(".utilization")
+                or name == "sampling.c_samplers"):
+            totals[name] /= counts[name]
+        elif name.startswith("cache.") and name.endswith(".hit_rate"):
+            prefix = name[:-len("hit_rate")]
+            hits = totals.get(prefix + "hits", 0.0)
+            lookups = hits + totals.get(prefix + "misses", 0.0)
+            totals[name] = hits / lookups if lookups else 0.0
+    return tuple(totals.items())

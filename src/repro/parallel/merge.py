@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.testbed import RunMetrics
 from repro.loadgen.measurement import PointOfMeasurement, RunSamples
+from repro.obs.core import merge_shard_metrics
 from repro.obs.sinks import (
     Window,
     _RunningMoments,
@@ -178,19 +179,6 @@ class MergedStreamingSamples:
         return self._moments_for(channel).max + offset
 
 
-def _merged_obs_metrics(payloads: Sequence[ShardPayload]
-                        ) -> Tuple[Tuple[str, float], ...]:
-    """Name-wise sums of shard observability counters, preserving
-    first-seen order.  Counters (completions, cache hits, retries) add
-    across replicas; that summed-counter semantic is the documented
-    meaning of a sharded run's ``obs_metrics``."""
-    totals: Dict[str, float] = {}
-    for payload in payloads:
-        for name, value in payload.get("obs_metrics", ()):
-            totals[str(name)] = totals.get(str(name), 0.0) + float(value)
-    return tuple(totals.items())
-
-
 def merged_run_metrics(payloads: Sequence[ShardPayload],
                        seed: int) -> RunMetrics:
     """Fold one repetition's shard payloads into its
@@ -198,7 +186,8 @@ def merged_run_metrics(payloads: Sequence[ShardPayload],
 
     Latency statistics come from the merged samples (exact columnar
     concat or streaming state merge, by payload kind); utilizations
-    average across the shard replicas; observability counters sum.
+    average across the shard replicas; observability metrics merge by
+    kind (:func:`~repro.obs.core.merge_shard_metrics`).
     """
     if not payloads:
         raise ValueError("no shard payloads to merge")
@@ -236,5 +225,6 @@ def merged_run_metrics(payloads: Sequence[ShardPayload],
         seed=int(seed),
         server_utilization=utilization,
         node_utilizations=node_utilizations,
-        obs_metrics=_merged_obs_metrics(payloads),
+        obs_metrics=merge_shard_metrics(
+            [p.get("obs_metrics", ()) for p in payloads]),
     )

@@ -114,8 +114,8 @@ def run_shard(plan: "ExperimentPlan", seed: int,
 
     The shard testbed is the plan's own builder compiled at
     ``qps / workers`` offered load over the shard's request count,
-    with two post-build adjustments that no workload builder needs to
-    know about:
+    with two post-build adjustments that the testbed assembly does
+    not need to know about:
 
     * the generator's request factory is wrapped to restripe local
       ids ``0..count`` onto the shard's global stripe (the generator

@@ -32,7 +32,7 @@ def stream_namespace(prefix: str) -> Iterator[None]:
     full testbed inside ``stream_namespace("pshard3/")`` so every
     component of the shard draws from streams keyed by
     ``(seed, "pshard3/" + name)`` -- independent of every other
-    shard's streams without touching any workload builder.  Nesting
+    shard's streams without touching the testbed assembly.  Nesting
     concatenates prefixes.  The namespace is captured by
     :class:`RandomStreams` at construction, so a registry keeps its
     namespace even when its streams are first requested outside the

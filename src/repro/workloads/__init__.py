@@ -9,13 +9,19 @@
 * :mod:`repro.workloads.synthetic` -- the tunable-service-latency
   sensitivity workload.
 
-Each workload registers a :class:`~repro.workloads.registry.\
-WorkloadDefinition` -- builder + typed parameter schema -- in
-:mod:`repro.workloads.registry`, the plugin protocol the
-:mod:`repro.api` plan layer compiles against.  Testbeds are built
-through it: ``plan.testbed(seed)``, or
-``workload_by_name(name).build_testbed(seed, ...)`` where a caller
-injects builder keywords a plan does not carry.
+Each module defines its workload's server group
+(``_<workload>_service``) and request factory
+(``_<workload>_request_factory``).  :mod:`repro.workloads.registry`
+registers each workload once as a
+:class:`~repro.workloads.registry.WorkloadDefinition` -- those two
+parts, its load generator from :mod:`repro.loadgen` and a typed
+parameter schema -- the plugin protocol the :mod:`repro.api` plan
+layer compiles against.
+:meth:`~repro.workloads.registry.WorkloadDefinition.build_testbed` is
+the one testbed assembly, for the single server, a cluster and a
+service graph alike: ``plan.testbed(seed)`` calls it, and so can a
+caller injecting keywords a plan does not carry
+(``workload_by_name(name).build_testbed(seed, ...)``).
 """
 
 from repro.workloads.etc import EtcWorkload

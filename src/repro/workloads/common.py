@@ -1,4 +1,4 @@
-"""Helpers shared by the workload builders."""
+"""Helpers shared by the testbed assembly's topologies."""
 
 from __future__ import annotations
 

@@ -12,17 +12,12 @@ from __future__ import annotations
 from typing import List
 
 from repro.config.knobs import HardwareConfig
-from repro.config.presets import SERVER_BASELINE
-from repro.core.testbed import Testbed
-from repro.loadgen.mutilate import build_mutilate
 from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
 from repro.server.request import Request
 from repro.server.service import LognormalService
 from repro.server.station import ServiceStation
 from repro.sim.engine import Simulator
-from repro.sim.kernel import make_simulator
 from repro.sim.random import RandomStreams
-from repro.workloads.common import server_env_scale
 from repro.workloads.etc import EtcWorkload
 
 #: Worker threads of the Memcached instance (paper Section IV-B).
@@ -100,61 +95,3 @@ def _memcached_request_factory(streams: RandomStreams):
         return Request(index, pending.pop())
 
     return request_factory
-
-
-def _memcached_testbed(
-        seed: int,
-        client_config: HardwareConfig,
-        server_config: HardwareConfig = SERVER_BASELINE,
-        qps: float = 100_000.0,
-        num_requests: int = 2_000,
-        warmup_fraction: float = 0.1,
-        params: SkylakeParameters = DEFAULT_PARAMETERS,
-        obs=None,
-        engine=None,
-        arrival=None,
-        ) -> Testbed:
-    """Assemble one single-use Memcached testbed.
-
-    Args:
-        seed: root seed; every stochastic component derives from it.
-        client_config: LP or HP client hardware configuration.
-        server_config: server hardware configuration (baseline, SMT
-            variant, or C1E variant).
-        qps: offered load (the paper sweeps 10K-500K).
-        num_requests: requests per run (stands in for the paper's
-            2-minute duration; the statistics are per-run summaries
-            either way).
-        warmup_fraction: leading samples to discard.
-        params: machine timing constants.
-        obs: optional :class:`~repro.obs.Observability` context,
-            installed on the simulator before any component builds so
-            every hook sees it.
-        engine: event-loop engine name (``None`` selects the
-            default fused kernel; ``"reference"`` the pure-Python
-            loop it is bit-identical to).
-        arrival: optional arrival-shape spec (or dict / shape name);
-            ``None`` keeps the stock Poisson process.
-    """
-    from repro.loadgen.interarrival import arrival_process
-    sim = make_simulator(engine)
-    if obs is not None:
-        obs.install(sim)
-    streams = RandomStreams(seed)
-    request_factory = _memcached_request_factory(streams)
-    station = _memcached_service(
-        sim, streams, server_config, params,
-        env_scale=server_env_scale(streams, params),
-    )
-    generator = build_mutilate(
-        sim, streams, client_config, station, qps, num_requests,
-        request_factory=request_factory,
-        warmup_fraction=warmup_fraction,
-        params=params,
-        interarrival=arrival_process(arrival, qps),
-    )
-    return Testbed(
-        sim, streams, generator, station,
-        workload="memcached", qps=qps,
-        client_config=client_config, server_config=server_config,
-    )

@@ -2,35 +2,44 @@
 
 Experiment specs are *data* (dicts, JSON, database rows), so they
 cannot hold a builder callable directly -- and multiprocessing workers
-need to reconstruct the builder on the far side of a pickle boundary.
+need to reconstruct the testbed on the far side of a pickle boundary.
 The registry gives every workload a stable string name plus a **typed
-parameter schema**: a :class:`WorkloadDefinition` pairs the testbed
-builder with the :class:`ParamSpec`s of its extra knobs (e.g. the
+parameter schema**: a :class:`WorkloadDefinition` pairs the workload's
+three parts (its server group, its load generator and its request
+factory) with the :class:`ParamSpec`s of its extra knobs (e.g. the
 synthetic workload's ``added_delay_us``), its load-generator identity
 and its default/paper load points.
 
-This is the plugin protocol new workloads implement::
+:meth:`WorkloadDefinition.build_testbed` is the one testbed assembly
+for every topology: the bare server group, a
+:class:`~repro.cluster.spec.ClusterSpec` deployment or a
+:class:`~repro.graph.spec.ServiceGraphSpec`, all from the same three
+parts.  This is the plugin protocol new workloads implement::
 
     register_workload(WorkloadDefinition(
         name="myservice",
-        builder=_myservice_testbed,
+        make_service=myservice_group,       # one server group
+        make_generator=build_mutilate,      # the load generator
+        make_request_factory=myservice_requests,
         params=(ParamSpec("fanout", int, 4, minimum=1),),
         default_qps=1_000.0,
         default_num_requests=1_000,
     ))
 
-Anything registered this way is addressable from the whole stack:
-:class:`repro.api.ExperimentPlan` validates parameters against the
-schema at construction, campaigns expand into plans over it, and the
-CLI lists it.  A plan or campaign parameter outside the schema is
-rejected by name.
+Anything registered this way is addressable from the whole stack and
+deploys on every topology: :class:`repro.api.ExperimentPlan`
+validates parameters against the schema at construction, campaigns
+expand into plans over it, and the CLI lists it.  A plan or campaign
+parameter outside the schema is rejected by name.
 """
 
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -40,16 +49,37 @@ from typing import (
     Tuple,
 )
 
+from repro.config.knobs import HardwareConfig
 from repro.core.testbed import Testbed
 from repro.errors import ExperimentError, SpecValidationError
-from repro.workloads.hdsearch import _hdsearch_testbed
-from repro.workloads.memcached import _memcached_testbed
-from repro.workloads.socialnetwork import _socialnetwork_testbed
-from repro.workloads.synthetic import _synthetic_testbed
+from repro.loadgen.hdsearch_client import build_hdsearch_client
+from repro.loadgen.interarrival import arrival_process
+from repro.loadgen.mutilate import build_mutilate
+from repro.loadgen.wrk2 import build_wrk2
+from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
+from repro.sim.kernel import make_simulator
+from repro.sim.random import RandomStreams
+from repro.workloads.common import server_env_scale
+from repro.workloads.hdsearch import (
+    _hdsearch_request_factory,
+    _hdsearch_service,
+)
+from repro.workloads.memcached import (
+    _memcached_request_factory,
+    _memcached_service,
+)
+from repro.workloads.socialnetwork import (
+    _socialnetwork_request_factory,
+    _socialnetwork_service,
+)
+from repro.workloads.synthetic import (
+    _synthetic_request_factory,
+    _synthetic_service,
+)
 
-#: A testbed builder: ``builder(seed=..., client_config=...,
-#: server_config=..., qps=..., num_requests=..., **extra) -> Testbed``.
-TestbedBuilder = Callable[..., Testbed]
+if TYPE_CHECKING:
+    from repro.cluster.spec import ClusterSpec
+    from repro.graph.spec import ServiceGraphSpec
 
 #: The paper's load sweeps, per workload (Section IV-B).
 DEFAULT_QPS_SWEEPS: Dict[str, Tuple[float, ...]] = {
@@ -66,11 +96,11 @@ class ParamSpec:
     """Schema entry for one workload parameter.
 
     Attributes:
-        name: the builder keyword, e.g. ``"added_delay_us"``.
+        name: the ``build_testbed`` keyword, e.g. ``"added_delay_us"``.
         kind: expected Python type (``float``, ``int``, ``bool`` or
             ``str``).  Integers are accepted for ``float`` parameters
             and normalized, matching JSON's single number type.
-        default: value the builder uses when the parameter is absent.
+        default: value the workload uses when the parameter is absent.
         doc: one-line description for error messages and ``repro plan``.
         minimum: optional lower bound (inclusive) for numeric kinds.
         below: optional upper bound (exclusive) for numeric kinds.
@@ -108,6 +138,12 @@ class ParamSpec:
             raise SpecValidationError(
                 f"workload {workload!r} parameter {self.name!r} must "
                 f"be {self.kind.__name__}, got {value!r}")
+        if self.kind is float and not math.isfinite(value):
+            # NaN passes every bound test below; infinity no bound
+            # excludes.
+            raise SpecValidationError(
+                f"workload {workload!r} parameter {self.name!r} must "
+                f"be finite, got {value!r}")
         if self.minimum is not None and value < self.minimum:
             raise SpecValidationError(
                 f"workload {workload!r} parameter {self.name!r} must "
@@ -119,11 +155,11 @@ class ParamSpec:
         return value
 
 
-#: Builder keywords every paper testbed accepts beyond the universal
-#: five (seed / client_config / server_config / qps / num_requests).
-#: Campaign ``extra`` dicts may carry them for backwards
-#: compatibility; :class:`repro.api.ExperimentPlan` routes them
-#: through :class:`~repro.api.LoadSpec` instead.
+#: ``build_testbed`` keywords every workload accepts beyond the
+#: universal five (seed / client_config / server_config / qps /
+#: num_requests).  Campaign ``extra`` dicts may carry them for
+#: backwards compatibility; :class:`repro.api.ExperimentPlan` routes
+#: them through :class:`~repro.api.LoadSpec` instead.
 UNIVERSAL_BUILDER_PARAMS: Tuple[ParamSpec, ...] = (
     ParamSpec("warmup_fraction", float, 0.1,
               "leading samples to discard", minimum=0.0, below=1.0),
@@ -132,24 +168,34 @@ UNIVERSAL_BUILDER_PARAMS: Tuple[ParamSpec, ...] = (
 
 @dataclass(frozen=True)
 class WorkloadDefinition:
-    """One registered workload: builder, schema, defaults.
+    """One registered workload: its three parts, schema, defaults.
 
     Attributes:
         name: stable workload name, e.g. ``"memcached"``.
-        builder: the testbed factory (called with the universal
-            keywords plus any schema parameters).
+        make_service: ``(sim, streams, server_config, params, *,
+            env_scale=..., name=..., stream_prefix=...,
+            **workload_params) -> service`` -- one server group (a
+            station or a tiered service).  ``stream_prefix``
+            namespaces its random streams so cluster nodes and graph
+            tiers draw independently; the defaults are the
+            single-server testbed's names.
+        make_generator: the load-generator builder
+            (``build_mutilate``-shaped).
+        make_request_factory: ``(streams) -> (index -> Request)``.
         params: schema of the workload-specific parameters.
         description: one-line summary for listings.
-        generator: identity of the load generator the builder wires
-            in (``repro plan`` and :class:`~repro.api.LoadSpec`'s
+        generator: identity of the load generator ``make_generator``
+            builds (``repro plan`` and :class:`~repro.api.LoadSpec`'s
             ``generator`` field validate against it).
-        default_qps: builder's default offered load.
-        default_num_requests: builder's default requests per run.
+        default_qps: default offered load.
+        default_num_requests: default requests per run.
         qps_sweep: the paper's load sweep for this workload.
     """
 
     name: str
-    builder: TestbedBuilder
+    make_service: Callable[..., Any]
+    make_generator: Callable[..., Any]
+    make_request_factory: Callable[[RandomStreams], Callable[[int], Any]]
     params: Tuple[ParamSpec, ...] = ()
     description: str = ""
     generator: str = "default"
@@ -200,17 +246,89 @@ class WorkloadDefinition:
             out[key] = spec.validate(self.name, value)
         return out
 
-    def build_testbed(self, seed: int, *, client_config: Any,
-                      server_config: Any, qps: float,
-                      num_requests: int, **params: Any) -> Testbed:
-        """Invoke the builder with the universal keywords + *params*."""
-        return self.builder(
-            seed=seed,
-            client_config=client_config,
-            server_config=server_config,
-            qps=qps,
-            num_requests=num_requests,
-            **params)
+    def build_testbed(self, seed: int, *,
+                      client_config: HardwareConfig,
+                      server_config: HardwareConfig,
+                      qps: float,
+                      num_requests: int,
+                      cluster: Optional["ClusterSpec"] = None,
+                      graph: Optional["ServiceGraphSpec"] = None,
+                      warmup_fraction: float = 0.1,
+                      params: SkylakeParameters = DEFAULT_PARAMETERS,
+                      obs: Any = None,
+                      engine: Optional[str] = None,
+                      arrival: Any = None,
+                      **workload_params: Any) -> Testbed:
+        """Assemble one single-use testbed of this workload.
+
+        The one testbed assembly for every topology.  The service is
+        the bare server group when neither *cluster* nor *graph* asks
+        for more, the cluster layer's balancer/fan-out tree for a
+        multi-server *cluster*, or the service graph for *graph*.
+        Stream identity is ``(seed, name)``, so every topology keeps
+        its historical stream and station names: unprefixed for the
+        single server, ``node<i>/...`` for a cluster and
+        ``<tier>/node<i>/...`` for a graph tier.
+
+        Args:
+            seed: root seed; every stochastic component derives
+                from it.
+            client_config: client hardware configuration.
+            server_config: hardware configuration of every server.
+            qps: offered load (aggregate, at the entry point).
+            num_requests: requests per run.
+            cluster: the topology to deploy; ``None`` and the
+                single-server spec build the bare server group.
+            graph: a service-graph topology (each tier carries its
+                own shape, so *cluster* is ignored when this is set).
+            warmup_fraction: leading samples to discard.
+            params: machine timing constants.
+            obs: optional :class:`~repro.obs.Observability` context,
+                installed on the simulator before any component
+                builds so every hook sees it.
+            engine: event-loop engine name (``None`` selects the
+                default fused kernel; ``"reference"`` the pure-Python
+                loop it is bit-identical to).
+            arrival: optional arrival-shape spec (or dict / shape
+                name); ``None`` keeps the generator's stock Poisson
+                process.
+            **workload_params: workload-specific parameters (e.g. the
+                synthetic workload's ``added_delay_us``).
+        """
+        sim = make_simulator(engine)
+        if obs is not None:
+            obs.install(sim)
+        streams = RandomStreams(seed)
+        service: Any
+        if graph is not None:
+            # Deferred imports: the graph and cluster layers matter
+            # only once a testbed deploys them.
+            from repro.graph.testbed import build_service_graph
+            service = build_service_graph(
+                self, sim, streams, server_config, params, graph,
+                **workload_params)
+        elif cluster is not None and not cluster.is_single_server:
+            from repro.cluster.testbed import build_cluster_service
+            service = build_cluster_service(
+                self, sim, streams, server_config, params, cluster,
+                **workload_params)
+        else:
+            service = self.make_service(
+                sim, streams, server_config, params,
+                env_scale=server_env_scale(streams, params),
+                **workload_params)
+        generator = self.make_generator(
+            sim, streams, client_config, service, qps, num_requests,
+            request_factory=self.make_request_factory(streams),
+            warmup_fraction=warmup_fraction,
+            params=params,
+            interarrival=arrival_process(arrival, qps),
+        )
+        return Testbed(
+            sim, streams, generator, service,
+            workload=self.name, qps=qps,
+            client_config=client_config, server_config=server_config,
+        )
 
 
 _WORKLOADS: Dict[str, WorkloadDefinition] = {}
@@ -273,7 +391,9 @@ def registered_workloads() -> Sequence[str]:
 # The paper's four workloads.
 register_workload(WorkloadDefinition(
     name="memcached",
-    builder=_memcached_testbed,
+    make_service=_memcached_service,
+    make_generator=build_mutilate,
+    make_request_factory=_memcached_request_factory,
     description="Memcached + Mutilate replaying Facebook ETC "
                 "(Section IV-B)",
     generator="mutilate",
@@ -283,7 +403,9 @@ register_workload(WorkloadDefinition(
 ))
 register_workload(WorkloadDefinition(
     name="hdsearch",
-    builder=_hdsearch_testbed,
+    make_service=_hdsearch_service,
+    make_generator=build_hdsearch_client,
+    make_request_factory=_hdsearch_request_factory,
     description="MicroSuite HDSearch: 3-tier image similarity over "
                 "a real LSH index",
     generator="hdsearch-client",
@@ -293,7 +415,9 @@ register_workload(WorkloadDefinition(
 ))
 register_workload(WorkloadDefinition(
     name="socialnetwork",
-    builder=_socialnetwork_testbed,
+    make_service=_socialnetwork_service,
+    make_generator=build_wrk2,
+    make_request_factory=_socialnetwork_request_factory,
     description="DeathStarBench Social Network on a Reed98-scale "
                 "social graph",
     generator="wrk2",
@@ -303,7 +427,9 @@ register_workload(WorkloadDefinition(
 ))
 register_workload(WorkloadDefinition(
     name="synthetic",
-    builder=_synthetic_testbed,
+    make_service=_synthetic_service,
+    make_generator=build_mutilate,
+    make_request_factory=_synthetic_request_factory,
     params=(
         ParamSpec("added_delay_us", float, 0.0,
                   "busy-wait service-time extension (Fig. 7)",

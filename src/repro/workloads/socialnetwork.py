@@ -24,18 +24,13 @@ from typing import TYPE_CHECKING, Tuple
 import numpy as np
 
 from repro.config.knobs import HardwareConfig
-from repro.config.presets import SERVER_BASELINE
-from repro.core.testbed import Testbed
-from repro.loadgen.wrk2 import build_wrk2
 from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
 from repro.server.request import Request
 from repro.server.service import LognormalService
 from repro.server.station import ServiceStation
 from repro.server.tiers import TierSpec, TieredService
 from repro.sim.engine import Simulator
-from repro.sim.kernel import make_simulator
 from repro.sim.random import RandomStreams
-from repro.workloads.common import server_env_scale
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -158,56 +153,3 @@ def _socialnetwork_request_factory(streams: RandomStreams):
         return Request(request_id=index, size_kb=SOCIAL_MESSAGE_KB)
 
     return request_factory
-
-
-def _socialnetwork_testbed(
-        seed: int,
-        client_config: HardwareConfig,
-        server_config: HardwareConfig = SERVER_BASELINE,
-        qps: float = 300.0,
-        num_requests: int = 800,
-        warmup_fraction: float = 0.1,
-        params: SkylakeParameters = DEFAULT_PARAMETERS,
-        obs=None,
-        engine=None,
-        arrival=None,
-        ) -> Testbed:
-    """Assemble one single-use Social Network testbed.
-
-    Args:
-        seed: root seed for the run.
-        client_config: LP or HP client hardware configuration.
-        server_config: server-node hardware configuration.
-        qps: offered load (the paper sweeps 100-600 QPS).
-        num_requests: requests per run.
-        warmup_fraction: leading samples to discard.
-        params: machine timing constants.
-        obs: optional :class:`~repro.obs.Observability` context.
-        engine: event-loop engine name (``None`` selects the
-            default fused kernel; ``"reference"`` the pure-Python
-            loop it is bit-identical to).
-        arrival: optional arrival-shape spec (or dict / shape name);
-            ``None`` keeps the stock Poisson process.
-    """
-    from repro.loadgen.interarrival import arrival_process
-    sim = make_simulator(engine)
-    if obs is not None:
-        obs.install(sim)
-    streams = RandomStreams(seed)
-    service = _socialnetwork_service(
-        sim, streams, server_config, params,
-        env_scale=server_env_scale(streams, params),
-    )
-    request_factory = _socialnetwork_request_factory(streams)
-    generator = build_wrk2(
-        sim, streams, client_config, service, qps, num_requests,
-        request_factory=request_factory,
-        warmup_fraction=warmup_fraction,
-        params=params,
-        interarrival=arrival_process(arrival, qps),
-    )
-    return Testbed(
-        sim, streams, generator, service,
-        workload="socialnetwork", qps=qps,
-        client_config=client_config, server_config=server_config,
-    )

@@ -12,18 +12,13 @@ from __future__ import annotations
 
 
 from repro.config.knobs import HardwareConfig
-from repro.config.presets import SERVER_BASELINE
-from repro.core.testbed import Testbed
 from repro.errors import ConfigurationError
-from repro.loadgen.mutilate import build_mutilate
 from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
 from repro.server.request import Request
 from repro.server.service import LognormalService
 from repro.server.station import ServiceStation
 from repro.sim.engine import Simulator
-from repro.sim.kernel import make_simulator
 from repro.sim.random import RandomStreams
-from repro.workloads.common import server_env_scale
 
 #: Worker threads (10, pinned on a single socket -- Section IV-B).
 SYNTHETIC_WORKERS = 10
@@ -75,59 +70,3 @@ def _synthetic_request_factory(streams: RandomStreams):
         return Request(request_id=index, size_kb=SYNTHETIC_MESSAGE_KB)
 
     return request_factory
-
-
-def _synthetic_testbed(
-        seed: int,
-        client_config: HardwareConfig,
-        server_config: HardwareConfig = SERVER_BASELINE,
-        qps: float = 10_000.0,
-        added_delay_us: float = 0.0,
-        num_requests: int = 2_000,
-        warmup_fraction: float = 0.1,
-        params: SkylakeParameters = DEFAULT_PARAMETERS,
-        obs=None,
-        engine=None,
-        arrival=None,
-        ) -> Testbed:
-    """Assemble one single-use synthetic-workload testbed.
-
-    Args:
-        seed: root seed for the run.
-        client_config: LP or HP client hardware configuration.
-        server_config: server hardware configuration.
-        qps: offered load (the paper sweeps 5K-20K).
-        added_delay_us: the tunable busy-wait extension (0-400 us).
-        num_requests: requests per run.
-        warmup_fraction: leading samples to discard.
-        params: machine timing constants.
-        obs: optional :class:`~repro.obs.Observability` context.
-        engine: event-loop engine name (``None`` selects the
-            default fused kernel; ``"reference"`` the pure-Python
-            loop it is bit-identical to).
-        arrival: optional arrival-shape spec (or dict / shape name);
-            ``None`` keeps the stock Poisson process.
-    """
-    from repro.loadgen.interarrival import arrival_process
-    sim = make_simulator(engine)
-    if obs is not None:
-        obs.install(sim)
-    streams = RandomStreams(seed)
-    station = _synthetic_service(
-        sim, streams, server_config, params,
-        env_scale=server_env_scale(streams, params),
-        added_delay_us=added_delay_us,
-    )
-    request_factory = _synthetic_request_factory(streams)
-    generator = build_mutilate(
-        sim, streams, client_config, station, qps, num_requests,
-        request_factory=request_factory,
-        warmup_fraction=warmup_fraction,
-        params=params,
-        interarrival=arrival_process(arrival, qps),
-    )
-    return Testbed(
-        sim, streams, generator, station,
-        workload="synthetic", qps=qps,
-        client_config=client_config, server_config=server_config,
-    )

@@ -1,16 +1,20 @@
 """Execution parity for the plan layer.
 
 Golden-value tests prove plan-built memcached/hdsearch/synthetic runs
-are bit-identical to the workload builders called directly at
-seed 1234, and that campaign conditions run the plans they hold.
+are bit-identical to ``WorkloadDefinition.build_testbed`` called
+directly at seed 1234, that one registration deploys on every
+topology, and that campaign conditions run the plans they hold.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.api import experiment
 from repro.campaign.spec import CampaignSpec
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
-from repro.workloads.registry import workload_by_name
+from repro.workloads import registry
+from repro.workloads.registry import register_workload, workload_by_name
 
 from test_golden_values import GOLDEN, GOLDEN_SEED
 
@@ -40,7 +44,8 @@ def test_plan_run_matches_golden_values(workload):
 
 @pytest.mark.parametrize("workload", sorted(GOLDEN))
 def test_plan_testbed_matches_legacy_builder(workload):
-    """plan.testbed(seed) == the registered builder, bit for bit."""
+    """plan.testbed(seed) == build_testbed called directly, bit for
+    bit."""
     qps, num_requests = GOLDEN[workload][:2]
     legacy = workload_by_name(workload).build_testbed(
         seed=GOLDEN_SEED, client_config=LP_CLIENT,
@@ -58,6 +63,36 @@ def test_plan_testbed_names_its_workload(workload):
     testbed = (experiment(workload).client(LP_CLIENT)
                .load(qps=qps, num_requests=30).build().testbed(1))
     assert testbed.workload == workload
+
+
+#: topology -> how a plan builder deploys on it.
+TOPOLOGIES = {
+    "single-server": lambda builder: builder,
+    "p2c-cluster": lambda builder: builder.cluster(
+        nodes=2, lb_policy="power-of-two"),
+    "cached-graph": lambda builder: builder.graph("memcached-cached"),
+}
+
+
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_one_registration_runs_on_every_topology(monkeypatch, topology,
+                                                 engine):
+    """A workload registered once deploys on every topology: a copy
+    of ``synthetic`` under another name runs the same numbers (no
+    stream name or RunMetrics field carries the workload's name)."""
+    monkeypatch.setattr(registry, "_WORKLOADS", dict(registry._WORKLOADS))
+    register_workload(dataclasses.replace(
+        workload_by_name("synthetic"), name="synthetic-copy"))
+
+    def runs(workload):
+        builder = (experiment(workload).client(LP_CLIENT)
+                   .load(qps=10_000, num_requests=200))
+        plan = (TOPOLOGIES[topology](builder)
+                .policy(runs=2, base_seed=7, engine=engine).build())
+        return plan.run().runs
+
+    assert runs("synthetic-copy") == runs("synthetic")
 
 
 def test_condition_to_plan_matches_direct_plan_execution():
@@ -132,16 +167,17 @@ class TestCampaignExtraValidation:
         """Campaign extra canonicalizes ints to floats for hashing;
         int-kind schema parameters must still validate and come back
         as ints."""
+        import dataclasses
+
         from repro.workloads.registry import (
             ParamSpec,
-            WorkloadDefinition,
             register_workload,
             workload_by_name,
         )
 
-        register_workload(WorkloadDefinition(
+        register_workload(dataclasses.replace(
+            workload_by_name("memcached"),
             name="int-param-test",
-            builder=workload_by_name("memcached").builder,
             params=(ParamSpec("fanout", int, 4, minimum=1),),
         ), replace=True)
         spec = CampaignSpec(**self.base(

@@ -2,6 +2,7 @@
 content-hash stability, fluent construction and sweeps."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +26,8 @@ from repro.config.presets import (
     server_with_smt,
 )
 from repro.errors import SpecValidationError
+from repro.graph.spec import GraphTierSpec, ResiliencePolicy
+from repro.loadgen.interarrival import ArrivalSpec
 
 
 def small_plan(**policy):
@@ -133,6 +136,53 @@ class TestLoadSpec:
         implicit = experiment("memcached").build()
         assert explicit == implicit
         assert explicit.content_hash() == implicit.content_hash()
+
+
+def _cache_tier(**costs):
+    return GraphTierSpec(name="cache", kind="cache", downstream=("leaf",),
+                         hit_ratio=0.8, **costs)
+
+
+#: field -> a spec built with that field set to the given number.
+NUMERIC_FIELDS = {
+    "qps": lambda v: LoadSpec(qps=v),
+    "added_delay_us": lambda v: WorkloadSpec.create(
+        "synthetic", added_delay_us=v),
+    "hit_service_us": lambda v: _cache_tier(hit_service_us=v),
+    "fill_penalty_us": lambda v: _cache_tier(fill_penalty_us=v),
+    "timeout_us": lambda v: ResiliencePolicy(timeout_us=v, max_retries=1),
+    "backoff_us": lambda v: ResiliencePolicy(
+        timeout_us=100.0, max_retries=1, backoff_us=v),
+    "hedge_after_us": lambda v: ResiliencePolicy(hedge_after_us=v,
+                                                 hedges=1),
+    "period_us": lambda v: ArrivalSpec(shape="diurnal", period_us=v,
+                                       amplitude=0.5),
+    "phase_us": lambda v: ArrivalSpec(shape="diurnal", period_us=1e4,
+                                      amplitude=0.5, phase_us=v),
+    "spike_start_us": lambda v: ArrivalSpec(
+        shape="flash-crowd", spike_start_us=v, spike_duration_us=1e3,
+        spike_factor=2.0),
+    "spike_duration_us": lambda v: ArrivalSpec(
+        shape="flash-crowd", spike_duration_us=v, spike_factor=2.0),
+    "spike_factor": lambda v: ArrivalSpec(
+        shape="flash-crowd", spike_duration_us=1e3, spike_factor=v),
+}
+
+
+class TestNonFiniteNumbers:
+    """NaN passes every ``<``/``<=`` bound and no bound excludes
+    infinity: each numeric spec field rejects both by name, at
+    construction, before anything runs."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
+    def test_rejected_naming_the_field(self, field, value):
+        with pytest.raises(SpecValidationError, match=field):
+            NUMERIC_FIELDS[field](value)
+
+    @pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
+    def test_finite_values_still_build(self, field):
+        NUMERIC_FIELDS[field](5.0)
 
 
 class TestHardwareSpec:

@@ -1,6 +1,7 @@
 """Tests for campaign execution: parallelism, memoization, resume,
 failure isolation."""
 
+import dataclasses
 import multiprocessing
 
 import pytest
@@ -57,8 +58,11 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         original = workload_by_name("memcached")
-        bare = WorkloadDefinition(name="memcached",
-                                  builder=original.builder)
+        bare = WorkloadDefinition(
+            name="memcached",
+            make_service=original.make_service,
+            make_generator=original.make_generator,
+            make_request_factory=original.make_request_factory)
         try:
             with pytest.raises(ExperimentError):
                 register_workload(bare)
@@ -170,24 +174,27 @@ class TestMemoization:
             assert store.count() == spec.size()
 
 
-def _broken_builder(seed, client_config, server_config=None, qps=0.0,
-                    num_requests=0, **extra):
+def _broken_generator(sim, streams, client_config, service, qps,
+                      *args, **kwargs):
     raise RuntimeError(f"injected failure at qps={qps:g}")
 
 
-def _flaky_builder(seed, client_config, server_config=None,
-                   qps=0.0, num_requests=0, **extra):
+def _flaky_generator(sim, streams, client_config, service, qps,
+                     *args, **kwargs):
     if qps >= 50_000:
         raise RuntimeError("injected failure above 50K")
-    return workload_by_name("memcached").build_testbed(
-        seed, client_config=client_config, server_config=server_config,
-        qps=qps, num_requests=num_requests, **extra)
+    return workload_by_name("memcached").make_generator(
+        sim, streams, client_config, service, qps, *args, **kwargs)
 
 
-register_workload(WorkloadDefinition(
-    name="broken-test", builder=_broken_builder), replace=True)
-register_workload(WorkloadDefinition(
-    name="flaky-test", builder=_flaky_builder), replace=True)
+# Copies of memcached whose generator raises: they fail at testbed
+# build, inside the campaign's failure isolation.
+register_workload(dataclasses.replace(
+    workload_by_name("memcached"), name="broken-test",
+    make_generator=_broken_generator), replace=True)
+register_workload(dataclasses.replace(
+    workload_by_name("memcached"), name="flaky-test",
+    make_generator=_flaky_generator), replace=True)
 
 
 class TestFailureIsolation:

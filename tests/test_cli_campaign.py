@@ -1,11 +1,12 @@
 """End-to-end tests for the ``repro campaign`` CLI."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.workloads.registry import WorkloadDefinition, register_workload
+from repro.workloads.registry import register_workload, workload_by_name
 
 SPEC = {
     "name": "cli-campaign",
@@ -71,11 +72,12 @@ class TestCampaignRun:
 
     def test_failed_condition_sets_exit_code(self, tmp_path, store_path,
                                              capsys):
-        def broken(**kwargs):
+        def broken(*args, **kwargs):
             raise RuntimeError("injected build failure")
 
-        register_workload(WorkloadDefinition(
-            name="cli-broken-test", builder=broken), replace=True)
+        register_workload(dataclasses.replace(
+            workload_by_name("memcached"), name="cli-broken-test",
+            make_generator=broken), replace=True)
         bad = dict(SPEC, workload="cli-broken-test")
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))

@@ -10,7 +10,6 @@ the shard-subset draw:
   shard latencies.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +17,6 @@ from repro.cluster import (
     ClusterSpec,
     FanoutService,
     LB_POLICIES,
-    build_cluster_testbed,
 )
 from repro.cluster.balancer import (
     least_outstanding_choice,
@@ -28,6 +26,7 @@ from repro.config.presets import LP_CLIENT, SERVER_BASELINE
 from repro.server.request import Request
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+from repro.workloads.registry import workload_by_name
 
 outstanding_lists = st.lists(
     st.integers(min_value=0, max_value=1_000), min_size=1,
@@ -113,8 +112,8 @@ class TestQuorumOrderStatistic:
 
 def _small_cluster_metrics(nodes, shards, fanout, quorum, policy,
                            seed):
-    testbed = build_cluster_testbed(
-        "synthetic", seed=seed, client_config=LP_CLIENT,
+    testbed = workload_by_name("synthetic").build_testbed(
+        seed=seed, client_config=LP_CLIENT,
         server_config=SERVER_BASELINE, qps=20_000.0,
         num_requests=40,
         cluster=ClusterSpec(nodes=nodes, shards=shards,
@@ -169,8 +168,8 @@ class TestEndToEndConservation:
         balancer over the replicas, like the nodes= layout."""
         from repro.cluster import LoadBalancer
 
-        testbed = build_cluster_testbed(
-            "synthetic", seed=1, client_config=LP_CLIENT,
+        testbed = workload_by_name("synthetic").build_testbed(
+            seed=1, client_config=LP_CLIENT,
             server_config=SERVER_BASELINE, qps=20_000.0,
             num_requests=40,
             cluster=ClusterSpec(replication=2,
@@ -187,8 +186,8 @@ class TestEndToEndConservation:
         testbed, _ = _small_cluster_metrics(
             3, 1, 0, 0, "least-outstanding", seed=5)
         # Re-run a fresh testbed with the dispatch hook armed.
-        testbed = build_cluster_testbed(
-            "synthetic", seed=5, client_config=LP_CLIENT,
+        testbed = workload_by_name("synthetic").build_testbed(
+            seed=5, client_config=LP_CLIENT,
             server_config=SERVER_BASELINE, qps=40_000.0,
             num_requests=120,
             cluster=ClusterSpec(nodes=3,

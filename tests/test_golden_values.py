@@ -21,10 +21,10 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterSpec, build_cluster_testbed
+from repro.cluster import ClusterSpec
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
 from repro.core.experiment import MODEL_EPOCH
-from repro.graph import build_graph_testbed, graph_preset
+from repro.graph import graph_preset
 from repro.loadgen.interarrival import ArrivalSpec
 from repro.workloads.registry import workload_by_name
 
@@ -108,8 +108,8 @@ CLUSTER_GOLDEN = {
 
 def _cluster_testbed(scenario, engine=None):
     workload, cluster, qps, num_requests = CLUSTER_GOLDEN[scenario][:4]
-    return build_cluster_testbed(
-        workload, seed=GOLDEN_SEED,
+    return workload_by_name(workload).build_testbed(
+        seed=GOLDEN_SEED,
         client_config=LP_CLIENT, server_config=SERVER_BASELINE,
         qps=qps, num_requests=num_requests, cluster=cluster,
         engine=engine)
@@ -168,8 +168,8 @@ GRAPH_GOLDEN = {
 def _graph_testbed(scenario, engine=None):
     workload, preset, arrival, qps, num_requests = \
         GRAPH_GOLDEN[scenario][:5]
-    return build_graph_testbed(
-        workload, seed=GOLDEN_SEED,
+    return workload_by_name(workload).build_testbed(
+        seed=GOLDEN_SEED,
         client_config=LP_CLIENT, server_config=SERVER_BASELINE,
         qps=qps, num_requests=num_requests,
         graph=graph_preset(preset), arrival=arrival, engine=engine)

@@ -3,8 +3,8 @@
 Unit-level semantics of :class:`~repro.graph.cache.CacheTier` and
 :class:`~repro.graph.resilience.ResilientDispatcher` against stub
 backends (hit/miss costs, bounded retry, hedged duplicates, the
-straggler drain contract), plus the assembled
-:func:`~repro.graph.testbed.build_graph_testbed` path end to end:
+straggler drain contract), plus the graph branch of the one testbed
+assembly (``WorkloadDefinition.build_testbed(graph=...)``) end to end:
 per-tier counters harvested into ``RunMetrics.obs_metrics``, trace
 spans, and campaign execution over a graph condition.
 """
@@ -77,6 +77,14 @@ class TestCacheTier:
     def test_hit_ratio_bounds(self, sim):
         with pytest.raises(ConfigurationError, match="hit_ratio"):
             CacheTier(sim, StubBackend(sim, [1.0]), hit_ratio=1.5)
+
+    @pytest.mark.parametrize("cost", ["hit_service_us",
+                                      "fill_penalty_us"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_service_costs_must_be_finite(self, sim, cost, value):
+        with pytest.raises(ConfigurationError, match=cost):
+            CacheTier(sim, StubBackend(sim, [1.0]), hit_ratio=1.0,
+                      **{cost: value})
 
     def test_empirical_rate_tracks_configured_ratio(self, sim):
         rng = RandomStreams(7).stream("cache")

@@ -28,8 +28,10 @@ from repro.parallel import (
     usable_cores,
 )
 from repro.parallel import runner
+from repro.parallel.merge import merged_run_metrics
 from repro.parallel.runner import _execute_task
 from repro.sim.random import RandomStreams, stream_namespace
+from repro.sim.sampling import c_samplers_active
 from repro.telemetry.columns import COLUMN_FIELDS
 
 
@@ -203,6 +205,38 @@ class TestShardedStreamingRun:
             streaming.runs[0].avg_us, rel=0.02)
         assert (columnar.runs[0].requests
                 == streaming.runs[0].requests)
+
+
+class TestShardedObsMetrics:
+    """A sharded repetition's metrics merge by kind: counters add
+    across the replica shards, gauges do not."""
+
+    def test_gauges_merge_by_kind_and_counters_add(self):
+        plan = (experiment("memcached").client("LP")
+                .graph("memcached-cached")
+                .load(qps=100_000, num_requests=4_000)
+                .policy(runs=1, base_seed=11, workers=2, metrics=True)
+                .build())
+        payloads = [run_shard(plan, 11, shard)
+                    for shard in shard_layout(4_000, 2)]
+        merged = dict(merged_run_metrics(payloads, 11).obs_metrics)
+        shards = [dict(payload["obs_metrics"]) for payload in payloads]
+        assert merged["sampling.c_samplers"] == (
+            1.0 if c_samplers_active() else 0.0)
+        hits = merged["cache.cache.hits"]
+        misses = merged["cache.cache.misses"]
+        assert merged["cache.cache.hit_rate"] == hits / (hits + misses)
+        utilizations = [value for name, value in merged.items()
+                        if name.endswith(".utilization")]
+        assert utilizations
+        assert all(0.0 <= value <= 1.0 for value in utilizations)
+        gauges = {"sampling.c_samplers", "cache.cache.hit_rate"}
+        for name, value in merged.items():
+            if name.rpartition(".")[2].startswith("peak_"):
+                assert value == max(shard[name] for shard in shards)
+            elif not (name in gauges or name.endswith(".utilization")):
+                assert value == sum(shard[name] for shard in shards)
+        assert plan.run().runs[0].obs_metrics == tuple(merged.items())
 
 
 @pytest.fixture

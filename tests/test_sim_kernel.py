@@ -496,7 +496,7 @@ class TestTrains:
 # ---------------------------------------------------------------------------
 # The heap holds reference-format entries only: hooks and resumption
 # ---------------------------------------------------------------------------
-def _memcached_testbed(engine, seed, qps, num_requests):
+def _memcached_bed(engine, seed, qps, num_requests):
     return workload_by_name("memcached").build_testbed(
         seed=seed, client_config=LP_CLIENT, server_config=SERVER_BASELINE,
         qps=qps, num_requests=num_requests, engine=engine)
@@ -511,10 +511,10 @@ class TestReferenceFormatHeap:
         no stock method: the kernel pushes the wrapper, as the
         reference components do, and calls it instead of fusing it,
         once per request, without changing a column."""
-        plain = _memcached_testbed("reference", 8, 100_000, 300)
+        plain = _memcached_bed("reference", 8, 100_000, 300)
         plain.run()
         for engine in ENGINES:
-            testbed = _memcached_testbed(engine, 8, 100_000, 300)
+            testbed = _memcached_bed(engine, 8, 100_000, 300)
             generator = testbed.generator
             calls = [0]
 
@@ -534,7 +534,7 @@ class TestReferenceFormatHeap:
         does."""
         results = {}
         for engine in ENGINES:
-            testbed = _memcached_testbed(engine, 4, 200_000, 600)
+            testbed = _memcached_bed(engine, 4, 200_000, 600)
             sim = testbed.sim
 
             def boom():
