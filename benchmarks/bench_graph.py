@@ -8,13 +8,17 @@ Runs the same seeded open-loop Memcached workload two ways:
   the same 8 shards behind a hedged dispatcher, plus a diurnal
   variant of the same graph.
 
-The interesting numbers are events/s throughput and the per-request
+The interesting numbers are events/s throughput and the per-event
 wall-clock overhead the graph machinery adds over the flat
 deployment (frontend hop + cache lookup + dispatch bookkeeping).
-The overhead is asserted under a ceiling so graph composition never
-silently regresses the hot path, and every topology is asserted
-deterministic: a second seeded invocation must reproduce the
-metrics bit-for-bit.
+Each topology runs once untimed first, which absorbs the process's
+first-call warm-up and is the seeded replay the timed run must
+reproduce bit-for-bit.  The per-event overhead is asserted under a
+ceiling so graph composition never silently regresses the hot path;
+the per-request ratio is reported too, but it cannot gate: the flat
+run fans every request out to all 8 shards while the cache answers
+most graph requests, so the graph does less than half the flat
+run's events per request.
 
 Usage::
 
@@ -43,29 +47,17 @@ from repro.workloads.registry import workload_by_name  # noqa: E402
 QPS = 100_000.0
 SEED = 7
 # Graph dispatch must stay within this factor of the flat deployment
-# per simulated request (it does strictly more work per request:
-# one extra tier, a cache decision, resilience bookkeeping).
+# per simulated event (a graph event does more on average: an extra
+# tier, a cache decision, resilience bookkeeping).
 OVERHEAD_CEILING = 4.0
 
 
-def run_flat(num_requests):
+def run_topology(num_requests, **topology):
     started = time.perf_counter()
     testbed = workload_by_name("memcached").build_testbed(
         seed=SEED, client_config=LP_CLIENT,
         server_config=SERVER_BASELINE, qps=QPS,
-        num_requests=num_requests, cluster=ClusterSpec(shards=8))
-    metrics = testbed.run()
-    elapsed = time.perf_counter() - started
-    return metrics, elapsed, testbed.sim.events_processed
-
-
-def run_graph(num_requests, arrival=None):
-    started = time.perf_counter()
-    testbed = workload_by_name("memcached").build_testbed(
-        seed=SEED, client_config=LP_CLIENT,
-        server_config=SERVER_BASELINE, qps=QPS,
-        num_requests=num_requests,
-        graph=graph_preset("memcached-cached"), arrival=arrival)
+        num_requests=num_requests, **topology)
     metrics = testbed.run()
     elapsed = time.perf_counter() - started
     return metrics, elapsed, testbed.sim.events_processed
@@ -86,22 +78,23 @@ def main(argv=None) -> int:
 
     diurnal = ArrivalSpec(shape="diurnal", period_us=20_000.0,
                           amplitude=0.5)
-
-    flat, flat_s, flat_events = run_flat(num_requests)
-    graph, graph_s, graph_events = run_graph(num_requests)
-    shifted, shifted_s, shifted_events = run_graph(
-        num_requests, arrival=diurnal)
-
-    replay, _, _ = run_graph(num_requests)
-    assert replay == graph, "graph runs must be deterministic"
-    replay, _, _ = run_graph(num_requests, arrival=diurnal)
-    assert replay == shifted, "diurnal runs must be deterministic"
-
-    rows = [
-        ("flat 8 shards", flat, flat_s, flat_events),
-        ("frontend>cache>shards", graph, graph_s, graph_events),
-        ("  ... diurnal load", shifted, shifted_s, shifted_events),
+    graph = graph_preset("memcached-cached")
+    topologies = [
+        ("flat 8 shards", {"cluster": ClusterSpec(shards=8)}),
+        ("frontend>cache>shards", {"graph": graph}),
+        ("  ... diurnal load", {"graph": graph, "arrival": diurnal}),
     ]
+    # Untimed first pass: the warm-up, and the replay to check against.
+    replays = [run_topology(num_requests, **topology)[0]
+               for _, topology in topologies]
+    rows = []
+    for (name, topology), replay in zip(topologies, replays):
+        metrics, wall, events = run_topology(num_requests, **topology)
+        assert metrics == replay, \
+            f"{name.strip()} runs must be deterministic"
+        rows.append((name, metrics, wall, events))
+    (_, _, flat_s, flat_events), (_, _, graph_s, graph_events) = rows[:2]
+
     print(f"Memcached @ {QPS:g} QPS, {num_requests} requests, "
           f"seed {SEED}")
     print(f"{'topology':<24}{'wall (s)':>10}{'events/s':>12}"
@@ -112,12 +105,17 @@ def main(argv=None) -> int:
 
     per_request_flat = flat_s / num_requests
     per_request_graph = graph_s / num_requests
-    overhead = per_request_graph / per_request_flat
+    per_event_flat = flat_s / flat_events
+    per_event_graph = graph_s / graph_events
+    request_overhead = per_request_graph / per_request_flat
+    overhead = per_event_graph / per_event_flat
     print(f"per-request cost: flat {per_request_flat * 1e6:.1f} us, "
           f"graph {per_request_graph * 1e6:.1f} us "
-          f"({overhead:.2f}x)")
+          f"({request_overhead:.2f}x)")
+    print(f"per-event cost: flat {per_event_flat * 1e6:.2f} us, "
+          f"graph {per_event_graph * 1e6:.2f} us ({overhead:.2f}x)")
     assert overhead < OVERHEAD_CEILING, (
-        f"graph per-request overhead {overhead:.2f}x exceeds the "
+        f"graph per-event overhead {overhead:.2f}x exceeds the "
         f"{OVERHEAD_CEILING:g}x ceiling over the flat deployment")
 
     if args.json:
@@ -131,7 +129,8 @@ def main(argv=None) -> int:
                  "avg_us": metrics.avg_us, "p99_us": metrics.p99_us}
                 for name, metrics, wall, events in rows
             ],
-            "per_request_overhead_x": overhead,
+            "per_request_overhead_x": request_overhead,
+            "per_event_overhead_x": overhead,
             "overhead_ceiling_x": OVERHEAD_CEILING,
         }
         with open(args.json, "w", encoding="utf-8") as handle:

@@ -61,7 +61,7 @@ from repro.core.experiment import (
     ExperimentResult,
 )
 from repro.core.testbed import Testbed
-from repro.errors import SpecValidationError
+from repro.errors import SpecValidationError, spec_int
 from repro.graph.spec import ServiceGraphSpec, as_graph_spec
 from repro.loadgen.interarrival import ArrivalSpec, as_arrival_spec
 from repro.obs.sinks import DEFAULT_SINK, validate_sink_name
@@ -172,7 +172,8 @@ class LoadSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qps", float(self.qps))
-        object.__setattr__(self, "num_requests", int(self.num_requests))
+        object.__setattr__(self, "num_requests",
+                           spec_int(self.num_requests, "num_requests"))
         object.__setattr__(self, "generator", str(self.generator))
         object.__setattr__(self, "arrival",
                            as_arrival_spec(self.arrival))
@@ -308,8 +309,9 @@ class RunPolicy:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", int(self.runs))
-        object.__setattr__(self, "base_seed", int(self.base_seed))
+        object.__setattr__(self, "runs", spec_int(self.runs, "runs"))
+        object.__setattr__(self, "base_seed",
+                           spec_int(self.base_seed, "base_seed"))
         object.__setattr__(self, "label", str(self.label))
         object.__setattr__(self, "sink",
                            validate_sink_name(self.sink))
@@ -317,7 +319,8 @@ class RunPolicy:
         object.__setattr__(self, "metrics", bool(self.metrics))
         object.__setattr__(self, "engine",
                            validate_engine_name(self.engine))
-        object.__setattr__(self, "workers", int(self.workers))
+        object.__setattr__(self, "workers",
+                           spec_int(self.workers, "workers"))
         if self.runs < 1:
             raise SpecValidationError(
                 f"runs must be >= 1, got {self.runs!r}")

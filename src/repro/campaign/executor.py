@@ -49,7 +49,11 @@ from repro.campaign.spec import CampaignSpec, ConditionSpec
 from repro.campaign.store import ResultStore
 from repro.core.experiment import ExperimentResult
 from repro.errors import ExperimentError
-from repro.parallel.runner import run_sharded, usable_cores
+from repro.parallel.runner import (
+    preload_worker_imports,
+    run_sharded,
+    usable_cores,
+)
 
 #: Condition status values, in lifecycle order.
 STATUS_HIT = "hit"
@@ -448,6 +452,7 @@ class CampaignExecutor:
                    payloads[i:i + self.chunksize])
                   for i in range(0, len(pending), self.chunksize)]
         workers = min(self.max_workers, len(chunks))
+        preload_worker_imports()
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_warm_init,
                 initargs=(json.dumps(skeleton),)) as pool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Tuple
 
-from repro.errors import SpecValidationError
+from repro.errors import SpecValidationError, spec_int
 
 #: Load-balancing policies a :class:`ClusterSpec` may name.
 LB_ROUND_ROBIN = "round-robin"
@@ -69,12 +69,8 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         for name in ("nodes", "replication", "shards", "fanout",
                      "quorum"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float)) or not float(value).is_integer():
-                raise SpecValidationError(
-                    f"cluster {name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, spec_int(
+                getattr(self, name), f"cluster {name}"))
         object.__setattr__(self, "lb_policy", str(self.lb_policy))
         if self.nodes < 1:
             raise SpecValidationError(

@@ -7,6 +7,9 @@ swallowing programming errors.
 
 from __future__ import annotations
 
+import operator
+from typing import Any
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -62,3 +65,21 @@ class SpecValidationError(ExperimentError):
     offending field so a spec file can be fixed without reading
     source.
     """
+
+
+def spec_int(value: Any, field: str) -> int:
+    """*value* as the integer spec field *field*, or raise.
+
+    Accepts integers (numpy's included) and integral floats (JSON has
+    one number type).  Rejects bools, fractional floats, NaN and
+    infinity with a :class:`SpecValidationError` naming *field*:
+    ``int()`` would truncate the first and fail on the others with a
+    raw ``ValueError`` or ``OverflowError``.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
+    raise SpecValidationError(f"{field} must be an integer, got {value!r}")

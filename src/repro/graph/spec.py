@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.cluster.spec import SINGLE_SERVER, ClusterSpec, as_cluster_spec
-from repro.errors import SpecValidationError
+from repro.errors import SpecValidationError, spec_int
 
 TIER_SERVICE = "service"
 TIER_CACHE = "cache"
@@ -89,11 +89,13 @@ class ResiliencePolicy:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "timeout_us", float(self.timeout_us))
-        object.__setattr__(self, "max_retries", int(self.max_retries))
+        object.__setattr__(self, "max_retries", spec_int(
+            self.max_retries, "resilience max_retries"))
         object.__setattr__(self, "backoff_us", float(self.backoff_us))
         object.__setattr__(self, "hedge_after_us",
                            float(self.hedge_after_us))
-        object.__setattr__(self, "hedges", int(self.hedges))
+        object.__setattr__(self, "hedges",
+                           spec_int(self.hedges, "resilience hedges"))
         for name in _POLICY_FIELDS:
             if not 0 <= getattr(self, name) < math.inf:
                 raise SpecValidationError(

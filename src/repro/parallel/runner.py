@@ -91,6 +91,26 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def preload_worker_imports() -> None:
+    """Load here what every pool task would otherwise load lazily.
+
+    Called before a fork pool opens, so its workers inherit the
+    modules instead of importing them on their first task:
+    ``numpy.random`` (stream seeding), numpy's C samplers (the
+    ``ctypes`` load and its self-check, :func:`c_samplers_active`)
+    and ``numpy.ma``, which ``np.percentile`` imports on a worker's
+    first summary (via ``np.unique`` -> ``np.ma.is_masked``).  Never
+    called at import: ``import repro`` loads neither numpy module.
+    Under another start method it costs only this process, once.
+    """
+    import numpy.ma  # noqa: F401
+    import numpy.random  # noqa: F401
+
+    from repro.sim.sampling import c_samplers_active
+
+    c_samplers_active()
+
+
 def default_processes(tasks: int, cores: int, task_requests: int) -> int:
     """Processes for *tasks* tasks of *task_requests* requests on
     *cores* cores: ``min(tasks, cores)``, or, when tasks of at least
@@ -248,6 +268,7 @@ def run_sharded(plan: "ExperimentPlan",
     if processes == 1:
         outputs = [_execute_task(task) for task in tasks]
     else:
+        preload_worker_imports()
         with ProcessPoolExecutor(max_workers=processes) as pool:
             outputs = list(pool.map(_execute_task, tasks))
     if workers == 1:

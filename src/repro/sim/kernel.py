@@ -341,13 +341,11 @@ class KernelSimulator(Simulator):
         """Forget every adoption once the heap has drained.
 
         Contexts point at the components, which point back at this
-        simulator; emptying them breaks every such cycle, so a
-        finished testbed is freed by reference counting, as a
-        reference-engine one is.
+        simulator.  The heap holds reference-format entries only, so
+        nothing but these tables references a context; dropping them
+        breaks every such cycle, and a finished testbed is freed by
+        reference counting, as a reference-engine one is.
         """
-        for ctx in self._contexts:
-            for name in type(ctx).__slots__:
-                setattr(ctx, name, None)
         self._contexts = []
         self._adopted_generators = []
         self._adopted_stations = []

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -19,6 +20,7 @@ from repro.api import (
     WorkloadSpec,
     experiment,
 )
+from repro.cluster.spec import ClusterSpec
 from repro.config.presets import (
     HP_CLIENT,
     LP_CLIENT,
@@ -183,6 +185,44 @@ class TestNonFiniteNumbers:
     @pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
     def test_finite_values_still_build(self, field):
         NUMERIC_FIELDS[field](5.0)
+
+
+#: Every integer spec field, keyed by the name its error gives, with
+#: a constructor that sets it to a value.
+INTEGER_FIELDS = {
+    "num_requests": lambda v: LoadSpec(qps=1.0, num_requests=v),
+    "runs": lambda v: RunPolicy(runs=v),
+    "base_seed": lambda v: RunPolicy(base_seed=v),
+    "workers": lambda v: RunPolicy(workers=v),
+    "resilience max_retries": lambda v: ResiliencePolicy(
+        timeout_us=5.0, max_retries=v),
+    "resilience hedges": lambda v: ResiliencePolicy(
+        hedge_after_us=5.0, hedges=v),
+    "cluster nodes": lambda v: ClusterSpec(nodes=v),
+    "cluster shards": lambda v: ClusterSpec(shards=v),
+}
+
+
+class TestIntegerFields:
+    """One integer check for every spec: a fractional value is not
+    truncated, and NaN, infinity and bools fail validation by name
+    instead of with a raw ``int()`` error."""
+
+    @pytest.mark.parametrize("value", [2.7, math.nan, math.inf, True])
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_rejected_naming_the_field(self, field, value):
+        with pytest.raises(SpecValidationError,
+                           match=f"{field} must be an integer"):
+            INTEGER_FIELDS[field](value)
+
+    @pytest.mark.parametrize("value", [2, 2.0, np.int64(2)])
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_integers_and_integral_floats_build(self, field, value):
+        assert INTEGER_FIELDS[field](value) == INTEGER_FIELDS[field](2)
+
+    def test_numpy_integer_nodes(self):
+        spec = ClusterSpec(nodes=np.int64(4))
+        assert spec.nodes == 4 and type(spec.nodes) is int
 
 
 class TestHardwareSpec:

@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -35,6 +35,7 @@ from repro.config.serialize import content_hash
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
 from repro.cluster.fanout import FanoutService
 from repro.errors import ExperimentError, SpecValidationError
+from repro.graph import graph_preset
 from repro.graph.cache import CacheTier
 from repro.graph.spec import GraphTierSpec, ServiceGraphSpec
 from repro.graph.testbed import GraphStage, ServiceGraph
@@ -345,23 +346,24 @@ def _train_run(sim, times, ops, nested, train=True):
 
 def _launch_run(engine, train, ops, arrivals=None):
     """A memcached testbed whose launch train is interleaved with
-    foreign ops at its own arrival times (*ops* index *arrivals*)."""
+    foreign ops at its own arrival times (*ops* index *arrivals*).
+    Each request build logs ``(index, now, foreign ops fired)``."""
     testbed = workload_by_name("memcached").build_testbed(
         seed=21, client_config=LP_CLIENT, server_config=SERVER_BASELINE,
         qps=200_000, num_requests=40, engine=engine)
     sim = testbed.sim
     generator = testbed.generator
     factory = generator._request_factory
+    foreign = _Foreign(sim)
     built = []
 
     def counting_factory(index):
-        built.append((index, sim.now))
+        built.append((index, sim.now, len(foreign.log)))
         return factory(index)
 
     generator._request_factory = counting_factory
     if not train:
         sim.post_train = _eager_train(sim)
-    foreign = _Foreign(sim)
     # An op's time 0..4 picks arrival 0, 9, ..., 36 of the 40.
     timed = [(kind, arrivals[int(at) * 9], after, nested)
              for kind, at, after, nested in ops] if arrivals else []
@@ -394,20 +396,27 @@ class TestTrains:
             assert got == (log, events, list(enumerate(times)))
 
     @given(ops=_OPS)
+    @example(ops=[("post", 1.0, True, None), ("schedule", 3.0, True, 0.0)])
     @settings(max_examples=15, deadline=None)
     def test_fused_launch_train_fires_as_eager_posts(self, ops):
         """The kernel's fused launch train, interleaved with foreign
         ops at its members' own times, equals eager posting on both
         engines: same foreign log, events and telemetry columns, and
-        each request is built when it launches."""
-        arrivals = [at for _, at in _launch_run("reference", True, [])[3]]
+        each request is built when it launches.  A member keeps its
+        reserved sequence number, so it launches before a foreign op
+        posted after the train at its own time, as on the reference
+        engine."""
+        arrivals = [at for _, at, _ in _launch_run("reference", True, [])[3]]
         want = _launch_run("reference", False, ops, arrivals)
+        trained = _launch_run("reference", True, ops, arrivals)[3]
+        assert [(i, at) for i, at, _ in trained] \
+            == list(enumerate(arrivals))
         for engine in ENGINES:
             for train in (True, False):
                 got = _launch_run(engine, train, ops, arrivals)
                 assert got[:3] == want[:3]
                 if train:
-                    assert got[3] == list(enumerate(arrivals))
+                    assert got[3] == trained
 
     def test_launch_train_on_an_unadopted_machine(self):
         """A machine the kernel does not adopt (a hot-path method
@@ -599,16 +608,27 @@ class TestTestbedDrain:
         assert fired == ["post-run"]
         assert sim.now == end + 10.0
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_finished_testbed_freed_by_reference_counting(self, engine):
+    @pytest.mark.parametrize("engine, topology", [
+        pytest.param(engine, topology, id="-".join(filter(None, (
+            engine, name))))
+        for name, topology in (
+            ("", {}),
+            ("graph", {"graph": graph_preset("memcached-cached")}),
+            ("balancer", {"cluster": ClusterSpec(
+                nodes=4, lb_policy="power-of-two")}),
+            ("fanout", {"cluster": ClusterSpec(shards=4, fanout=2)}))
+        for engine in ENGINES])
+    def test_finished_testbed_freed_by_reference_counting(
+            self, engine, topology):
         """A drained run leaves no reference cycle behind: with the
-        cyclic collector off, the simulator dies with its testbed."""
+        cyclic collector off, the simulator dies with its testbed, on
+        every topology the kernel fuses."""
         gc.disable()
         try:
             testbed = workload_by_name("memcached").build_testbed(
                 seed=11, client_config=LP_CLIENT,
                 server_config=SERVER_BASELINE,
-                qps=50_000, num_requests=200, engine=engine)
+                qps=50_000, num_requests=200, engine=engine, **topology)
             testbed.run()
             sim = weakref.ref(testbed.sim)
             del testbed

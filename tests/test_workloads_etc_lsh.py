@@ -76,6 +76,73 @@ class TestEtcWorkload:
             == [reference.sample_message_kb() for _ in range(count)]
 
 
+class _ScriptedGenerator:
+    """A stand-in generator whose draws pop scripted values, one queue
+    per kind.  :func:`~repro.sim.sampling.scalar_samplers` hands a
+    non-``Generator`` its own methods, so the batch path and the
+    per-call reference see the same values."""
+
+    def __init__(self, uniforms, normals, exponentials):
+        self.queues = {"u": list(uniforms), "n": list(normals),
+                       "e": list(exponentials)}
+
+    def random(self):
+        return self.queues["u"].pop(0)
+
+    def standard_normal(self):
+        return self.queues["n"].pop(0)
+
+    def standard_exponential(self):
+        return self.queues["e"].pop(0)
+
+
+#: ``((key z, branch u, body z or tail e), key bytes, value bytes)``
+#: per size: draws random seeds never reach, and the sizes they give.
+ETC_EXTREMES = {
+    "key-clamps-at-250": ((6.5, 0.5, 0.0), 250, 121),
+    "body-0-clamps-to-1": ((0.0, 0.5, -5.0), 45, 1),
+    "tail-clamps-at-1e6": ((0.0, 0.99, 12.0), 45, 1_000_000),
+    "tail-past-int64": ((0.0, 0.99, 80.0), 45, 1_000_000),
+    "branch-at-0.95-is-tail": ((0.0, 0.95, 1.0), 45, 1947),
+    "branch-below-0.95-is-body": ((0.0, np.nextafter(0.95, 0.0), 1.0),
+                                  45, 330),
+}
+
+
+def _scripted(sizes):
+    uniforms = [u for _, u, _ in sizes]
+    normals, exponentials = [], []
+    for z, u, third in sizes:
+        normals.append(z)
+        (normals if u < 0.95 else exponentials).append(third)
+    return _ScriptedGenerator(uniforms, normals, exponentials)
+
+
+class TestEtcExtremes:
+    """The batch path's array transforms and clamps equal the per-call
+    reference at the extremes, where a cast before the clamp would
+    wrap and a ``<=`` branch would draw the wrong kind."""
+
+    @pytest.mark.parametrize("case", sorted(ETC_EXTREMES))
+    def test_batch_equals_per_call_reference(self, case):
+        self._check([ETC_EXTREMES[case]])
+
+    def test_all_extremes_in_one_batch(self):
+        self._check(list(ETC_EXTREMES.values()) * 2)
+
+    @staticmethod
+    def _check(cases):
+        sizes = [draws for draws, _, _ in cases]
+        batched, scalar = _scripted(sizes), _scripted(sizes)
+        got = EtcWorkload(batched).sample_messages_kb(len(sizes))
+        reference = EtcWorkload(scalar)
+        assert got == [reference.sample_message_kb() for _ in sizes]
+        assert got == [(key + value + 48) / 1024.0
+                       for _, key, value in cases]
+        assert batched.queues == scalar.queues == {
+            "u": [], "n": [], "e": []}
+
+
 class TestLshIndex:
     def test_candidates_returned_for_dataset_point(self):
         index = default_index()
