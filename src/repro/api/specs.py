@@ -309,9 +309,11 @@ class RunPolicy:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", spec_int(self.runs, "runs"))
+        object.__setattr__(self, "runs",
+                           spec_int(self.runs, "runs", minimum=1))
+        # numpy seeds only non-negative integers.
         object.__setattr__(self, "base_seed",
-                           spec_int(self.base_seed, "base_seed"))
+                           spec_int(self.base_seed, "base_seed", minimum=0))
         object.__setattr__(self, "label", str(self.label))
         object.__setattr__(self, "sink",
                            validate_sink_name(self.sink))
@@ -320,13 +322,7 @@ class RunPolicy:
         object.__setattr__(self, "engine",
                            validate_engine_name(self.engine))
         object.__setattr__(self, "workers",
-                           spec_int(self.workers, "workers"))
-        if self.runs < 1:
-            raise SpecValidationError(
-                f"runs must be >= 1, got {self.runs!r}")
-        if self.workers < 1:
-            raise SpecValidationError(
-                f"workers must be >= 1, got {self.workers!r}")
+                           spec_int(self.workers, "workers", minimum=1))
 
     def seed_schedule(self) -> Tuple[int, ...]:
         """The root seed of every repetition, in run order."""
@@ -613,7 +609,8 @@ class ExperimentPlan:
 
     def testbed(self, seed: Optional[int] = None) -> Testbed:
         """One single-use testbed (default seed: the policy's base)."""
-        base = self.policy.base_seed if seed is None else int(seed)
+        base = (self.policy.base_seed if seed is None
+                else spec_int(seed, "seed", minimum=0))
         return self.builder()(base)
 
     def experiment(self) -> Experiment:

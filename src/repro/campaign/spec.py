@@ -52,7 +52,7 @@ from repro.config.serialize import (
     hardware_config_to_dict,
 )
 from repro.core.experiment import DEFAULT_RUNS
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, spec_int
 from repro.graph.spec import ServiceGraphSpec, as_graph_spec
 from repro.loadgen.interarrival import ArrivalSpec, as_arrival_spec
 from repro.sim.kernel import DEFAULT_ENGINE, validate_engine_name
@@ -231,11 +231,10 @@ class CampaignSpec:
         self.qps_list = tuple(float(q) for q in self.qps_list)
         if not self.name:
             raise ExperimentError("campaign name must be non-empty")
-        if self.runs < 1:
-            raise ExperimentError(f"runs must be >= 1, got {self.runs}")
-        if self.num_requests < 1:
-            raise ExperimentError(
-                f"num_requests must be >= 1, got {self.num_requests}")
+        self.runs = spec_int(self.runs, "runs", minimum=1)
+        self.num_requests = spec_int(self.num_requests, "num_requests",
+                                     minimum=1)
+        self.base_seed = spec_int(self.base_seed, "base_seed", minimum=0)
         if not self.qps_list:
             raise ExperimentError("qps_list must be non-empty")
         if not self.conditions:
@@ -369,9 +368,9 @@ class CampaignSpec:
             clients=_coerce_clients(data.get("clients")),
             conditions=conditions,
             qps_list=tuple(float(q) for q in qps_list),
-            runs=int(data.get("runs", DEFAULT_RUNS)),
-            num_requests=int(data.get("num_requests", 1_000)),
-            base_seed=int(data.get("base_seed", 0)),
+            runs=data.get("runs", DEFAULT_RUNS),
+            num_requests=data.get("num_requests", 1_000),
+            base_seed=data.get("base_seed", 0),
             extra=dict(data.get("extra", {})),
             cluster=(ClusterSpec.from_dict(data["cluster"])
                      if "cluster" in data else None),

@@ -8,7 +8,7 @@ swallowing programming errors.
 from __future__ import annotations
 
 import operator
-from typing import Any
+from typing import Any, Optional
 
 
 class ReproError(Exception):
@@ -67,19 +67,27 @@ class SpecValidationError(ExperimentError):
     """
 
 
-def spec_int(value: Any, field: str) -> int:
+def spec_int(value: Any, field: str,
+             minimum: Optional[int] = None) -> int:
     """*value* as the integer spec field *field*, or raise.
 
     Accepts integers (numpy's included) and integral floats (JSON has
     one number type).  Rejects bools, fractional floats, NaN and
     infinity with a :class:`SpecValidationError` naming *field*:
     ``int()`` would truncate the first and fail on the others with a
-    raw ``ValueError`` or ``OverflowError``.
+    raw ``ValueError`` or ``OverflowError``.  With *minimum*, a value
+    below it is rejected the same way.
     """
     if not isinstance(value, bool):
+        number: Optional[int] = None
         try:
-            return operator.index(value)
+            number = operator.index(value)
         except TypeError:
             if isinstance(value, float) and value.is_integer():
-                return int(value)
+                number = int(value)
+        if number is not None:
+            if minimum is not None and number < minimum:
+                raise SpecValidationError(
+                    f"{field} must be >= {minimum}, got {number!r}")
+            return number
     raise SpecValidationError(f"{field} must be an integer, got {value!r}")

@@ -56,17 +56,32 @@ A second table, the **completion table**, maps the callback a
 completion calls next to its fused body.  The station's FINISH, the
 quorum completion and the cache completions resolve their ``done_fn``
 through it: a generator's ``_served`` is the hop back to the client,
-and a fan-out's ``_shard_served`` the shard's return hop over its
-link.  Any other ``done_fn`` (a stage's forward hop into the cache,
-the resilience tier's ``_responded``, ...) is called as it is.
+a fan-out's ``_shard_served`` the shard's return hop over its link,
+and the graph entry stage's ``_forward`` into a stock, untraced
+:class:`~repro.graph.cache.CacheTier` the cache lookup
+(``CacheTier.submit``: the hit draw and the ``_finish_hit`` push).
+When that cache's downstream is a stock
+:class:`~repro.graph.resilience.ResilientDispatcher` over a stock
+leaf stage without a downstream over a fan-out whose links are all
+:class:`~repro.net.link.NetworkLink` objects, a miss runs fused too:
+the dispatcher's submit and first attempt (the attempt copy and its
+timeout :class:`~repro.sim.engine.Event`), the fan-out's submit (its
+shard selection, sub-requests, link draws and shard pushes) and the
+hedge :class:`~repro.sim.engine.Event`, pushed with the reference
+calls' sequence numbers and tallies, in their order.  Any other
+``done_fn`` (the resilience tier's ``_responded``, a cache fill, ...)
+is called as it is.
 
 Fallback: anything the kernel does not recognise -- a cancellable
-:class:`~repro.sim.engine.Event` (the resilience tier's hedge, timeout
-and retry timers), an obs-traced component, a method overridden by a
-subclass or assigned on the instance, a balancer front or the
-fan-out's submit side -- is executed through the ordinary scalar path
-(an event is counted in ``kernel_scalar_fallbacks``).  A run that
-adopts nothing (a traced run, say) skips the fused loop and runs the
+:class:`~repro.sim.engine.Event` firing (the resilience tier's hedge
+and timeout timers) and the retry it posts, an obs-traced component,
+a method overridden by a subclass or assigned on the instance, or a
+balancer front -- is executed through the ordinary scalar path (an
+event is counted in ``kernel_scalar_fallbacks``).  A cache miss that
+is not fused (into co-located shards or a non-stock tier) is called
+as it is, inside the fused event that reaches it; a hedged or retried
+attempt launches inside its timer's scalar event.  A run that adopts
+nothing (a traced run, say) skips the fused loop and runs the
 reference loop outright.  Correctness never depends on adoption;
 adoption only removes interpreter overhead.
 """
@@ -84,7 +99,8 @@ from repro.hardware.cstates import CStateGovernor
 from repro.hardware.uncore import UNCORE_RAMP_DOWN_GAP_US as _UNCORE_GAP_US
 from repro.loadgen.measurement import RECORD_CHUNK
 from repro.net.link import US_PER_KB_10GBE as _US_PER_KB
-from repro.sim.engine import Simulator, _Train
+from repro.server.request import Request
+from repro.sim.engine import Event, Simulator, _Train
 from repro.sim.sampling import scalar_samplers
 
 __all__ = [
@@ -131,6 +147,7 @@ _OP_CACHE_DONE = 9
 # Completion kinds: what a fused completion ``done_fn(job, *ctx)`` runs.
 _C_CLIENT = 0  # LoadGenerator._served: the hop back to the client
 _C_SHARD = 1  # FanoutService._shard_served: the shard's return hop
+_C_LOOKUP = 2  # the entry GraphStage._forward: CacheTier.submit
 
 
 # ---------------------------------------------------------------- contexts
@@ -279,6 +296,55 @@ class _SC:
             self.ssigma = base._sigma
 
 
+class _LC:
+    """Per-:class:`~repro.graph.cache.CacheTier` lookup context: the
+    entry stage's ``_forward`` into the cache, and, when ``fanout`` is
+    set, the miss path behind it (a resilient edge over a leaf stage
+    over a linked fan-out) fused too."""
+
+    __slots__ = ("cache", "ratio", "uniform", "hit_us", "finish_hit",
+                 "filled", "dispatcher", "call_state", "responded",
+                 "timeout_us", "timed_out", "hedge_us", "hedge",
+                 "fanout", "root_state", "quorum", "select", "indices",
+                 "served", "submits", "links")
+
+    def __init__(self, cache: Any) -> None:
+        self.cache = cache
+        self.ratio = cache.hit_ratio
+        self.uniform = cache._uniform
+        self.hit_us = cache.hit_service_us
+        self.finish_hit = cache._finish_hit
+        self.filled = cache._filled
+        self.fanout: Any = None
+
+    def fuse_miss(self, dispatcher: Any, fanout: Any, call_state: type,
+                  root_state: type) -> None:
+        """Hoist ``dispatcher``'s submit and ``fanout``'s submit side."""
+        policy = dispatcher.policy
+        self.dispatcher = dispatcher
+        self.call_state = call_state
+        self.responded = dispatcher._responded
+        # A fresh call has used no retry: _launch_attempt arms its
+        # timeout exactly when the policy allows one.
+        self.timeout_us = (policy.timeout_us
+                           if policy.timeout_us and policy.max_retries > 0
+                           else None)
+        self.timed_out = dispatcher._timed_out
+        self.hedge_us = policy.hedge_after_us if policy.hedges else None
+        self.hedge = dispatcher._hedge
+        self.fanout = fanout
+        self.root_state = root_state
+        self.quorum = fanout.quorum
+        count = fanout.num_shards
+        # A full fan-out selects every shard without a draw.
+        self.select = (None if fanout.fanout == count
+                       else fanout.select_shards)
+        self.indices = list(range(count))
+        self.served = fanout._shard_served
+        self.submits = [shard.submit for shard in fanout._shards]
+        self.links = [_link_consts(link) for link in fanout._links]
+
+
 # ------------------------------------------------------------------ kernel
 class KernelSimulator(Simulator):
     """Fused-dispatch accelerated simulator (``engine="vectorized"``).
@@ -368,8 +434,9 @@ class KernelSimulator(Simulator):
         check simply keeps its scalar path: its callback is no key of
         either table.
         """
-        from repro.cluster.fanout import FanoutService
+        from repro.cluster.fanout import FanoutService, _RootState
         from repro.graph.cache import CacheTier
+        from repro.graph.resilience import ResilientDispatcher, _CallState
         from repro.graph.testbed import GraphStage, ServiceGraph
         from repro.hardware.core import SimCore
         from repro.hardware.frequency import FrequencyModel
@@ -432,6 +499,40 @@ class KernelSimulator(Simulator):
                     and type(core.timer) is TimerModel
                     and type(core.uncore) is UncoreModel)
 
+        def fanout_ok(fanout: Any) -> bool:
+            return (type(fanout) is FanoutService
+                    and fanout._trace is None
+                    and all(link is None or type(link) is NetworkLink
+                            for link in fanout._links))
+
+        def lookup(cache: Any) -> Optional[_LC]:
+            """The lookup context of a stock cache, with its miss path
+            fused when the tiers behind it are stock too."""
+            if not (type(cache) is CacheTier and cache._sim is self
+                    and cache._trace is None
+                    and _stock(cache, "submit", CacheTier)
+                    and _stock(cache, "_is_hit", CacheTier)):
+                return None
+            lc = _LC(cache)
+            edge = cache.downstream
+            if not (type(edge) is ResilientDispatcher and edge._sim is self
+                    and edge._trace is None
+                    and _stock(edge, "submit", ResilientDispatcher)
+                    and _stock(edge, "_launch_attempt",
+                               ResilientDispatcher)):
+                return lc
+            leaf = edge.backend
+            if not (type(leaf) is GraphStage and leaf.downstream is None
+                    and _stock(leaf, "submit", GraphStage)):
+                return lc
+            fanout = leaf.local
+            if (fanout_ok(fanout) and fanout._sim is self
+                    and None not in fanout._links
+                    and _stock(fanout, "submit", FanoutService)
+                    and _stock(fanout, "select_shards", FanoutService)):
+                lc.fuse_miss(edge, fanout, _CallState, _RootState)
+            return lc
+
         for gen in self._adopted_generators:
             if not isinstance(gen, LoadGenerator) or gen._trace is not None:
                 continue
@@ -471,22 +572,24 @@ class KernelSimulator(Simulator):
             if (type(gen.service) is ServiceGraph
                     and _stock(gen.service, "submit", ServiceGraph)):
                 # ServiceGraph.submit -> GraphStage.submit -> the entry
-                # station: fuse the chain into the station's SUBMIT.
+                # station: fuse the chain into the station's SUBMIT,
+                # and the stage's forward hop into a cache as a
+                # completion.
                 stage = gen.service._entry
                 if (type(stage) is GraphStage
-                        and _stock(stage, "submit", GraphStage)
                         and _stock(stage, "_forward", GraphStage)
                         and stage.downstream is not None):
                     sub = dispatch.get(stage.local.submit)
-                    if sub is not None and sub[0] == _OP_SUBMIT:
+                    if (_stock(stage, "submit", GraphStage)
+                            and sub is not None and sub[0] == _OP_SUBMIT):
                         dispatch[gc.submit_cb] = (
                             _OP_STAGE, (sub[1], stage._forward))
+                    lc = lookup(stage.downstream)
+                    if lc is not None:
+                        completions[stage._forward] = (_C_LOOKUP, lc)
 
         for fanout in self._adopted_fanouts:
-            if not (type(fanout) is FanoutService
-                    and fanout._trace is None
-                    and all(link is None or type(link) is NetworkLink
-                            for link in fanout._links)):
+            if not fanout_ok(fanout):
                 continue
             if _stock(fanout, "_at_root", FanoutService):
                 dispatch[fanout._at_root] = (_OP_AT_ROOT, fanout)
@@ -906,6 +1009,90 @@ class KernelSimulator(Simulator):
                                      if kb > 0.0 else base)
                             heappush(heap, (now + delay, nseq(), target,
                                             cargs))
+                        elif kind == 2:  # _C_LOOKUP: CacheTier.submit
+                            lc = cdata
+                            cache = lc.cache
+                            if cjob.server_arrival_us == 0.0:
+                                cjob.server_arrival_us = now
+                            ratio = lc.ratio
+                            if ratio >= 1.0 or (ratio > 0.0 and
+                                                lc.uniform() < ratio):
+                                cache.hits += 1
+                                cjob.service_us += lc.hit_us
+                                heappush(heap, (
+                                    now + lc.hit_us, nseq(), lc.finish_hit,
+                                    (cjob, cctx[0], now) + cctx[1:]))
+                            elif lc.fanout is None:
+                                cache.misses += 1
+                                self._now = now
+                                if defer:
+                                    flushrec()
+                                cache.downstream.submit(
+                                    cjob, lc.filled, cctx[0], now,
+                                    *cctx[1:])
+                                now = self._now
+                                heap = self._heap
+                            else:
+                                # The miss: ResilientDispatcher.submit
+                                # and _launch_attempt, the leaf stage,
+                                # then FanoutService.submit.
+                                cache.misses += 1
+                                edge = lc.dispatcher
+                                edge.calls += 1
+                                state = lc.call_state(
+                                    cjob, lc.filled,
+                                    (cctx[0], now) + cctx[1:])
+                                edge.attempts_issued += 1
+                                rid = cjob.request_id
+                                kb = cjob.size_kb
+                                intended = cjob.intended_send_us
+                                actual = cjob.actual_send_us
+                                attempt = Request(rid, kb, intended,
+                                                  actual)
+                                delay = lc.timeout_us
+                                if delay is not None:
+                                    ev = Event(now + delay, nseq(),
+                                               lc.timed_out, (state,),
+                                               self)
+                                    heappush(heap, (ev.time, ev.seq, ev))
+                                    state.timeout_event = ev
+                                attempt.server_arrival_us = now
+                                select = lc.select
+                                selected = (lc.indices if select is None
+                                            else select())
+                                root = lc.root_state(
+                                    lc.quorum, lc.responded, (state,))
+                                kb = kb / len(selected)
+                                lc.fanout.subs_issued += len(selected)
+                                served = lc.served
+                                submits = lc.submits
+                                links = lc.links
+                                shard_counts = lc.fanout.shard_dispatched
+                                for index in selected:
+                                    shard_counts[index] += 1
+                                    sub = Request(rid, kb, intended,
+                                                  actual)
+                                    (mu, sigma, mean, normal,
+                                     observer) = links[index]
+                                    base = (mean if normal is None
+                                            else _exp(mu + sigma
+                                                      * normal()))
+                                    if observer is not None:
+                                        observer.messages += 1
+                                        observer.kb += kb
+                                    delay = (base + kb * _US_PER_KB
+                                             if kb > 0.0 else base)
+                                    heappush(heap, (
+                                        now + delay, nseq(),
+                                        submits[index],
+                                        (sub, served, attempt, root,
+                                         index, now)))
+                                delay = lc.hedge_us
+                                if delay is not None:
+                                    ev = Event(now + delay, nseq(),
+                                               lc.hedge, (state,), self)
+                                    heappush(heap, (ev.time, ev.seq, ev))
+                                    state.hedge_event = ev
                         else:
                             # Not in the table (or a co-located shard):
                             # called as it is.

@@ -246,6 +246,25 @@ class TestRunPolicy:
         with pytest.raises(SpecValidationError):
             RunPolicy(runs=0)
 
+    @pytest.mark.parametrize("seed", [-1, -1.0, np.int64(-7)])
+    def test_negative_base_seed_rejected_by_name(self, seed):
+        """numpy seeds only non-negative integers: a negative base
+        seed fails validation, not the first repetition's seeding."""
+        with pytest.raises(SpecValidationError,
+                           match="base_seed must be >= 0"):
+            RunPolicy(base_seed=seed)
+        with pytest.raises(SpecValidationError,
+                           match="base_seed must be >= 0"):
+            RunPolicy.from_dict({"runs": 1, "base_seed": seed})
+
+    def test_plan_testbed_rejects_a_negative_seed(self):
+        plan = (experiment("memcached").client("LP")
+                .load(qps=50_000, num_requests=50)
+                .policy(runs=1).build())
+        with pytest.raises(SpecValidationError, match="seed must be >= 0"):
+            plan.testbed(seed=-1)
+        assert plan.testbed(seed=0).run().requests > 0
+
 
 class TestRunPolicyObservability:
     def test_defaults_are_unobserved(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.config.serialize import (
     hardware_config_to_dict,
 )
 from repro.core.testbed import RunMetrics
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SpecValidationError
 
 
 def small_spec(**overrides):
@@ -265,6 +266,33 @@ class TestValidation:
     def test_bad_specs_rejected(self, override):
         with pytest.raises(ExperimentError):
             small_spec(**override)
+
+    @pytest.mark.parametrize("field, value", [
+        ("runs", 2.7), ("runs", math.nan), ("runs", True),
+        ("num_requests", 10.5), ("num_requests", math.inf),
+        ("base_seed", 1.5), ("base_seed", -1), ("base_seed", -1.0),
+    ])
+    def test_integer_fields_rejected_by_name(self, field, value):
+        """A fractional count is not truncated, and NaN, infinity and
+        negative seeds fail validation by name, not with a raw int()
+        error or at the first repetition."""
+        with pytest.raises(SpecValidationError, match=field):
+            small_spec(**{field: value})
+        data = TestFromDict().spec_dict()
+        data[field] = value
+        with pytest.raises(SpecValidationError, match=field):
+            CampaignSpec.from_dict(data)
+        with pytest.raises(SpecValidationError, match=field):
+            small_spec().with_overrides(**{field: value})
+
+    def test_integral_floats_are_the_same_campaign(self):
+        data = TestFromDict().spec_dict()
+        spec = CampaignSpec.from_dict(
+            {**data, "runs": 3.0, "num_requests": 80.0, "base_seed": 0.0})
+        assert (spec.runs, spec.num_requests, spec.base_seed) == (3, 80, 0)
+        assert type(spec.runs) is int
+        assert (spec.content_hash()
+                == CampaignSpec.from_dict(data).content_hash())
 
     def test_with_overrides(self):
         spec = small_spec().with_overrides(runs=7, base_seed=3)

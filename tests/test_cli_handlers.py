@@ -104,3 +104,9 @@ class TestRunPlacement:
     def test_nonpositive_processes_fail_cleanly(self, capsys):
         assert cli_main(self.RUN + ["--processes", "0"]) == 1
         assert "processes must be >= 1" in capsys.readouterr().err
+
+    def test_negative_seed_fails_naming_the_field(self, capsys):
+        assert cli_main(self.RUN + ["--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: base_seed must be >= 0, got -1\n"
+        assert captured.out == ""

@@ -1,5 +1,8 @@
 """Tests for telemetry sinks: streaming accuracy vs the exact path."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,8 @@ from repro.obs import (
     validate_sink_name,
 )
 from repro.obs.sinks import DEFAULT_QUANTILES, _RunningMoments
+from repro.parallel.runner import run_shard
+from repro.parallel.shard import shard_layout
 
 
 class TestRegistry:
@@ -98,6 +103,15 @@ class TestP2QuantileProperties:
             P2Quantile(0.0)
 
 
+def _reference_estimator(p):
+    """A P2 estimator for the oracle below, its marker positions
+    integers as in the textbook, whatever representation
+    :meth:`P2Quantile.observe_many` keeps them in."""
+    estimator = P2Quantile(p)
+    estimator._n = [0, 1, 2, 3, 4]
+    return estimator
+
+
 def _reference_observe(estimator, x):
     """The per-value P2 update, one marker list access at a time: the
     oracle :meth:`P2Quantile.observe_many` must reproduce exactly."""
@@ -143,11 +157,17 @@ def _reference_observe(estimator, x):
 
 
 def _marker_bits(estimator):
-    """Estimator state, floats by bit pattern (NaN and -0.0 count)."""
+    """Estimator state: heights and desired positions by bit pattern
+    (NaN and -0.0 count), positions as numbers."""
     return (estimator.count,
             [float(v).hex() for v in estimator._q],
             list(estimator._n),
             [v.hex() for v in estimator._desired])
+
+
+def _assert_exports_int_positions(estimator):
+    positions = estimator.marker_state()["positions"]
+    assert all(type(n) is int for n in positions), positions
 
 
 #: Streams of constant runs: ties, long plateaus, any float, and
@@ -171,7 +191,7 @@ class TestP2ChunkedIngestMatchesPerValue:
     @staticmethod
     def _assert_matches_reference(values):
         for pct in DEFAULT_QUANTILES:
-            expected = P2Quantile(pct / 100.0)
+            expected = _reference_estimator(pct / 100.0)
             for value in values:
                 _reference_observe(expected, value)
             for chunk in (1, 7, 256):
@@ -180,6 +200,9 @@ class TestP2ChunkedIngestMatchesPerValue:
                     estimator.observe_many(values[start:start + chunk])
                 assert _marker_bits(estimator) == _marker_bits(expected), (
                     pct, chunk)
+                _assert_exports_int_positions(estimator)
+                assert (estimator.marker_state()
+                        == expected.marker_state()), (pct, chunk)
 
     @given(_STREAMS)
     @settings(max_examples=150, deadline=None)
@@ -196,12 +219,35 @@ class TestP2ChunkedIngestMatchesPerValue:
 
     def test_single_value_observe_is_the_same_body(self):
         values = np.random.default_rng(2).exponential(size=500).tolist()
-        expected = P2Quantile(0.99)
+        expected = _reference_estimator(0.99)
         estimator = P2Quantile(0.99)
         for value in values:
             _reference_observe(expected, value)
             estimator.observe(value)
         assert _marker_bits(estimator) == _marker_bits(expected)
+        _assert_exports_int_positions(estimator)
+
+    def test_sharded_export_state_is_pinned(self):
+        """A sharded streaming run's exported state, integer marker
+        positions included, is pinned byte for byte (digests of its
+        sorted-key JSON, one per shard)."""
+        plan = (experiment("memcached").client("LP")
+                .graph("memcached-cached")
+                .load(qps=200_000, num_requests=3_000)
+                .policy(runs=1, base_seed=3, sink="streaming", workers=2)
+                .build())
+        digests = []
+        for shard in shard_layout(plan.load.num_requests,
+                                  plan.policy.workers):
+            text = json.dumps(run_shard(plan, 3, shard)["state"],
+                              sort_keys=True)
+            digests.append(hashlib.sha256(text.encode()).hexdigest())
+        assert digests == [
+            "9f86bd1d2b8b16ef21b6fde5af0f3619"
+            "297d2b614c18362c27af58750e580f59",
+            "032bcf1936ac12d63c17964aaa8dba8f"
+            "abcae053373847e984f6622f3e98eb99",
+        ]
 
 
 class TestStreamingSinkUnit:

@@ -37,7 +37,8 @@ from repro.cluster.fanout import FanoutService
 from repro.errors import ExperimentError, SpecValidationError
 from repro.graph import graph_preset
 from repro.graph.cache import CacheTier
-from repro.graph.spec import GraphTierSpec, ServiceGraphSpec
+from repro.graph.resilience import ResilientDispatcher
+from repro.graph.spec import GraphTierSpec, ResiliencePolicy, ServiceGraphSpec
 from repro.graph.testbed import GraphStage, ServiceGraph
 from repro.server.request import Request
 from repro.sim.engine import Simulator, _Train
@@ -671,14 +672,15 @@ def test_traced_run_skips_the_fused_loop(monkeypatch):
 _GRAPH_REQUESTS = 600
 
 
-def _cached_graph(hit_ratio):
-    """memcached-cached's tiers with a fixed hit ratio, no policy."""
+def _cached_graph(hit_ratio, leaf=None):
+    """memcached-cached's tiers with a fixed hit ratio, and a leaf
+    tier of 8 shards without a policy unless *leaf* is given."""
     return ServiceGraphSpec(tiers=(
         GraphTierSpec(name="frontend", downstream=("cache",)),
         GraphTierSpec(name="cache", kind="cache", downstream=("leaf",),
                       hit_ratio=hit_ratio, hit_service_us=4.0,
                       fill_penalty_us=6.0),
-        GraphTierSpec(name="leaf", shape=ClusterSpec(shards=8)),
+        leaf or GraphTierSpec(name="leaf", shape=ClusterSpec(shards=8)),
     ))
 
 
@@ -696,6 +698,19 @@ _GRAPHS = {
     ))),
     "always-hit": ("memcached", 200_000.0, _cached_graph(1.0)),
     "always-miss": ("memcached", 200_000.0, _cached_graph(0.0)),
+    # A leaf edge whose attempts time out, back off and retry, and
+    # hedge.
+    "retrying-leaf": ("memcached", 200_000.0, _cached_graph(
+        0.8, GraphTierSpec(
+            name="leaf", shape=ClusterSpec(shards=4),
+            policy=ResiliencePolicy(
+                timeout_us=45.0, max_retries=1, backoff_us=5.0,
+                hedge_after_us=35.0, hedges=1)))),
+    # A partial fan-out: select_shards draws 3 of 8 shards.
+    "partial-fanout-leaf": ("memcached", 200_000.0, _cached_graph(
+        0.8, GraphTierSpec(
+            name="leaf", shape=ClusterSpec(shards=8, fanout=3, quorum=2),
+            policy=ResiliencePolicy(hedge_after_us=48.0, hedges=1)))),
 }
 
 
@@ -828,47 +843,52 @@ def _cache(testbed):
     return testbed.service.caches["cache"]
 
 
+def _edge(testbed):
+    return testbed.service.dispatchers["leaf"]
+
+
+def _leaf_stage(testbed):
+    return _edge(testbed).backend
+
+
 def _assign(locate, name, cls):
     """An override assigning a counting pass-through to
     ``locate(testbed).<name>``; it returns the list the pass-through
-    appends one request id to per call."""
+    appends one entry to per call."""
     def install(testbed):
         target, calls = locate(testbed), []
         stock = getattr(cls, name)
 
-        def passthrough(request, *rest):
-            calls.append(request.request_id)
-            stock(target, request, *rest)
+        def passthrough(*args, **kwargs):
+            calls.append(None)
+            return stock(target, *args, **kwargs)
 
         setattr(target, name, passthrough)
         return calls
     return install
 
 
-class _CountingFanout(FanoutService):
-    """A FanoutService subclass: no longer the type the kernel fuses."""
+def _counting_subclass(locate, cls, name):
+    """An override by a subclass of *cls* (no longer the exact type the
+    kernel fuses) whose *name* counts its calls; it returns the list
+    it appends one entry to per call."""
+    stock = getattr(cls, name)
 
-    def _at_root(self, root, state, sub, shard_index=-1,
-                 dispatched_at=0.0):
-        self.calls.append(root.request_id)
-        super()._at_root(root, state, sub, shard_index, dispatched_at)
-
-
-class _CountingCache(CacheTier):
-    """A CacheTier subclass: no longer the type the kernel fuses."""
-
-    def submit(self, request, done_fn, *ctx):
-        self.calls.append(request.request_id)
-        super().submit(request, done_fn, *ctx)
-
-
-def _subclass(locate, cls):
     def install(testbed):
-        target = locate(testbed)
-        target.__class__ = cls
-        target.calls = []
-        return target.calls
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(None)
+            return stock(self, *args, **kwargs)
+
+        locate(testbed).__class__ = type(
+            f"_Counting{cls.__name__}", (cls,), {name: counted})
+        return calls
     return install
+
+
+def _attempts(counters):
+    return counters["resilience.leaf.attempts_issued"]
 
 
 #: override -> (install, calls it sees, fallback events it adds), the
@@ -900,10 +920,41 @@ _COMPLETION_OVERRIDES = {
         lambda counters: _GRAPH_REQUESTS,
         lambda counters: _GRAPH_REQUESTS),
     "FanoutService subclass": (
-        _subclass(_leaf_fanout, _CountingFanout), _subs, _subs),
+        _counting_subclass(_leaf_fanout, FanoutService, "_at_root"),
+        _subs, _subs),
     "CacheTier subclass": (
-        _subclass(_cache, _CountingCache), _lookups, _lookups),
+        _counting_subclass(_cache, CacheTier, "submit"),
+        _lookups, _lookups),
 }
+
+
+def _none(counters):
+    return 0
+
+
+#: The methods the fused cache lookup and the miss path behind it
+#: stand for: locate, class, name, the calls it sees, and the events
+#: a subclass un-fuses (a CacheTier or FanoutService subclass is no
+#: longer the exact type whose completions the kernel fuses).
+_LOOKUP_METHODS = (
+    (_cache, CacheTier, "_is_hit", _lookups, _lookups),
+    (_cache, CacheTier, "_filled",
+     lambda counters: counters["cache.cache.misses"], _lookups),
+    (_edge, ResilientDispatcher, "submit",
+     lambda counters: counters["resilience.leaf.calls"], _none),
+    (_edge, ResilientDispatcher, "_launch_attempt", _attempts, _none),
+    (_edge, ResilientDispatcher, "_responded", _attempts, _none),
+    (_leaf_stage, GraphStage, "submit", _attempts, _none),
+    (_leaf_fanout, FanoutService, "submit", _attempts, _subs),
+    (_leaf_fanout, FanoutService, "select_shards", _attempts, _subs),
+)
+for _locate, _cls, _name, _seen, _unfused in _LOOKUP_METHODS:
+    # The lookup runs inside the fused FINISH that reaches it, so an
+    # override that un-fuses it is called in place: no fallback.
+    _COMPLETION_OVERRIDES[f"{_cls.__name__}.{_name}"] = (
+        _assign(_locate, _name, _cls), _seen, _none)
+    _COMPLETION_OVERRIDES[f"{_cls.__name__} subclass: {_name}"] = (
+        _counting_subclass(_locate, _cls, _name), _seen, _unfused)
 
 
 class TestGraphCompletionFusion:
@@ -931,6 +982,51 @@ class TestGraphCompletionFusion:
         assert (_without_fallbacks(results["vectorized"])
                 == results["reference"] == _without_fallbacks(stock))
         assert len(set(digests.values())) == 1
+
+    @pytest.mark.parametrize("graph, colocate, expect", [
+        # Attempts time out, back off and retry, and hedge.
+        ("retrying-leaf", False, lambda c: (
+            0 < c["resilience.leaf.timeouts"] < c["resilience.leaf.calls"]
+            and c["resilience.leaf.retries"] > 0
+            and c["resilience.leaf.hedges"] > 0)),
+        # select_shards draws 3 of the 8 shards per attempt.
+        ("partial-fanout-leaf", False, lambda c: (
+            _subs(c) == 3 * _attempts(c) > 0)),
+        # Co-located shards: the fan-out's submit is called as it is.
+        ("memcached-cached", True, lambda c: _subs(c) == 8 * _attempts(c)),
+    ])
+    def test_cache_miss_shapes_bit_identical_across_engines(
+            self, graph, colocate, expect, monkeypatch):
+        """A cache miss runs fused behind a leaf edge over a linked
+        fan-out, whatever its policy or fan-out width, and as it is
+        behind co-located shards.  Either way both engines agree,
+        columns and every counter."""
+        submits = []
+        stock = ResilientDispatcher.submit
+
+        def spy(self, *args):  # still the stock method to the kernel
+            submits.append(None)
+            stock(self, *args)
+
+        monkeypatch.setattr(ResilientDispatcher, "submit", spy)
+        results, digests, calls = {}, {}, {}
+        for engine in ENGINES:
+            testbed = _graph_testbed(engine, graph, metrics=True)
+            if colocate:
+                fanout = _leaf_fanout(testbed)
+                fanout._links = [None] * fanout.num_shards
+            del submits[:]
+            results[engine] = testbed.run()
+            digests[engine] = _column_digest(testbed)
+            calls[engine] = len(submits)
+        counters = _counters(results["reference"])
+        assert expect(counters)
+        assert calls["reference"] == counters["resilience.leaf.calls"] > 0
+        assert calls["vectorized"] == (calls["reference"] if colocate
+                                       else 0)
+        assert (_without_fallbacks(results["vectorized"])
+                == results["reference"])
+        assert digests["vectorized"] == digests["reference"]
 
     def test_only_the_hedge_timers_fall_back(self):
         """On memcached-cached every event but a hedge timer firing
