@@ -13,10 +13,17 @@ ways:
 and, for exponential and lognormal, the ``size=`` **vector** form
 used for whole open-loop arrival schedules.
 
+Two **block** rows time the single-kind draws the simulator serves
+from blocks (:class:`~repro.sim.sampling.BlockStream`: the client and
+shard links' normals, a cache's hit uniforms) against the plain
+``Stream``'s scalar draw of the same kind, each a zero-argument bound
+draw as the hot paths hold it.
+
 Each row is also checked for bit-identity against the generator's own
 sequence, so the benchmark doubles as a smoke test.  The process exits
 non-zero when the stream is *slower* than the generator methods
-(geometric-mean speedup < 1), which is the CI regression gate for the
+(geometric-mean speedup < 1) or a block-served draw is slower than the
+stream's scalar draw, which is the CI regression gate for the
 sampling layer.
 
 Usage::
@@ -40,7 +47,11 @@ sys.path.insert(
 
 import numpy as np  # noqa: E402
 
-from repro.sim.sampling import Stream, c_samplers_active  # noqa: E402
+from repro.sim.sampling import (  # noqa: E402
+    BlockStream,
+    Stream,
+    c_samplers_active,
+)
 
 SEED = 4242
 
@@ -52,6 +63,12 @@ ROWS = (
     ("normal", [("normal", (1.0, 0.25))]),
     ("uniform", [("random", ())]),
     ("mixed", [("standard_normal", ()), ("random", ())]),
+)
+
+#: (label, block-served kind, the Generator method it equals).
+BLOCK_ROWS = (
+    ("block normal", "normal", "standard_normal"),
+    ("block uniform", "uniform", "random"),
 )
 
 
@@ -109,6 +126,33 @@ def bench_row(label: str, draws, count: int, repetitions: int) -> dict:
     return result
 
 
+def bench_block_row(kind: str, method: str, count: int,
+                    repetitions: int) -> dict:
+    """Best-of-N per-draw timings of a block-served draw against the
+    plain stream's scalar draw of the same kind."""
+    attr = "draw_" + kind
+    stream_s = block_s = float("inf")
+    for _ in range(repetitions):
+        stream_s = min(stream_s, _time_draws(
+            Stream(np.random.default_rng(SEED)), [(attr, ())], count))
+        block_s = min(block_s, _time_draws(
+            BlockStream(np.random.default_rng(SEED), kind), [(attr, ())],
+            count))
+
+    # Bit-identity across refills: the generator's own scalar sequence.
+    generator = np.random.default_rng(SEED)
+    draw = getattr(BlockStream(np.random.default_rng(SEED), kind), attr)
+    check = min(count, 50_000)
+    want = [float(getattr(generator, method)()) for _ in range(check)]
+    got = [draw() for _ in range(check)]
+    return {
+        "stream_us_per_draw": round(stream_s / count * 1e6, 4),
+        "block_us_per_draw": round(block_s / count * 1e6, 4),
+        "block_speedup": round(stream_s / block_s, 3),
+        "bit_identical": got == want,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -145,6 +189,19 @@ def main(argv=None) -> int:
     print(f"  geometric-mean stream speedup: {geomean:.2f}x "
           f"(bit-identical: {all_identical})")
 
+    print(f"  {'row':<14}{'stream':>11}{'block':>10}{'speedup':>9}"
+          f"  identical")
+    block_results = {}
+    for label, kind, method in BLOCK_ROWS:
+        row = bench_block_row(kind, method, count, args.repetitions)
+        block_results[label] = row
+        all_identical &= row["bit_identical"]
+        print(f"  {label:<14}{row['stream_us_per_draw']:>9.3f}us"
+              f"{row['block_us_per_draw']:>8.3f}us"
+              f"{row['block_speedup']:>8.2f}x  {row['bit_identical']}")
+    slower = sorted(label for label, row in block_results.items()
+                    if row["block_speedup"] < 1.0)
+
     payload = {
         "benchmark": "sampling",
         "draws_per_row": count,
@@ -152,6 +209,7 @@ def main(argv=None) -> int:
         "quick": bool(args.quick),
         "c_samplers": c_samplers,
         "rows": results,
+        "block_rows": block_results,
         "geomean_speedup": round(geomean, 3),
         "bit_identical": all_identical,
     }
@@ -167,6 +225,10 @@ def main(argv=None) -> int:
     if geomean < 1.0:
         print(f"FAIL: stream slower than the generator methods "
               f"({geomean:.2f}x < 1.0x)", file=sys.stderr)
+        return 1
+    if slower:
+        print(f"FAIL: block-served draws slower than the stream's "
+              f"scalar draw: {', '.join(slower)}", file=sys.stderr)
         return 1
     return 0
 

@@ -31,7 +31,7 @@ from repro.cluster.balancer import LoadBalancer
 from repro.cluster.fanout import FanoutService
 from repro.cluster.spec import ClusterSpec
 from repro.config.knobs import HardwareConfig
-from repro.net.link import NetworkLink
+from repro.net.link import NetworkLink, link_stream
 from repro.parameters import SkylakeParameters
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -96,7 +96,7 @@ def _build_group(definition: "WorkloadDefinition", sim: Simulator,
                 rng=streams.stream(shard_prefix + "lb"),
                 name=f"{label}-lb[n{node}.s{shard}]"))
         links.append(NetworkLink(
-            params, streams.stream(f"{prefix}shard-net-{shard}")))
+            params, link_stream(streams, f"{prefix}shard-net-{shard}")))
     return FanoutService(
         sim, shard_backends, links,
         fanout=cluster.effective_fanout,

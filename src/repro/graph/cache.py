@@ -8,7 +8,8 @@ install the result before completing.  Hit decisions draw one uniform
 from the tier's :class:`~repro.sim.sampling.Stream`, through its
 zero-argument C draw bound once; the degenerate ratios 0 and 1 consume
 no randomness at all (mirroring the ``next_index(1)`` idiom), so an
-always-miss cache is draw-for-draw identical to no cache.
+always-miss cache is draw-for-draw identical to no cache.  That uniform
+is the stream's only draw, so :func:`hit_stream` block-serves it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,18 @@ from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.server.request import Request
-from repro.sim.sampling import as_stream
+from repro.sim.random import RandomStreams
+from repro.sim.sampling import Stream, as_stream
+
+
+def hit_stream(streams: RandomStreams, name: str) -> Stream:
+    """The stream for a :class:`CacheTier`'s hit decisions.
+
+    A hit decision is the stream's only draw, a uniform, so the stream
+    is block-served (``streams.stream(name, only="uniform")``): the
+    scalar draws' values in their order, at a C iterator step each.
+    """
+    return streams.stream(name, only="uniform")
 
 
 class CacheTier:

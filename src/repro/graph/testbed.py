@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List
 from repro.cluster.fanout import FanoutService
 from repro.cluster.testbed import build_cluster_service
 from repro.config.knobs import HardwareConfig
-from repro.graph.cache import CacheTier
+from repro.graph.cache import CacheTier, hit_stream
 from repro.graph.resilience import ResilientDispatcher
 from repro.graph.spec import TIER_CACHE, ServiceGraphSpec
 from repro.parameters import SkylakeParameters
@@ -165,7 +165,7 @@ def build_service_graph(definition: "WorkloadDefinition",
                 links=None, fanout=0, quorum=0,
                 name=f"{tier.name}-join")
         if tier.kind == TIER_CACHE:
-            rng = (streams.stream(f"{tier.name}/cache")
+            rng = (hit_stream(streams, f"{tier.name}/cache")
                    if 0.0 < tier.hit_ratio < 1.0 else None)
             stage: Any = CacheTier(
                 sim, downstream,

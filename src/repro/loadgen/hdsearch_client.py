@@ -18,7 +18,7 @@ from repro.config.knobs import HardwareConfig
 from repro.loadgen.client_machine import ClientMachine
 from repro.loadgen.interarrival import ExponentialInterarrival
 from repro.loadgen.open_loop import OpenLoopGenerator
-from repro.net.link import NetworkLink
+from repro.net.link import NetworkLink, link_stream
 from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
 from repro.server.request import Request
 from repro.sim.engine import Simulator
@@ -49,7 +49,7 @@ def build_hdsearch_client(
         send_work_us=HDSEARCH_SEND_WORK_US,
         recv_work_us=HDSEARCH_RECV_WORK_US,
         name="hdsearch-client")
-    link_rng = streams.stream("network")
+    link_rng = link_stream(streams, "network")
     return OpenLoopGenerator(
         sim, [machine], service,
         link_to_server=NetworkLink(params, link_rng),

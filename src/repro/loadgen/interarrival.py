@@ -18,7 +18,8 @@ via Lewis-Shedler thinning, and by :class:`TraceReplayInterarrival`,
 which replays a recorded timestamp trace.  The thinning draw protocol
 is chunked so the vector path stays bit-identical to a scalar
 reference: each round draws the *remaining-needed* candidate gaps and
-acceptance uniforms as two whole vectors, then scans them in order --
+acceptance uniforms as two whole vectors, then accepts the round's
+candidates with array arithmetic that equals a per-candidate scan --
 the number of draws per round depends only on how many arrivals were
 still missing at round start, which is itself deterministic.
 
@@ -105,8 +106,9 @@ class LognormalInterarrival(_RateBased):
 
     def __init__(self, qps: float, sigma: float = 1.0) -> None:
         super().__init__(qps)
-        if sigma < 0:
-            raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
+        if not 0.0 <= sigma < math.inf:
+            raise ConfigurationError(
+                f"sigma must be finite and >= 0, got {sigma}")
         self._sigma = float(sigma)
         self._mu = math.log(self._mean_us) - 0.5 * self._sigma ** 2
 
@@ -129,11 +131,19 @@ class _ThinnedInterarrival(_RateBased):
     peak rate and accepted with probability ``rate(t) / peak_rate``.
     The draw protocol is chunked (see the module docstring): every
     round consumes exactly ``remaining`` candidate gaps and
-    ``remaining`` acceptance uniforms, so the batched-facade vector
-    path and a scalar-draw reference consume the same underlying
-    stream bit-for-bit.  The rate function is always evaluated with
-    scalar :mod:`math` calls -- never a numpy array ufunc, whose SIMD
-    loops may differ from the scalar libm by an ULP.
+    ``remaining`` acceptance uniforms, so the vector path and a
+    scalar-draw reference consume the same underlying stream
+    bit-for-bit.
+
+    :meth:`sample_train_us` synthesises a round at a time: the
+    candidate clock is one sequential ``np.cumsum`` (the running
+    ``t += gap`` of a per-candidate loop, addition for addition), the
+    rates one :meth:`_rates` array, and acceptance one array
+    comparison.  Only ``+``, ``-``, ``*`` and comparisons run as
+    numpy array arithmetic, which IEEE-754 rounds exactly as scalar
+    floats; the rate function's transcendentals are always scalar
+    :mod:`math` calls -- never a numpy array ufunc, whose SIMD loops
+    may differ from the scalar libm by an ULP.
     """
 
     def __init__(self, qps: float, peak_qps: float) -> None:
@@ -148,26 +158,36 @@ class _ThinnedInterarrival(_RateBased):
         """Instantaneous rate at absolute train time *t_us*."""
         raise NotImplementedError
 
+    def _rates(self, clock_us: np.ndarray) -> np.ndarray:
+        """:meth:`_rate_qps` at every time of *clock_us*, value for
+        value."""
+        raise NotImplementedError
+
     def sample_train_us(self, rng=None, size: int = 1) -> np.ndarray:
         if rng is None:
             return np.full(size, self._mean_us)
         gaps = np.empty(size)
         peak = self._peak_qps
         peak_mean = self._peak_mean_us
-        rate = self._rate_qps
         t = 0.0
         last = 0.0
         count = 0
         while count < size:
             need = size - count
-            candidates = rng.standard_exponential(need) * peak_mean
-            accepts = rng.random(need)
-            for gap, u in zip(candidates.tolist(), accepts.tolist()):
-                t += gap
-                if u * peak <= rate(t):
-                    gaps[count] = t - last
-                    last = t
-                    count += 1
+            # [t, gap_0, gap_1, ...] summed in order: the clock after
+            # each candidate, as a per-candidate loop advances it.
+            steps = np.empty(need + 1)
+            steps[0] = t
+            np.multiply(rng.standard_exponential(need), peak_mean,
+                        out=steps[1:])
+            clock = np.cumsum(steps)[1:]
+            accepted = clock[rng.random(need) * peak <= self._rates(clock)]
+            if len(accepted):
+                gaps[count:count + len(accepted)] = np.diff(
+                    accepted, prepend=last)
+                last = accepted[-1]
+                count += len(accepted)
+            t = clock[-1]
         return gaps
 
     def sample_us(self, rng=None) -> float:
@@ -192,12 +212,16 @@ class DiurnalInterarrival(_ThinnedInterarrival):
 
     def __init__(self, qps: float, period_us: float,
                  amplitude: float = 0.5, phase_us: float = 0.0) -> None:
-        if period_us <= 0:
+        if not 0.0 < period_us < math.inf:
             raise ConfigurationError(
-                f"diurnal period_us must be > 0, got {period_us}")
+                f"diurnal period_us must be finite and > 0, "
+                f"got {period_us}")
         if not 0.0 <= amplitude <= 1.0:
             raise ConfigurationError(
                 f"diurnal amplitude must be in [0, 1], got {amplitude}")
+        if not -math.inf < phase_us < math.inf:
+            raise ConfigurationError(
+                f"diurnal phase_us must be finite, got {phase_us}")
         super().__init__(qps, qps * (1.0 + float(amplitude)))
         self._period_us = float(period_us)
         self._amplitude = float(amplitude)
@@ -207,6 +231,12 @@ class DiurnalInterarrival(_ThinnedInterarrival):
     def _rate_qps(self, t_us: float) -> float:
         return self._qps * (1.0 + self._amplitude * math.sin(
             self._omega * (t_us + self._phase_us)))
+
+    def _rates(self, clock_us: np.ndarray) -> np.ndarray:
+        # _rate_qps term by term; only sin is mapped, as libm's.
+        phases = (self._omega * (clock_us + self._phase_us)).tolist()
+        return self._qps * (1.0 + self._amplitude * np.array(
+            list(map(math.sin, phases))))
 
 
 class FlashCrowdInterarrival(_ThinnedInterarrival):
@@ -221,16 +251,18 @@ class FlashCrowdInterarrival(_ThinnedInterarrival):
     def __init__(self, qps: float, spike_start_us: float,
                  spike_duration_us: float,
                  spike_factor: float = 4.0) -> None:
-        if spike_start_us < 0:
+        if not 0.0 <= spike_start_us < math.inf:
             raise ConfigurationError(
-                f"spike_start_us must be >= 0, got {spike_start_us}")
-        if spike_duration_us <= 0:
+                f"spike_start_us must be finite and >= 0, "
+                f"got {spike_start_us}")
+        if not 0.0 < spike_duration_us < math.inf:
             raise ConfigurationError(
-                f"spike_duration_us must be > 0, "
+                f"spike_duration_us must be finite and > 0, "
                 f"got {spike_duration_us}")
-        if spike_factor < 1.0:
+        if not 1.0 <= spike_factor < math.inf:
             raise ConfigurationError(
-                f"spike_factor must be >= 1, got {spike_factor}")
+                f"spike_factor must be finite and >= 1, "
+                f"got {spike_factor}")
         super().__init__(qps, qps * float(spike_factor))
         self._spike_start_us = float(spike_start_us)
         self._spike_end_us = float(spike_start_us) + float(
@@ -241,6 +273,11 @@ class FlashCrowdInterarrival(_ThinnedInterarrival):
         if self._spike_start_us <= t_us < self._spike_end_us:
             return self._qps * self._spike_factor
         return self._qps
+
+    def _rates(self, clock_us: np.ndarray) -> np.ndarray:
+        spike = ((self._spike_start_us <= clock_us)
+                 & (clock_us < self._spike_end_us))
+        return np.where(spike, self._qps * self._spike_factor, self._qps)
 
 
 class TraceReplayInterarrival:
@@ -260,6 +297,10 @@ class TraceReplayInterarrival:
         times = np.asarray([float(t) for t in timestamps_us])
         if times.size == 0:
             raise ConfigurationError("arrival trace is empty")
+        if not np.isfinite(times).all():
+            raise ConfigurationError(
+                "trace timestamps must be finite, got "
+                f"{times[~np.isfinite(times)][0]}")
         if times[0] < 0:
             raise ConfigurationError(
                 f"trace timestamps must be >= 0, got {times[0]}")
@@ -268,9 +309,9 @@ class TraceReplayInterarrival:
                 "trace timestamps must be non-decreasing")
         gaps = np.diff(times, prepend=0.0)
         if qps is not None:
-            if qps <= 0:
+            if not 0.0 < qps < math.inf:
                 raise ConfigurationError(
-                    f"qps must be > 0, got {qps}")
+                    f"qps must be finite and > 0, got {qps}")
             mean_gap = float(gaps.mean())
             if mean_gap <= 0:
                 raise ConfigurationError(

@@ -16,7 +16,7 @@ from repro.config.knobs import HardwareConfig
 from repro.loadgen.client_machine import ClientMachine, sample_env_scale
 from repro.loadgen.interarrival import ExponentialInterarrival
 from repro.loadgen.open_loop import OpenLoopGenerator
-from repro.net.link import NetworkLink
+from repro.net.link import NetworkLink, link_stream
 from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
 from repro.server.request import Request
 from repro.sim.engine import Simulator
@@ -80,7 +80,7 @@ def build_mutilate(sim: Simulator, streams: RandomStreams,
                 recv_work_us=MUTILATE_RECV_WORK_US,
                 name=f"mutilate-{machine_index}.{thread_index}",
                 overhead_scale=env))
-    link_rng = streams.stream("network")
+    link_rng = link_stream(streams, "network")
     return OpenLoopGenerator(
         sim, machines, service,
         link_to_server=NetworkLink(params, link_rng),

@@ -4,7 +4,8 @@ The test cluster is a handful of machines on one switch, so we model
 the wire+switch path as a lognormal around a ~15 us one-way latency
 (typical for the 10 GbE CloudLab fabric) with a small tail.  Per-byte
 serialization cost is added for large messages (HDSearch feature
-vectors, Social Network timelines).
+vectors, Social Network timelines).  A link's only draw is a standard
+normal, so :func:`link_stream` block-serves the streams links share.
 """
 
 from __future__ import annotations
@@ -15,10 +16,21 @@ from typing import Optional
 import numpy as np
 
 from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
-from repro.sim.sampling import as_stream
+from repro.sim.random import RandomStreams
+from repro.sim.sampling import Stream, as_stream
 
 #: Serialization cost per kilobyte at 10 GbE, in microseconds.
 US_PER_KB_10GBE = 0.8
+
+
+def link_stream(streams: RandomStreams, name: str) -> Stream:
+    """The stream for the :class:`NetworkLink` objects drawing *name*.
+
+    A link draws only standard normals, so the stream is block-served
+    (``streams.stream(name, only="normal")``): the scalar draws' values
+    in their order, at a C iterator step each.  Give it to links only.
+    """
+    return streams.stream(name, only="normal")
 
 
 class NetworkLink:
@@ -30,9 +42,9 @@ class NetworkLink:
         self._params = params
         self._mean = (params.network_one_way_us
                       if mean_latency_us is None else float(mean_latency_us))
-        if self._mean <= 0:
+        if not 0.0 < self._mean < math.inf:
             raise ValueError(
-                f"mean latency must be positive, got {self._mean}"
+                f"mean latency must be finite and positive, got {self._mean}"
             )
         self._sigma = params.network_sigma
         # lognormal(mu, sigma) has mean exp(mu + sigma^2/2).

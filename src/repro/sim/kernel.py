@@ -31,11 +31,14 @@ hook, completed requests are buffered and written
 code outside the fused loop always sees every record, in order.
 
 The fused handlers inline the components' control flow, not their
-samplers: every draw is a zero-argument numpy C sampler bound once per
-context (a station's :class:`~repro.sim.sampling.Stream` draws, a
-link's standard normal, a raw client-core generator's
+samplers: every draw is a zero-argument draw bound once per context
+(a station's :class:`~repro.sim.sampling.Stream` draws, a link's
+standard normal, a cache's hit uniform, a raw client-core generator's
 :func:`~repro.sim.sampling.scalar_samplers`), in the reference
-components' order and float expressions.
+components' order and float expressions.  Every link's stream and
+the cache's are block-served
+(:class:`~repro.sim.sampling.BlockStream`), which changes what a draw
+costs, never what it returns.
 
 An open-loop arrival train (:meth:`~repro.sim.engine.Simulator.post_train`)
 keeps one heap entry; a member whose callback is a fused launch runs
@@ -68,9 +71,13 @@ the dispatcher's submit and first attempt (the attempt copy and its
 timeout :class:`~repro.sim.engine.Event`), the fan-out's submit (its
 shard selection, sub-requests, link draws and shard pushes) and the
 hedge :class:`~repro.sim.engine.Event`, pushed with the reference
-calls' sequence numbers and tallies, in their order.  Any other
-``done_fn`` (the resilience tier's ``_responded``, a cache fill, ...)
-is called as it is.
+calls' sequence numbers and tallies, in their order.  That
+dispatcher's stock ``_responded`` is the response leg: the first
+response folds the attempt's timings into the root, counts it and
+cancels the call's timers through ``Event.cancel`` (a straggler only
+counts), and a stock ``CacheTier._filled`` behind it adds the fill
+and pushes ``_finish_miss`` under its own sequence number.  Any other
+``done_fn`` (a fill that is not stock, ...) is called as it is.
 
 Fallback: anything the kernel does not recognise -- a cancellable
 :class:`~repro.sim.engine.Event` firing (the resilience tier's hedge
@@ -148,6 +155,7 @@ _OP_CACHE_DONE = 9
 _C_CLIENT = 0  # LoadGenerator._served: the hop back to the client
 _C_SHARD = 1  # FanoutService._shard_served: the shard's return hop
 _C_LOOKUP = 2  # the entry GraphStage._forward: CacheTier.submit
+_C_RESPOND = 3  # ResilientDispatcher._responded, then CacheTier._filled
 
 
 # ---------------------------------------------------------------- contexts
@@ -516,8 +524,16 @@ class KernelSimulator(Simulator):
             lc = _LC(cache)
             edge = cache.downstream
             if not (type(edge) is ResilientDispatcher and edge._sim is self
-                    and edge._trace is None
-                    and _stock(edge, "submit", ResilientDispatcher)
+                    and edge._trace is None):
+                return lc
+            if _stock(edge, "_responded", ResilientDispatcher):
+                # The response leg; a stock fill runs fused behind it.
+                filled = (lc.filled if _stock(cache, "_filled", CacheTier)
+                          else None)
+                completions[edge._responded] = (_C_RESPOND, (
+                    edge, filled, cache.fill_penalty_us,
+                    cache._finish_miss))
+            if not (_stock(edge, "submit", ResilientDispatcher)
                     and _stock(edge, "_launch_attempt",
                                ResilientDispatcher)):
                 return lc
@@ -1093,6 +1109,43 @@ class KernelSimulator(Simulator):
                                                lc.hedge, (state,), self)
                                     heappush(heap, (ev.time, ev.seq, ev))
                                     state.hedge_event = ev
+                        elif kind == 3:  # _C_RESPOND
+                            # ResilientDispatcher._responded: the first
+                            # response wins, a straggler only drains.
+                            edge, filled, penalty, finish_miss = cdata
+                            edge.attempts_completed += 1
+                            state = cctx[0]
+                            if not state.completed:
+                                state.completed = True
+                                ev = state.timeout_event
+                                if ev is not None:
+                                    ev.cancel()
+                                    state.timeout_event = None
+                                ev = state.hedge_event
+                                if ev is not None:
+                                    ev.cancel()
+                                    state.hedge_event = None
+                                # A cancel may compact (rebind) the heap.
+                                heap = self._heap
+                                root = state.root
+                                root.service_us += cjob.service_us
+                                root.queue_wait_us += cjob.queue_wait_us
+                                root.server_departure_us = now
+                                edge.roots_completed += 1
+                                if state.done_fn is filled:
+                                    # CacheTier._filled: the fill, then
+                                    # the _finish_miss post.
+                                    root.service_us += penalty
+                                    heappush(heap, (
+                                        now + penalty, nseq(), finish_miss,
+                                        (root,) + state.ctx))
+                                else:
+                                    self._now = now
+                                    if defer:
+                                        flushrec()
+                                    state.done_fn(root, *state.ctx)
+                                    now = self._now
+                                    heap = self._heap
                         else:
                             # Not in the table (or a co-located shard):
                             # called as it is.

@@ -12,11 +12,12 @@ any other component.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
-from repro.sim.sampling import Stream
+from repro.errors import ConfigurationError
+from repro.sim.sampling import BlockStream, Stream
 
 #: The stream namespace active in this process (see
 #: :func:`stream_namespace`).  Empty outside a namespace block, which
@@ -82,7 +83,20 @@ class RandomStreams:
         The stream seed is derived from the root seed and a stable hash
         of the (namespace-prefixed) name, so stream identity depends
         only on (seed, namespace + name).
+
+        Raises:
+            ConfigurationError: if *name* is block-served (see
+                :meth:`stream`): its generator runs ahead of the
+                scalar sequence, so it is never handed out.
         """
+        wrapped = self._wrapped.get(name)
+        if isinstance(wrapped, BlockStream):
+            raise ConfigurationError(
+                f"stream {name!r} serves {wrapped.kind} draws from "
+                f"blocks; its generator is not handed out")
+        return self._generator(name)
+
+    def _generator(self, name: str) -> np.random.Generator:
         stream = self._streams.get(name)
         if stream is None:
             child = np.random.SeedSequence(
@@ -93,19 +107,46 @@ class RandomStreams:
             self._streams[name] = stream
         return stream
 
-    def stream(self, name: str) -> Stream:
+    def stream(self, name: str, only: Optional[str] = None) -> Stream:
         """Return (creating if needed) the :class:`Stream` for *name*.
 
         The stream fronts the same generator :meth:`get` returns, with
         its scalar draws bound to numpy's C samplers (see
         :mod:`repro.sim.sampling`).  Hot-path components should take
-        this; cold call sites may keep the raw generator.  Nothing is
-        drawn ahead, so mixing both for one name is always safe.
+        this; cold call sites may keep the raw generator.  A plain
+        stream draws nothing ahead, so mixing it with :meth:`get` for
+        one name is safe.
+
+        With ``only`` (``"uniform"`` or ``"normal"``), the caller
+        vouches that every holder of *name* draws that one kind: the
+        stream is a :class:`~repro.sim.sampling.BlockStream`, whose
+        draws are the scalar sequence's values served from blocks,
+        and which refuses every other draw, as :meth:`get` then
+        refuses the name.  Later ``stream(name)`` calls, with or without ``only``,
+        return the same block stream.
+
+        Raises:
+            ConfigurationError: if ``only`` names another kind than
+                the stream's, or *name*'s generator was already handed
+                out without it (a bound scalar draw cannot be
+                revoked).
         """
         stream = self._wrapped.get(name)
         if stream is None:
-            stream = Stream(self.get(name))
+            if only is None:
+                stream = Stream(self._generator(name))
+            elif name in self._streams:
+                raise ConfigurationError(
+                    f"stream {name!r} was handed out before it was "
+                    f"block-served for {only} draws")
+            else:
+                stream = BlockStream(self._generator(name), only, name)
             self._wrapped[name] = stream
+        elif only is not None and not (isinstance(stream, BlockStream)
+                                       and stream.kind == only):
+            raise ConfigurationError(
+                f"stream {name!r} cannot be block-served for {only} "
+                f"draws: it is already handed out")
         return stream
 
     def names(self) -> tuple:

@@ -1,4 +1,4 @@
-"""Scalar draws straight to numpy's C samplers.
+"""Scalar draws straight to numpy's C samplers, or served from blocks.
 
 Every stochastic component of the simulator draws scalar values from a
 named :class:`~repro.sim.random.RandomStreams` generator, 10-20 draws
@@ -32,26 +32,56 @@ to the same libm symbol in-process):
 
 :class:`Stream` puts the two together behind the ``Generator`` method
 names the tree calls, so call sites accept either a raw generator or
-a stream.  Nothing is drawn ahead: a stream holds no values, and its
-generator always sits where the same scalar calls would have left it,
-so mixing ``RandomStreams.stream(name)`` with ``.get(name)`` is always
-safe.  Hot call sites bind a stream's three zero-argument draws
+a stream.  A plain stream draws nothing ahead: it holds no values,
+and its generator always sits where the same scalar calls would have
+left it, so mixing ``RandomStreams.stream(name)`` with ``.get(name)``
+is safe.  Hot call sites bind a stream's three zero-argument draws
 (:attr:`Stream.draw_uniform` and its siblings) once.
+
+**Block-served streams.**  Where every holder of a stream draws one
+kind only -- the network links' standard normals (both client links
+on ``network``, a shard link on ``{prefix}shard-net-{i}`` in both
+directions, an HDSearch inter-tier link on ``{prefix}network-tiers``)
+and a cache tier's hit uniforms on ``{tier}/cache`` -- the consumer's
+module asks
+the registry for a :class:`BlockStream`
+(``RandomStreams.stream(name, only=kind)``, through
+:func:`repro.net.link.link_stream` and
+:func:`repro.graph.cache.hit_stream`).  Its one draw serves values from blocks of :data:`BLOCK` that the
+generator's own ``size=`` sampler fills; that sampler runs the same
+per-element C routine as the scalar draw (``random_standard_normal``
+and its siblings, looped), so every value and its order are the
+scalar draws', bit for bit, whichever holder draws next.  A served
+value costs a C-level iterator step instead of a ``ctypes`` call.
+The generator then runs up to a block ahead of the scalar sequence,
+so the stream refuses every other draw (another kind, any ``size=``
+form, any delegated ``Generator`` method) and the registry refuses to
+hand its generator out (``RandomStreams.get``): nothing can observe
+the draw-ahead.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import chain
 from math import exp, expm1
 from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
+
+from repro.errors import ConfigurationError
 
 #: numpy's per-element primitive samplers: uniform, normal, exponential.
 _C_SAMPLER_NAMES = ("random_standard_uniform", "random_standard_normal",
                     "random_standard_exponential")
 
 Draw = Callable[[], float]
+
+#: Values a :class:`BlockStream` draws per refill.
+BLOCK = 256
+
+#: Block-servable draw kinds -> the ``Generator`` method filling a block.
+BLOCK_KINDS = {"uniform": "random", "normal": "standard_normal"}
 
 
 def scalar_samplers(generator: np.random.Generator
@@ -133,8 +163,6 @@ def _agrees(api: Tuple[Any, Any, Any]) -> bool:
     want = [reference[kind]() for kind in kinds]
     return (got == want
             and through_c.bit_generator.state == methods.bit_generator.state)
-
-
 
 
 def c_samplers_active() -> bool:
@@ -247,6 +275,67 @@ class Stream:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Stream {self.generator!r}>"
+
+
+class _Refused:
+    """Stands in for a :class:`BlockStream`'s generator and its other
+    draws: calling it, or reading any public attribute, raises."""
+
+    __slots__ = ("_message",)
+
+    def __init__(self, message: str) -> None:
+        self._message = message
+
+    def __call__(self, *args: Any, **kwargs: Any) -> Any:
+        raise ConfigurationError(self._message)
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("_"):
+            raise AttributeError(name)
+        raise ConfigurationError(self._message)
+
+
+class BlockStream(Stream):
+    """A stream whose every holder draws one kind, served from blocks.
+
+    ``draw_<kind>`` (and every scalar method over it) returns the next
+    value of one shared sequence, refilled :data:`BLOCK` values at a
+    time by the generator's own ``size=`` sampler: the values, in
+    order, of the scalar draws (see the module docstring).  Every
+    other draw, ``size=`` form and delegated method raises
+    :class:`~repro.errors.ConfigurationError`, since the generator
+    sits up to a block ahead.  Build it through
+    ``RandomStreams.stream(name, only=kind)``.
+
+    Attributes:
+        kind: the served kind, a key of :data:`BLOCK_KINDS`.
+    """
+
+    __slots__ = ("kind",)
+
+    def __init__(self, generator: np.random.Generator, kind: str,
+                 name: str = "") -> None:
+        if kind not in BLOCK_KINDS:
+            raise ConfigurationError(
+                f"block-served kind must be one of "
+                f"{', '.join(BLOCK_KINDS)}, got {kind!r}")
+        self.kind = kind
+        fill = getattr(generator, BLOCK_KINDS[kind])
+        refused = _Refused(
+            f"stream {name!r} serves {kind} draws from blocks only; its "
+            f"generator runs ahead of the scalar sequence")
+        # The wrapped generator is never exposed: every size= form and
+        # delegated method reaches the refusal instead.
+        self.generator = refused
+        self.draw_uniform = self.draw_normal = self.draw_exponential = (
+            refused)
+        # One C-level iterator over ever-refilled blocks: a served value
+        # is one __next__, a refill one size= call.
+        blocks = iter(lambda: fill(BLOCK).tolist(), None)
+        setattr(self, "draw_" + kind, chain.from_iterable(blocks).__next__)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<BlockStream {self.kind}>"
 
 
 def as_stream(rng):

@@ -9,6 +9,8 @@ than in raw magic numbers.
 
 from __future__ import annotations
 
+import math
+
 #: One microsecond (the base time unit).
 US = 1.0
 
@@ -48,10 +50,10 @@ def qps_to_interarrival_us(qps: float) -> float:
     """Mean inter-arrival time in microseconds for a rate in queries/sec.
 
     Raises:
-        ValueError: if *qps* is not strictly positive.
+        ValueError: if *qps* is not strictly positive and finite.
     """
-    if qps <= 0:
-        raise ValueError(f"qps must be positive, got {qps!r}")
+    if not 0.0 < qps < math.inf:
+        raise ValueError(f"qps must be finite and positive, got {qps!r}")
     return SECOND / float(qps)
 
 

@@ -11,10 +11,10 @@ we model:
 * operation mix: dominated by GETs, roughly 30:1 GET:SET.
 
 Request synthesis draws message sizes in batches
-(:meth:`EtcWorkload.sample_messages_kb`): a Python loop makes only the
-scalar draws, and the size transforms run as float64 array arithmetic
-over them, with libm's ``exp``/``expm1``, bit for bit equal to the
-per-call samplers.
+(:meth:`EtcWorkload.sample_messages_kb`): one Python loop makes the
+scalar draws and applies libm's ``exp``/``expm1`` to them, and only
+the clamps run as array arithmetic, bit for bit equal to the per-call
+samplers.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ class EtcWorkload:
 
     def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
         self._rng = rng
+        # The batch path's uniform, normal and exponential draws.
+        self._draws = None if rng is None else scalar_samplers(rng)
 
     # ------------------------------------------------------------------
     # The draws below use the primitive-sampler forms (exp(mu+sigma*z),
@@ -85,39 +87,34 @@ class EtcWorkload:
         """The next *count* :meth:`sample_message_kb` values, in order.
 
         The same values and final generator state as *count* calls,
-        bit for bit.  The loop makes only the draws, in the per-call
-        order (the key's normal, the branch uniform, then the body's
-        normal or the tail's exponential), through the stream's scalar
-        samplers; the transforms then run over whole float64 arrays.
-        ``exp`` and ``expm1`` stay libm's (``math``, mapped over the
-        draws): numpy's SIMD loops may differ from libm by an ULP.
-        Sizes are clamped in float before the ``int64`` cast: for
-        ``x >= 0`` and an integer ``M``, ``trunc(min(x, M)) ==
-        min(trunc(x), M)``, so no size can wrap.
+        bit for bit.  The loop makes the draws in the per-call order
+        (the key's normal, the branch uniform, then the body's normal
+        or the tail's exponential), through the stream's scalar
+        samplers bound once, and applies the float transforms as it
+        goes, with libm's ``exp``/``expm1`` (``math``; numpy's SIMD
+        loops may differ from libm by an ULP).  Only the clamps and
+        the integer sums run over arrays: sizes are clamped in float
+        before the ``int64`` cast, and for ``x >= 0`` and an integer
+        ``M``, ``trunc(min(x, M)) == min(trunc(x), M)``, so no size
+        can wrap.
         """
-        if self._rng is None:
+        if self._draws is None:
             return [self.sample_message_kb()] * count
-        uniform, normal, exponential = scalar_samplers(self._rng)
-        draws: List[float] = []
-        put = draws.append
-        for _ in range(count):
-            put(normal())
-            u = uniform()
-            put(u)
-            put(normal() if u < 0.95 else exponential())
-        key_z, branch_u, third = np.array(draws).reshape(count, 3).T
+        uniform, normal, exponential = self._draws
         exp, expm1 = math.exp, math.expm1
-        key = np.fromiter(map(exp, (3.4 + 0.35 * key_z).tolist()), float)
-        key = np.minimum(key, _KEY_MAX_B).astype(np.int64) + _KEY_MIN_B
+        keys: List[float] = []
+        values: List[float] = []
+        key_put = keys.append
+        value_put = values.append
+        for _ in range(count):
+            key_put(exp(3.4 + 0.35 * normal()))
+            if uniform() < 0.95:
+                value_put(exp(4.8 + 1.0 * normal()))
+            else:
+                # Pareto tail: the rare multi-KB values ETC is known for.
+                value_put(1000 * (1.0 + expm1(exponential() / 1.5)))
+        key = np.minimum(keys, _KEY_MAX_B).astype(np.int64) + _KEY_MIN_B
         np.clip(key, _KEY_MIN_B, _KEY_MAX_B, out=key)
-        body = branch_u < 0.95
-        tail = ~body
-        value = np.empty(count)
-        value[body] = np.fromiter(
-            map(exp, (4.8 + 1.0 * third[body]).tolist()), float)
-        # Pareto tail: the rare multi-KB values ETC is known for.
-        value[tail] = 1000 * (1.0 + np.fromiter(
-            map(expm1, (third[tail] / 1.5).tolist()), float))
-        value = np.minimum(value, _VALUE_MAX_B).astype(np.int64)
+        value = np.minimum(values, _VALUE_MAX_B).astype(np.int64)
         np.clip(value, 1, _VALUE_MAX_B, out=value)
         return ((key + value + 48) / 1024.0).tolist()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config.knobs import HardwareConfig
-from repro.net.link import NetworkLink
+from repro.net.link import NetworkLink, link_stream
 from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
 from repro.server.request import Request
 from repro.server.service import LognormalService
@@ -97,7 +97,7 @@ def _hdsearch_service(sim: Simulator, streams: RandomStreams,
         env_scale=env_scale,
     )
     inter_tier = NetworkLink(
-        params, streams.stream(stream_prefix + "network-tiers"))
+        params, link_stream(streams, stream_prefix + "network-tiers"))
     return TieredService(sim, [
         TierSpec(station=midtier, fanout=1, hop_link=None),
         TierSpec(station=bucket, fanout=BUCKET_FANOUT, hop_link=inter_tier),

@@ -1,5 +1,7 @@
 """Tests for inter-arrival processes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,160 @@ class TestFlashCrowd:
             FlashCrowdInterarrival(1_000, spike_start_us=0.0,
                                    spike_duration_us=10.0,
                                    spike_factor=0.5)
+
+
+def _per_candidate_train(process, rng, size):
+    """Thinning one candidate at a time: the reference loop the
+    round-at-a-time :meth:`sample_train_us` must equal, draw for
+    draw."""
+    gaps = np.empty(size)
+    t = last = 0.0
+    count = 0
+    while count < size:
+        need = size - count
+        candidates = rng.standard_exponential(need) * process._peak_mean_us
+        accepts = rng.random(need)
+        for gap, u in zip(candidates.tolist(), accepts.tolist()):
+            t += gap
+            if u * process._peak_qps <= process._rate_qps(t):
+                gaps[count] = t - last
+                last = t
+                count += 1
+    return gaps
+
+
+class _RoundLog:
+    """A generator wrapper logging each thinning round's size."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.rounds = []
+
+    def standard_exponential(self, size):
+        self.rounds.append(size)
+        return self._rng.standard_exponential(size)
+
+    def random(self, size):
+        return self._rng.random(size)
+
+
+THINNED = {
+    "diurnal": lambda: DiurnalInterarrival(
+        50_000, period_us=20_000.0, amplitude=0.5),
+    "diurnal-phase": lambda: DiurnalInterarrival(
+        3_000, period_us=700.0, amplitude=0.9, phase_us=123.4),
+    "diurnal-flat": lambda: DiurnalInterarrival(
+        10_000, period_us=1_000.0, amplitude=0.0),
+    "flash-crowd": lambda: FlashCrowdInterarrival(
+        10_000, spike_start_us=2_000.0, spike_duration_us=3_000.0,
+        spike_factor=6.0),
+    "flash-crowd-at-0": lambda: FlashCrowdInterarrival(
+        1_000, spike_start_us=0.0, spike_duration_us=50.0),
+}
+
+
+class TestRoundAtATimeThinning:
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    @pytest.mark.parametrize("size", [1, 7, 256, 3_000])
+    @pytest.mark.parametrize("shape", sorted(THINNED))
+    def test_equals_the_per_candidate_loop(self, shape, size, seed):
+        """Gaps bit for bit, and the generator left where the loop
+        leaves it."""
+        process = THINNED[shape]()
+        rng = np.random.default_rng(seed)
+        mirror = np.random.default_rng(seed)
+        got = process.sample_train_us(rng, size)
+        want = _per_candidate_train(process, mirror, size)
+        assert got.tolist() == want.tolist()
+        assert rng.bit_generator.state == mirror.bit_generator.state
+
+    def test_a_round_that_accepts_nothing(self):
+        """A far-off 1000x spike keeps the acceptance odds at 1/1000,
+        so whole rounds pass without an arrival and the next round
+        draws as many candidates again."""
+        process = FlashCrowdInterarrival(
+            1_000, spike_start_us=1e12, spike_duration_us=1.0,
+            spike_factor=1_000.0)
+        log = _RoundLog(np.random.default_rng(5))
+        got = process.sample_train_us(log, 3)
+        assert len(log.rounds) > len(set(log.rounds))
+        want = _per_candidate_train(process, np.random.default_rng(5), 3)
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("shape", sorted(THINNED))
+    def test_size_zero_train_draws_nothing(self, shape):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        train = THINNED[shape]().sample_train_us(rng, 0)
+        assert train.shape == (0,)
+        assert rng.bit_generator.state == state
+
+
+NAN, INF = math.nan, math.inf
+
+
+class TestNonFiniteParameters:
+    """Non-finite arrival parameters fail at construction; a NaN rate
+    used to leave thinning spinning forever, accepting nothing."""
+
+    @pytest.mark.parametrize("qps", [NAN, INF])
+    def test_diurnal_qps(self, qps):
+        with pytest.raises(ValueError, match="qps"):
+            DiurnalInterarrival(qps, period_us=1_000.0)
+
+    @pytest.mark.parametrize("period_us", [NAN, INF])
+    def test_diurnal_period(self, period_us):
+        with pytest.raises(ConfigurationError, match="period_us"):
+            DiurnalInterarrival(1_000, period_us=period_us)
+
+    @pytest.mark.parametrize("phase_us", [NAN, INF, -INF])
+    def test_diurnal_phase(self, phase_us):
+        with pytest.raises(ConfigurationError, match="phase_us"):
+            DiurnalInterarrival(1_000, period_us=1_000.0,
+                                phase_us=phase_us)
+
+    def test_diurnal_amplitude(self):
+        with pytest.raises(ConfigurationError, match="amplitude"):
+            DiurnalInterarrival(1_000, period_us=1_000.0, amplitude=NAN)
+
+    @pytest.mark.parametrize("start_us", [NAN, INF])
+    def test_flash_crowd_start(self, start_us):
+        with pytest.raises(ConfigurationError, match="spike_start_us"):
+            FlashCrowdInterarrival(1_000, spike_start_us=start_us,
+                                   spike_duration_us=10.0)
+
+    @pytest.mark.parametrize("duration_us", [NAN, INF])
+    def test_flash_crowd_duration(self, duration_us):
+        with pytest.raises(ConfigurationError, match="spike_duration_us"):
+            FlashCrowdInterarrival(1_000, spike_start_us=0.0,
+                                   spike_duration_us=duration_us)
+
+    @pytest.mark.parametrize("factor", [NAN, INF])
+    def test_flash_crowd_factor(self, factor):
+        with pytest.raises(ConfigurationError, match="spike_factor"):
+            FlashCrowdInterarrival(1_000, spike_start_us=0.0,
+                                   spike_duration_us=10.0,
+                                   spike_factor=factor)
+
+    @pytest.mark.parametrize("qps", [NAN, INF])
+    def test_exponential_qps(self, qps):
+        with pytest.raises(ValueError, match="qps"):
+            ExponentialInterarrival(qps)
+
+    @pytest.mark.parametrize("sigma", [NAN, INF])
+    def test_lognormal_sigma(self, sigma):
+        with pytest.raises(ConfigurationError, match="sigma"):
+            LognormalInterarrival(1_000, sigma=sigma)
+
+    @pytest.mark.parametrize("stamp", [NAN, INF])
+    def test_trace_timestamps(self, stamp):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TraceReplayInterarrival([0.0, stamp, 30.0])
+
+    @pytest.mark.parametrize("qps", [NAN, INF])
+    def test_trace_qps(self, qps):
+        with pytest.raises(ConfigurationError, match="qps"):
+            TraceReplayInterarrival([0.0, 10.0], qps=qps)
 
 
 class TestTraceReplay:

@@ -38,6 +38,11 @@ class TestNetworkLink:
         with pytest.raises(ValueError):
             NetworkLink(params, mean_latency_us=0.0)
 
+    @pytest.mark.parametrize("mean_us", [float("nan"), float("inf")])
+    def test_non_finite_mean_rejected(self, params, mean_us):
+        with pytest.raises(ValueError, match="finite"):
+            NetworkLink(params, mean_latency_us=mean_us)
+
     def test_negative_payload_ignored(self, params):
         link = NetworkLink(params)
         assert link.sample_latency_us(-5.0) == pytest.approx(

@@ -19,8 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.api import experiment
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
+from repro.errors import ConfigurationError
+from repro.graph.cache import CacheTier, hit_stream
 from repro.hardware.core import SimCore
+from repro.net.link import NetworkLink, link_stream
 from repro.parameters import DEFAULT_PARAMETERS
 from repro.server.service import (
     BimodalService,
@@ -29,7 +33,14 @@ from repro.server.service import (
 )
 from repro.sim import sampling
 from repro.sim.random import RandomStreams
-from repro.sim.sampling import Stream, as_stream, scalar_samplers
+from repro.sim.engine import Simulator
+from repro.sim.sampling import (
+    BLOCK,
+    BlockStream,
+    Stream,
+    as_stream,
+    scalar_samplers,
+)
 
 SEED = 20240917
 LONG = 20_000
@@ -398,3 +409,154 @@ def test_samplers_keep_their_generator_alive():
     del draws
     gc.collect()
     assert alive() is None
+
+
+# --------------------------------------------------------------------------
+# Block-served single-kind streams.
+BLOCK_DRAWS = {"uniform": "draw_uniform", "normal": "draw_normal"}
+#: More than three refills, with a partial block at the end.
+SERVED = 3 * BLOCK + 17
+
+
+@pytest.mark.parametrize("fallback", [False, True],
+                         ids=["c-samplers", "fallback"])
+@pytest.mark.parametrize("kind", sorted(BLOCK_DRAWS))
+def test_block_draws_equal_scalar_draws_for_every_holder(fallback, kind):
+    """Holders of one block-served stream, drawing in any interleaving,
+    read the scalar draws' values in the scalar draws' order, across
+    refills."""
+    attr = BLOCK_DRAWS[kind]
+    with pytest.MonkeyPatch.context() as mp:
+        if fallback:
+            mp.setattr(sampling, "_c_samplers", lambda: None)
+        streams = RandomStreams(SEED)
+        first = getattr(streams.stream("net", only=kind), attr)
+        second = getattr(streams.stream("net", only=kind), attr)
+        third = getattr(streams.stream("net"), attr)
+        scalar = getattr(RandomStreams(SEED).stream("net"), attr)
+    holders = (first, second, third)
+    got = [holders[i * i // 7 % 3]() for i in range(SERVED)]
+    assert got == [scalar() for _ in range(SERVED)]
+    assert all(type(value) is float for value in got)
+
+
+def test_links_and_cache_draw_the_scalar_sequence_from_blocks():
+    """Both client links on the stream ``link_stream`` block-serves, and
+    a cache's hit decisions on ``hit_stream``'s, equal the same
+    components on plain streams, message for message."""
+    served, plain = RandomStreams(SEED), RandomStreams(SEED)
+    link_rng = link_stream(served, "network")
+    assert link_rng.kind == "normal"
+    links = [NetworkLink(rng=link_rng) for _ in range(2)]
+    mirror = [NetworkLink(rng=plain.stream("network")) for _ in range(2)]
+    pattern = [(i % 3 == 0, 0.1 * (i % 5)) for i in range(SERVED)]
+    assert ([links[side].sample_latency_us(kb) for side, kb in pattern]
+            == [mirror[side].sample_latency_us(kb)
+                for side, kb in pattern])
+    sim = Simulator()
+    hit_rng = hit_stream(served, "cache/cache")
+    assert hit_rng.kind == "uniform"
+    caches = [CacheTier(sim, None, hit_ratio=0.3, rng=rng)
+              for rng in (hit_rng, plain.stream("cache/cache"))]
+    decisions = [[cache._is_hit() for _ in range(SERVED)]
+                 for cache in caches]
+    assert decisions[0] == decisions[1]
+    assert 0 < sum(decisions[0]) < SERVED
+
+
+def test_served_kind_keeps_its_scalar_derived_draws():
+    stream = RandomStreams(SEED).stream("net", only="normal")
+    mirror = RandomStreams(SEED).get("net")
+    got = [stream.normal(1.0, 0.25), stream.lognormal(2.7, 0.25),
+           stream.standard_normal()]
+    assert got == [float(mirror.normal(1.0, 0.25)),
+                   float(mirror.lognormal(2.7, 0.25)),
+                   float(mirror.standard_normal())]
+
+
+#: Every draw a normal block stream must refuse: the other kinds (bound
+#: and through the methods), every size= form, delegated methods and
+#: the generator itself.
+REFUSED = {
+    "draw_uniform": lambda s: s.draw_uniform(),
+    "draw_exponential": lambda s: s.draw_exponential(),
+    "random": lambda s: s.random(),
+    "uniform": lambda s: s.uniform(0.0, 2.0),
+    "exponential": lambda s: s.exponential(3.0),
+    "pareto": lambda s: s.pareto(1.5),
+    "next_index": lambda s: s.next_index(8),
+    "size= same kind": lambda s: s.standard_normal(4),
+    "size= lognormal": lambda s: s.lognormal(0.0, 1.0, size=2),
+    "delegated": lambda s: s.integers(0, 10),
+    "generator": lambda s: s.generator.standard_normal(),
+    "bit_generator": lambda s: s.bit_generator.state,
+}
+
+
+@pytest.mark.parametrize("draw", sorted(REFUSED))
+def test_block_stream_refuses_every_other_draw(draw):
+    streams = RandomStreams(SEED)
+    stream = streams.stream("network", only="normal")
+    stream.draw_normal()  # the generator now sits a block ahead
+    with pytest.raises(ConfigurationError, match="'network'"):
+        REFUSED[draw](stream)
+    with pytest.raises(ConfigurationError, match="'network'"):
+        streams.get("network")
+    # Refusals consume nothing: the sequence continues unbroken.
+    mirror = RandomStreams(SEED).stream("network")
+    mirror.draw_normal()
+    assert stream.draw_normal() == mirror.draw_normal()
+
+
+@pytest.mark.parametrize("handed_out", [
+    lambda streams: streams.get("network"),
+    lambda streams: streams.stream("network"),
+    lambda streams: streams.stream("network", only="uniform"),
+], ids=["get", "plain stream", "other kind"])
+def test_a_handed_out_stream_cannot_become_block_served(handed_out):
+    """A bound scalar draw cannot be revoked, so a name handed out any
+    other way is never block-served afterwards."""
+    streams = RandomStreams(SEED)
+    handed_out(streams)
+    with pytest.raises(ConfigurationError, match="'network'"):
+        streams.stream("network", only="normal")
+
+
+@pytest.mark.parametrize("kind", ["gamma", "exponential"])
+def test_unknown_block_kind_rejected(kind):
+    with pytest.raises(ConfigurationError, match=kind):
+        RandomStreams(SEED).stream("x", only=kind)
+
+
+def test_graph_testbed_block_serves_its_single_kind_streams():
+    """memcached-cached block-serves the client links' ``network``,
+    every shard link's stream and the cache's hit decisions, and no
+    other stream."""
+    testbed = (experiment("memcached").client("LP")
+               .graph("memcached-cached")
+               .load(qps=100_000, num_requests=300)
+               .policy(runs=1).build().testbed())
+    streams = testbed.streams
+    kinds = {name: streams.stream(name).kind
+             for name in streams.names()
+             if isinstance(streams.stream(name), BlockStream)}
+    shard_links = {f"leaf/node0/shard-net-{i}": "normal"
+                   for i in range(8)}
+    assert kinds == {"network": "normal", "cache/cache": "uniform",
+                     **shard_links}
+    testbed.run()
+    for name in kinds:
+        with pytest.raises(ConfigurationError):
+            streams.get(name)
+
+
+def test_hdsearch_block_serves_both_link_streams():
+    """HDSearch's inter-tier link draws through ``link_stream`` as the
+    client links do."""
+    testbed = (experiment("hdsearch").client("LP")
+               .load(qps=2_000, num_requests=50)
+               .policy(runs=1).build().testbed())
+    streams = testbed.streams
+    served = {name for name in streams.names()
+              if isinstance(streams.stream(name), BlockStream)}
+    assert served == {"network", "network-tiers"}

@@ -1028,6 +1028,44 @@ class TestGraphCompletionFusion:
                 == results["reference"])
         assert digests["vectorized"] == digests["reference"]
 
+    def test_response_leg_runs_fused(self, monkeypatch):
+        """The edge's stock ``_responded`` and the cache's stock
+        ``_filled`` behind it run fused: class-level spies (still the
+        stock methods to the kernel) see every call on the reference
+        loop and none on the kernel, and both engines agree."""
+        calls = {"_responded": [], "_filled": []}
+        for cls, name in ((ResilientDispatcher, "_responded"),
+                          (CacheTier, "_filled")):
+            def spy(self, *args, _stock=getattr(cls, name),
+                    _calls=calls[name]):
+                _calls.append(None)
+                _stock(self, *args)
+
+            monkeypatch.setattr(cls, name, spy)
+        results, digests, seen, tallies = {}, {}, {}, {}
+        for engine in ENGINES:
+            for log in calls.values():
+                del log[:]
+            testbed = _graph_testbed(engine, metrics=True)
+            results[engine] = testbed.run()
+            digests[engine] = _column_digest(testbed)
+            seen[engine] = {name: len(log) for name, log in calls.items()}
+            edge = _edge(testbed)  # roots_completed is not a counter
+            tallies[engine] = (edge.attempts_completed,
+                               edge.roots_completed)
+        counters = _counters(results["reference"])
+        assert seen["reference"] == {
+            "_responded": counters["resilience.leaf.attempts_completed"],
+            "_filled": counters["cache.cache.misses"]}
+        assert 0 < counters["cache.cache.misses"] < seen[
+            "reference"]["_responded"]
+        assert seen["vectorized"] == {"_responded": 0, "_filled": 0}
+        assert tallies["vectorized"] == tallies["reference"]
+        assert tallies["reference"][1] == counters["resilience.leaf.calls"]
+        assert (_without_fallbacks(results["vectorized"])
+                == results["reference"])
+        assert digests["vectorized"] == digests["reference"]
+
     def test_only_the_hedge_timers_fall_back(self):
         """On memcached-cached every event but a hedge timer firing
         (a cancellable Event) runs fused."""

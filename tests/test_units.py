@@ -39,6 +39,12 @@ class TestRates:
         with pytest.raises(ValueError):
             units.qps_to_interarrival_us(0)
 
+    @pytest.mark.parametrize("qps", [float("nan"), float("inf")])
+    def test_non_finite_qps_rejected(self, qps):
+        # NaN used to come back as a NaN gap, infinity as 0.0.
+        with pytest.raises(ValueError, match="finite"):
+            units.qps_to_interarrival_us(qps)
+
     def test_negative_interarrival_rejected(self):
         with pytest.raises(ValueError):
             units.interarrival_us_to_qps(-1.0)
