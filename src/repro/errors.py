@@ -19,6 +19,16 @@ class ConfigurationError(ReproError):
     """An invalid or inconsistent hardware/software configuration."""
 
 
+class InvalidValueError(ConfigurationError, ValueError):
+    """A numeric parameter outside its domain, such as a rate, latency
+    or frequency that is not positive.
+
+    Also a :class:`ValueError`, so callers that catch ``ValueError``
+    from the unit helpers or :class:`~repro.net.link.NetworkLink` keep
+    working.
+    """
+
+
 class SimulationError(ReproError):
     """The discrete-event simulator was driven into an invalid state."""
 

@@ -9,15 +9,22 @@ cannot timestamp it until the core is back in C0.
 
 The paper quotes 2 us - 200 us for this transition; our Skylake table
 (C1 2 us, C1E 10 us, C6 133 us) sits inside that range.
+
+The selection rule -- the deepest state whose target residency is at
+most the predicted idle period, the shallowest when none is -- is one
+``bisect_right`` over the ascending residencies, here and in the fused
+kernel (:mod:`repro.sim.kernel`) alike.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config.knobs import HardwareConfig
+from repro.errors import ConfigurationError
 from repro.parameters import CStateSpec, SkylakeParameters
 
 
@@ -84,14 +91,21 @@ class CStateGovernor:
         if not table:
             # The limit excluded everything but C0 must always remain.
             table = [params.cstate_table()[0]]
-        # Deepest-last ordering is guaranteed by the parameters module.
+        residencies = tuple(spec.target_residency_us for spec in table)
+        if list(residencies) != sorted(residencies):
+            raise ConfigurationError(
+                f"C-state table must be ordered by ascending target "
+                f"residency (deepest last), got {residencies}")
         self._enabled: Sequence[CStateSpec] = tuple(table)
         self._poll = config.idle_poll
         self._c0 = params.cstate_table()[0]
-        #: (target_residency_us, spec) pairs, locals-friendly for the
-        #: per-request selection loop.
-        self._table: Tuple[Tuple[float, CStateSpec], ...] = tuple(
-            (spec.target_residency_us, spec) for spec in table)
+        #: The enabled states' target residencies, ascending.
+        self._residencies: Tuple[float, ...] = residencies
+        #: ``_states[bisect_right(_residencies, predicted)]`` is the
+        #: chosen state: entry *i* is the deepest of the first *i*
+        #: states, and entry 0 repeats the shallowest (a prediction
+        #: below every residency).
+        self._states: Tuple[CStateSpec, ...] = (table[0],) + tuple(table)
         #: Tick period that bounds sleep depth on non-tickless kernels.
         self._tick_limit_us: Optional[float] = (
             None if config.tickless else 4_000.0)
@@ -127,11 +141,7 @@ class CStateGovernor:
         if tick_limit is not None and predicted > tick_limit:
             predicted = tick_limit
 
-        table = self._table
-        chosen = table[0][1]
-        for target_residency, spec in table:
-            if target_residency <= predicted:
-                chosen = spec
+        chosen = self._states[bisect_right(self._residencies, predicted)]
         # A core cannot pay more wake latency than it slept: if the gap
         # ends before the entry completes the exit is proportionally
         # cheaper (entry aborted early).

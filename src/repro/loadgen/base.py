@@ -95,7 +95,6 @@ class LoadGenerator:
         self._request_factory = request_factory or (
             lambda index: Request(request_id=index))
         self.completed = 0
-        self._on_all_done: Optional[Callable[[], None]] = None
         # Observability (null-object contract): when the run carries
         # an Observability context it may swap in a different sink and
         # hands out the tracer; otherwise _trace stays None and every
@@ -116,10 +115,6 @@ class LoadGenerator:
     def start(self) -> None:
         """Schedule the run's requests. Implemented by subclasses."""
         raise NotImplementedError
-
-    def on_all_done(self, callback: Callable[[], None]) -> None:
-        """Register a callback fired when the last request completes."""
-        self._on_all_done = callback
 
     @property
     def drained(self) -> bool:
@@ -186,8 +181,6 @@ class LoadGenerator:
         self.samples.record(request)
         self.completed += 1
         self._after_completion(machine, request)
-        if self.completed >= self.num_requests and self._on_all_done:
-            self._on_all_done()
 
     def _after_completion(self, machine: ClientMachine,
                           request: Request) -> None:

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import InvalidValueError
 from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
 from repro.sim.random import RandomStreams
 from repro.sim.sampling import Stream, as_stream
@@ -43,7 +44,7 @@ class NetworkLink:
         self._mean = (params.network_one_way_us
                       if mean_latency_us is None else float(mean_latency_us))
         if not 0.0 < self._mean < math.inf:
-            raise ValueError(
+            raise InvalidValueError(
                 f"mean latency must be finite and positive, got {self._mean}"
             )
         self._sigma = params.network_sigma

@@ -134,7 +134,9 @@ class SkylakeParameters:
     env_sigma_server: float = 0.012
 
     def cstate_table(self) -> Tuple[CStateSpec, ...]:
-        """Return the machine's C-state table (deepest last)."""
+        """Return the machine's C-state table, ordered by ascending
+        target residency (deepest last), as
+        :class:`~repro.hardware.cstates.CStateGovernor` requires."""
         return SKYLAKE_CSTATES
 
     def freq_bounds(self) -> Tuple[float, float]:

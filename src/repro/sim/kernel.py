@@ -17,15 +17,45 @@ float arithmetic and draw sequence of the reference components.
 
 One dispatch table, built at run start from the adopted components,
 maps each such stock bound method to its fused handler, and one probe
-of it resolves every popped entry.  The heap holds reference-format
-entries only: a fused handler pushes the very callback the reference
+of it resolves every entry.  The heap holds reference-format entries
+only: a fused handler pushes the very callback the reference
 component would, so an entry left in the heap by ``step()``,
 ``run(max_events)`` or an aborted run fires unchanged on either loop.
 
-One mechanism stands beside the fused handlers: **deferred
-recording**.  With the stock
-:class:`~repro.loadgen.measurement.RunSamples` and no completion
-hook, completed requests are buffered and written
+**Held root.**  The loop peeks at the heap's root instead of popping
+it, and a fused handler's first push takes the root's place through
+``heapq.heapreplace`` (one sift instead of a pop's and a push's).  A
+path that pushes nothing, or that calls foreign code, cancels an
+event or raises, pops the root first (an exception pops one still
+held), so wherever anything else can look at the heap it holds
+exactly the reference loop's entries.  Keys ``(time, seq)`` are
+unique, so the firing order cannot change.
+
+**Train keys.**  An open-loop arrival train
+(:meth:`~repro.sim.engine.Simulator.post_train`) keeps one heap
+entry.  A train whose callback is a fused launch is itself a dispatch
+key (found at dispatch build, or registered by ``post_train`` while a
+run is under way): its ``_OP_LAUNCH`` replaces the train's entry with
+the next member's, under that member's reserved sequence number, then
+builds the member's args with the train's ``make_args``.
+
+**Pending measurements.**  A stock ``_measured`` without an
+``_after_completion`` hook leaves the event heap: the AT_NIC body
+files ``(time, seq, context, machine, request, finish)``, keyed as its
+``_measured`` entry would be, on a small pending-measurement heap.
+Its entries fire in key order, each doing exactly what ``_measured``
+does and counting as one dispatched event: at each AT_NIC and before
+every foreign call or ``Event.cancel`` (those keyed before the
+current event), and when the event heap drains (all of them, the
+clock ending on the last).  ``pending_events``,
+``live_pending_events`` and the cancel accounting count them, so
+heap compaction happens when it does on the reference engine; an
+aborted run puts them back on the heap as the ``_measured`` entries
+they stand for.
+
+**Deferred recording.**  With the stock
+:class:`~repro.loadgen.measurement.RunSamples` behind them, those
+measurements are buffered and written
 :data:`~repro.loadgen.measurement.RECORD_CHUNK` at a time through
 ``RunSamples.record_batch``, flushed before every foreign call so
 code outside the fused loop always sees every record, in order.
@@ -38,12 +68,10 @@ standard normal, a cache's hit uniform, a raw client-core generator's
 components' order and float expressions.  Every link's stream and
 the cache's are block-served
 (:class:`~repro.sim.sampling.BlockStream`), which changes what a draw
-costs, never what it returns.
-
-An open-loop arrival train (:meth:`~repro.sim.engine.Simulator.post_train`)
-keeps one heap entry; a member whose callback is a fused launch runs
-as ``_OP_LAUNCH``, with its args built by the train's ``make_args`` at
-the member's fire time.
+costs, never what it returns.  The client and station bodies choose a
+C-state by the governor's own rule, ``bisect_right`` over its
+ascending target residencies
+(:class:`~repro.hardware.cstates.CStateGovernor`).
 
 A service graph's entry (``ServiceGraph.submit`` -> stock
 :class:`~repro.graph.testbed.GraphStage` -> adopted station) is fused
@@ -97,8 +125,9 @@ from __future__ import annotations
 
 import difflib
 import math
-from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Optional, Tuple
+from bisect import bisect_right
+from heapq import heappop, heappush, heapreplace
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError, SpecValidationError
 from repro.hardware.core import _DEEP_SLEEP_RESIDENCY_US as _DEEP_SLEEP_US
@@ -165,7 +194,7 @@ class _MC:
 
     __slots__ = ("machine", "do_send", "ts", "send_work", "recv_work",
                  "core", "oscale", "polling", "slack", "freq",
-                 "cpoll", "ctable", "tick", "unc_dyn", "unc_pen",
+                 "cpoll", "cres", "cstates", "tick", "unc_dyn", "unc_pen",
                  "twake", "nghz", "ramp", "gramps", "draw_u", "draw_n")
 
     def __init__(self, machine: Any) -> None:
@@ -182,7 +211,8 @@ class _MC:
         self.freq = core.frequency
         gov = core.cstates
         self.cpoll = gov._poll
-        self.ctable = gov._table
+        self.cres = gov._residencies
+        self.cstates = gov._states
         self.tick = gov._tick_limit_us
         uncore = core.uncore
         self.unc_dyn = uncore._dynamic
@@ -212,7 +242,7 @@ class _GC:
     """Per-:class:`LoadGenerator` context."""
 
     __slots__ = ("gen", "sent", "served", "at_nic", "measured", "record",
-                 "after", "submit_cb", "link_s", "rs", "rbuf")
+                 "after", "fold", "submit_cb", "link_s", "rs", "rbuf")
 
     def __init__(self, gen: Any,
                  after: Optional[Callable[..., None]]) -> None:
@@ -223,12 +253,17 @@ class _GC:
         self.measured = gen._measured
         self.record = gen.samples.record
         self.after = after
+        # Pending measurements (dispatch build enables them for a stock
+        # _measured without a completion hook): AT_NIC files the
+        # completion on the kernel's pending-measurement heap instead
+        # of pushing a _measured entry.
+        self.fold = False
         self.submit_cb = gen.service.submit
         self.link_s = _link_consts(gen._link_to_server)
-        # Deferred recording (dispatch build enables it when the stock
-        # RunSamples/SampleColumns pair is in place and there is no
-        # completion hook): completed requests buffer in rbuf and
-        # flush in order through rs.record_batch.
+        # Deferred recording (dispatch build enables it for a folded
+        # generator with the stock RunSamples/SampleColumns pair):
+        # completed requests buffer in rbuf and flush in order through
+        # rs.record_batch.
         self.rs: Any = None
         self.rbuf: Any = None
 
@@ -239,7 +274,7 @@ class _SC:
     __slots__ = ("station", "pool", "queue", "items", "sample", "rng",
                  "env", "smt_on", "intensity", "broad_us", "int_scale",
                  "int_mean", "kstack", "smtf", "fscale", "num", "cpoll",
-                 "ctable", "tick", "pool_done", "service_time",
+                 "cres", "cstates", "tick", "pool_done", "service_time",
                  "finish_cb", "obs_on", "normal", "uniform", "expo",
                  "skind", "smu", "ssigma", "sukb")
 
@@ -265,7 +300,8 @@ class _SC:
         self.fscale = station._freq_scale
         self.num = pool.num_servers
         self.cpoll = gov._poll
-        self.ctable = gov._table
+        self.cres = gov._residencies
+        self.cstates = gov._states
         self.tick = gov._tick_limit_us
         self.pool_done = station._pool_done
         self.service_time = station._service_time
@@ -376,19 +412,75 @@ class KernelSimulator(Simulator):
         self._minfo: Dict[Any, _MC] = {}
         self._completions: Dict[Any, Tuple[int, Any]] = {}
         self._rec_gcs: list = []
+        #: The pending-measurement heap: ``(time, seq, generator
+        #: context, machine, request, finish)`` per folded completion,
+        #: keyed as its ``_measured`` entry would be.  Non-empty only
+        #: inside the fused loop.
+        self._pending: list = []
 
-    def _flush_records(self) -> None:
-        """Drain deferred completion records into their RunSamples.
+    @property
+    def pending_events(self) -> int:
+        """Number of entries in the queue, including cancelled ones
+        and the fused loop's pending measurements."""
+        return len(self._heap) + len(self._pending)
 
-        Called before every foreign call of a run that defers records,
-        and at kernel exit, so that code outside the fused loop always
-        observes fully recorded samples, in exact completion order.
-        """
+    def clear(self) -> None:
+        super().clear()
+        del self._pending[:]
+
+    def post_train(self, times: Sequence[float],
+                   callback: Callable[..., Any],
+                   make_args: Callable[[int], tuple]) -> int:
+        count = super().post_train(times, callback, make_args)
+        if self._dispatch is not None:
+            # A run is under way: the new train's launches fuse too.
+            self._register_trains(self._dispatch)
+        return count
+
+    def _register_trains(self, dispatch: Dict[Any, Tuple[int, Any]]) -> None:
+        """Key every queued train whose callback is a fused launch."""
+        for entry in self._heap:
+            train = entry[2]
+            if type(train) is _Train:
+                handler = dispatch.get(train.callback)
+                if handler is not None and handler[0] == _OP_LAUNCH:
+                    dispatch[train] = handler
+
+    def _drain_measured(self, bound: Any) -> int:
+        """Fire the pending measurements keyed before *bound* (a heap
+        entry; all of them when None), in key order, each exactly as
+        ``LoadGenerator._measured`` would; return how many fired."""
+        pend = self._pending
+        fired = 0
+        while pend and (bound is None or pend[0] < bound):
+            _, _, gc, _, request, finish = heappop(pend)
+            request.measured_complete_us = finish
+            buf = gc.rbuf
+            if buf is None:
+                gc.record(request)
+            else:
+                buf.append(request)
+                if len(buf) >= RECORD_CHUNK:
+                    gc.rs.record_batch(buf)
+                    del buf[:]
+            gc.gen.completed += 1
+            fired += 1
+        return fired
+
+    def _settle(self, bound: Any) -> int:
+        """Bring what code outside the fused loop can observe up to the
+        event *bound* (the end of the run when None): fire the pending
+        measurements keyed before it, then write the deferred records
+        through ``RunSamples.record_batch``, so that code sees every
+        completion recorded, in order.  Called before every foreign
+        call and at kernel exit; returns the measurements fired."""
+        fired = self._drain_measured(bound) if self._pending else 0
         for gc in self._rec_gcs:
             buf = gc.rbuf
             if buf:
                 gc.rs.record_batch(buf)
                 del buf[:]
+        return fired
 
     # ------------------------------------------------------------ adoption
     def adopt_generator(self, generator: Any) -> None:
@@ -573,15 +665,18 @@ class KernelSimulator(Simulator):
             if _stock(gen, "_at_client_nic", LoadGenerator):
                 dispatch[gc.at_nic] = (_OP_AT_NIC, gc)
             if _stock(gen, "_measured", LoadGenerator):
-                dispatch[gc.measured] = (_OP_MEASURED, gc)
-                samples = gen.samples
-                if (after is None
-                        and type(samples) is RunSamples
-                        and _stock(samples, "record", RunSamples)
-                        and type(samples._columns) is SampleColumns):
-                    gc.rs = samples
-                    gc.rbuf = []
-                    rec_gcs.append(gc)
+                if after is not None:
+                    dispatch[gc.measured] = (_OP_MEASURED, gc)
+                else:
+                    # No hook: the measurement leaves the event heap.
+                    gc.fold = True
+                    samples = gen.samples
+                    if (type(samples) is RunSamples
+                            and _stock(samples, "record", RunSamples)
+                            and type(samples._columns) is SampleColumns):
+                        gc.rs = samples
+                        gc.rbuf = []
+                        rec_gcs.append(gc)
             if _stock(gen, "_served", LoadGenerator):
                 completions[gc.served] = (_C_CLIENT, (
                     gc.at_nic, _link_consts(gen._link_to_client)))
@@ -624,6 +719,7 @@ class KernelSimulator(Simulator):
                 if _stock(cache, name, CacheTier):
                     dispatch[getattr(cache, name)] = (_OP_CACHE_DONE, None)
 
+        self._register_trains(dispatch)
         self._dispatch = dispatch
         return dispatch
 
@@ -652,6 +748,12 @@ class KernelSimulator(Simulator):
         # and ``now``/``heap`` are refetched after every foreign call
         # (a callback may cancel events, and _note_cancelled's
         # compaction *rebinds* self._heap).
+        #
+        # Held root: the current entry stays the heap's root until its
+        # handler's first push takes its place (heapreplace: one sift
+        # for a pop and a push); a path that pushes nothing, calls
+        # foreign code or cancels pops it first, so whatever can look
+        # at the heap sees the reference loop's entries.
         fired = 0
         scalar = 0
         now = self._now
@@ -659,29 +761,26 @@ class KernelSimulator(Simulator):
         minfo_get = self._minfo.get
         dispatch_get = dispatch.get
         completion_get = self._completions.get
-        flushrec = self._flush_records
-        # Only deferred records need flushing before a foreign call;
-        # runs without them (streaming sink, hooks) skip every flush.
-        defer = bool(self._rec_gcs)
+        settle = self._settle
+        pend = self._pending
         Tt = _Train
 
         heap = self._heap
+        entry: Any = None
+        # heapreplace while the root is held, heappush after.
+        push: Callable[[list, tuple], Any]
         try:
             while heap:
-                entry = heappop(heap)
+                entry = heap[0]
                 h = entry[2]
                 handler = dispatch_get(h)
                 if handler is None:
+                    heappop(heap)
                     if len(entry) == 3:
                         if h.cancelled:
                             self._cancelled_in_heap -= 1
                             continue
                         h.fired = True
-                    elif type(h) is Tt:
-                        # Only a launch train fuses (args built below).
-                        handler = dispatch_get(h.callback)
-                        if handler is not None and handler[0] != 0:
-                            handler = None
                 time = entry[0]
                 if time > now:
                     now = time
@@ -694,8 +793,7 @@ class KernelSimulator(Simulator):
                     # An Event, or a callback the table does not fuse.
                     scalar += 1
                     self._now = now
-                    if defer:
-                        flushrec()
+                    fired += settle(entry)
                     if len(entry) == 3:
                         h.callback(*h.args)
                     else:
@@ -720,10 +818,10 @@ class KernelSimulator(Simulator):
                     else:
                         mc = minfo_get(args[0])
                         if mc is None:
+                            heappop(heap)
                             scalar += 1
                             self._now = now
-                            if defer:
-                                flushrec()
+                            fired += settle(entry)
                             h(*args)
                             now = self._now
                             heap = self._heap
@@ -767,11 +865,8 @@ class KernelSimulator(Simulator):
                             tick = mc.tick
                             if tick is not None and predicted > tick:
                                 predicted = tick
-                            table = mc.ctable
-                            chosen = table[0][1]
-                            for target_residency, spec in table:
-                                if target_residency <= predicted:
-                                    chosen = spec
+                            chosen = mc.cstates[bisect_right(mc.cres,
+                                                             predicted)]
                             wake = chosen.exit_latency_us
                             if wake > idle_gap:
                                 wake = idle_gap
@@ -803,13 +898,35 @@ class KernelSimulator(Simulator):
                     core._available_at = finish
                     if op == 1:
                         mc.machine.requests_sent += 1
-                        heappush(heap, (now + (finish - now), nseq(),
-                                        args[1], args[2] + (finish,)))
+                        heapreplace(heap, (now + (finish - now), nseq(),
+                                           args[1], args[2] + (finish,)))
+                    elif data.fold:
+                        # The measurement leaves the event heap: fire
+                        # the pending ones keyed before this event
+                        # (as _drain_measured does), then file this one
+                        # under its _measured entry's key.
+                        mc.machine.responses_handled += 1
+                        heappop(heap)
+                        while pend and pend[0] < entry:
+                            _, _, gcm, _, request, done = heappop(pend)
+                            request.measured_complete_us = done
+                            rb = gcm.rbuf
+                            if rb is None:
+                                gcm.record(request)
+                            else:
+                                rb.append(request)
+                                if len(rb) >= RECORD_CHUNK:
+                                    gcm.rs.record_batch(rb)
+                                    del rb[:]
+                            gcm.gen.completed += 1
+                            fired += 1
+                        heappush(pend, (now + (finish - now), nseq(), data,
+                                        args[0], args[1], finish))
                     else:
                         mc.machine.responses_handled += 1
-                        heappush(heap, (now + (finish - now), nseq(),
-                                        data.measured,
-                                        (args[0], args[1], finish)))
+                        heapreplace(heap, (now + (finish - now), nseq(),
+                                           data.measured,
+                                           (args[0], args[1], finish)))
                 elif op == 3:  # _OP_SENT
                     # Link transit client->server.
                     gcs = data
@@ -823,26 +940,39 @@ class KernelSimulator(Simulator):
                         observer.messages += 1
                         observer.kb += kb
                     delay = base + kb * _US_PER_KB if kb > 0.0 else base
-                    heappush(heap, (now + delay, nseq(), gcs.submit_cb,
-                                    (request, gcs.served, args[0])))
+                    heapreplace(heap, (now + delay, nseq(), gcs.submit_cb,
+                                       (request, gcs.served, args[0])))
                 elif op == 0:  # _OP_LAUNCH
                     # Arrival admission: begin_send + timer model.  A
-                    # train member pushes its successor, then builds its
-                    # args (a foreign call that reads no run records).
+                    # train's next member replaces its entry, then the
+                    # member's args are built (a foreign call that
+                    # reads no run records).
                     if type(h) is Tt:
-                        index = h.advance()
+                        index = h._next
+                        after = index + 1
+                        h._next = after
+                        times = h._times
+                        if after < len(times):
+                            heapreplace(heap, (times[after],
+                                               h._seq0 + after, h, ()))
+                        else:
+                            heappop(heap)
+                        push = heappush
                         self._now = now
                         args = h.make_args(index)
                         now = self._now
                         heap = self._heap
+                    else:
+                        push = heapreplace
                     machine = args[0]
                     request = args[1]
                     mc = minfo_get(machine)
                     if mc is None:
+                        if push is heapreplace:
+                            heappop(heap)
                         scalar += 1
                         self._now = now
-                        if defer:
-                            flushrec()
+                        fired += settle(entry)
                         cbx = h.callback if type(h) is Tt else h
                         cbx(*args)
                         now = self._now
@@ -859,53 +989,27 @@ class KernelSimulator(Simulator):
                             overshoot = mc.slack * draw_u()
                         wake = target + overshoot * mc.oscale
                         # post_at arithmetic: now + (t - now).
-                        heappush(heap, (now + (wake - now), nseq(),
-                                        mc.do_send,
-                                        (True, gcl.sent,
-                                         (machine, request))))
+                        push(heap, (now + (wake - now), nseq(), mc.do_send,
+                                    (True, gcl.sent, (machine, request))))
                     else:
                         delay = intended - now
                         if not (delay >= 0.0):
                             raise SimulationError(
                                 f"cannot schedule in the past: {delay!r}")
-                        heappush(heap, (now + delay, nseq(),
-                                        mc.do_send,
-                                        (False, gcl.sent,
-                                         (machine, request))))
-                elif op == 6:  # _OP_MEASURED
+                        push(heap, (now + delay, nseq(), mc.do_send,
+                                    (False, gcl.sent, (machine, request))))
+                elif op == 6:  # _OP_MEASURED, with a completion hook
+                    heappop(heap)
+                    self._now = now
+                    fired += settle(entry)
                     gcm = data
                     request = args[1]
                     request.measured_complete_us = args[2]
-                    self._now = now
-                    rb = gcm.rbuf
-                    if rb is not None:
-                        # Deferred columnar recording: buffered here,
-                        # flushed in completion order before any
-                        # foreign call can observe the samples, and
-                        # every RECORD_CHUNK completions so a fused
-                        # run never holds its finished requests.
-                        rb.append(request)
-                        if len(rb) >= RECORD_CHUNK:
-                            gcm.rs.record_batch(rb)
-                            del rb[:]
-                    else:
-                        gcm.record(request)
-                    gen = gcm.gen
-                    gen.completed += 1
-                    if gcm.after is not None:
-                        if defer:
-                            flushrec()
-                        gcm.after(args[0], request)
-                        now = self._now
-                        heap = self._heap
-                    if gen.completed >= gen.num_requests:
-                        all_done = gen._on_all_done
-                        if all_done:
-                            if defer:
-                                flushrec()
-                            all_done()
-                            now = self._now
-                            heap = self._heap
+                    gcm.record(request)
+                    gcm.gen.completed += 1
+                    gcm.after(args[0], request)
+                    now = self._now
+                    heap = self._heap
                 else:
                     # The station (SUBMIT / STAGE / FINISH) and the
                     # graph's completions (AT_ROOT / CACHE_DONE).
@@ -923,6 +1027,7 @@ class KernelSimulator(Simulator):
                             job.server_arrival_us = now
                         if not idle:
                             # All workers busy: queue, track depth.
+                            heappop(heap)
                             items.append(
                                 (now, (job, sc.service_time,
                                        sc.pool_done, (args[1], args[2:]))))
@@ -935,10 +1040,10 @@ class KernelSimulator(Simulator):
                         if items:  # pragma: no cover - invariant guard
                             # Not h: an _OP_STAGE hit has rewritten
                             # the args.
+                            heappop(heap)
                             scalar += 1
                             self._now = now
-                            if defer:
-                                flushrec()
+                            fired += settle(entry)
                             sc.station.submit(*args)
                             now = self._now
                             heap = self._heap
@@ -949,10 +1054,12 @@ class KernelSimulator(Simulator):
                         waited = 0.0
                         done_fn = sc.pool_done
                         dctx = (args[1], args[2:])
+                        push = heapreplace
                     else:
                         # A completion: the event's own body sets
                         # ``cfn(cjob, *cctx)``, the callback it calls
                         # next, and the completion table resolves it.
+                        # Every kind below replaces or pops the root.
                         if op == 5:  # _OP_FINISH: ServerPool._finish
                             sc = data
                             pool = sc.pool
@@ -978,6 +1085,7 @@ class KernelSimulator(Simulator):
                             data.subs_completed += 1
                             state = args[1]
                             if state.completed:
+                                heappop(heap)
                                 continue  # a straggler past the quorum
                             sub = args[2]
                             if sub.service_us > state.max_service_us:
@@ -986,6 +1094,7 @@ class KernelSimulator(Simulator):
                                 state.max_queue_wait_us = sub.queue_wait_us
                             state.pending -= 1
                             if state.pending > 0:
+                                heappop(heap)
                                 continue
                             state.completed = True
                             cjob = args[0]
@@ -1023,8 +1132,8 @@ class KernelSimulator(Simulator):
                                 observer.kb += kb
                             delay = (base + kb * _US_PER_KB
                                      if kb > 0.0 else base)
-                            heappush(heap, (now + delay, nseq(), target,
-                                            cargs))
+                            heapreplace(heap, (now + delay, nseq(), target,
+                                               cargs))
                         elif kind == 2:  # _C_LOOKUP: CacheTier.submit
                             lc = cdata
                             cache = lc.cache
@@ -1035,14 +1144,14 @@ class KernelSimulator(Simulator):
                                                 lc.uniform() < ratio):
                                 cache.hits += 1
                                 cjob.service_us += lc.hit_us
-                                heappush(heap, (
+                                heapreplace(heap, (
                                     now + lc.hit_us, nseq(), lc.finish_hit,
                                     (cjob, cctx[0], now) + cctx[1:]))
                             elif lc.fanout is None:
+                                heappop(heap)
                                 cache.misses += 1
                                 self._now = now
-                                if defer:
-                                    flushrec()
+                                fired += settle(entry)
                                 cache.downstream.submit(
                                     cjob, lc.filled, cctx[0], now,
                                     *cctx[1:])
@@ -1065,12 +1174,14 @@ class KernelSimulator(Simulator):
                                 actual = cjob.actual_send_us
                                 attempt = Request(rid, kb, intended,
                                                   actual)
+                                push = heapreplace
                                 delay = lc.timeout_us
                                 if delay is not None:
                                     ev = Event(now + delay, nseq(),
                                                lc.timed_out, (state,),
                                                self)
-                                    heappush(heap, (ev.time, ev.seq, ev))
+                                    push(heap, (ev.time, ev.seq, ev))
+                                    push = heappush
                                     state.timeout_event = ev
                                 attempt.server_arrival_us = now
                                 select = lc.select
@@ -1098,25 +1209,35 @@ class KernelSimulator(Simulator):
                                         observer.kb += kb
                                     delay = (base + kb * _US_PER_KB
                                              if kb > 0.0 else base)
-                                    heappush(heap, (
+                                    push(heap, (
                                         now + delay, nseq(),
                                         submits[index],
                                         (sub, served, attempt, root,
                                          index, now)))
+                                    push = heappush
                                 delay = lc.hedge_us
                                 if delay is not None:
                                     ev = Event(now + delay, nseq(),
                                                lc.hedge, (state,), self)
-                                    heappush(heap, (ev.time, ev.seq, ev))
+                                    push(heap, (ev.time, ev.seq, ev))
+                                    push = heappush
                                     state.hedge_event = ev
+                                if push is heapreplace:
+                                    heappop(heap)
                         elif kind == 3:  # _C_RESPOND
                             # ResilientDispatcher._responded: the first
                             # response wins, a straggler only drains.
+                            heappop(heap)
                             edge, filled, penalty, finish_miss = cdata
                             edge.attempts_completed += 1
                             state = cctx[0]
                             if not state.completed:
                                 state.completed = True
+                                # Event.cancel counts the pending
+                                # measurements (and may compact, rebinding
+                                # the heap): fire those keyed before.
+                                if pend:
+                                    fired += self._drain_measured(entry)
                                 ev = state.timeout_event
                                 if ev is not None:
                                     ev.cancel()
@@ -1125,7 +1246,6 @@ class KernelSimulator(Simulator):
                                 if ev is not None:
                                     ev.cancel()
                                     state.hedge_event = None
-                                # A cancel may compact (rebind) the heap.
                                 heap = self._heap
                                 root = state.root
                                 root.service_us += cjob.service_us
@@ -1141,17 +1261,16 @@ class KernelSimulator(Simulator):
                                         (root,) + state.ctx))
                                 else:
                                     self._now = now
-                                    if defer:
-                                        flushrec()
+                                    fired += settle(entry)
                                     state.done_fn(root, *state.ctx)
                                     now = self._now
                                     heap = self._heap
                         else:
                             # Not in the table (or a co-located shard):
                             # called as it is.
+                            heappop(heap)
                             self._now = now
-                            if defer:
-                                flushrec()
+                            fired += settle(entry)
                             cfn(cjob, *cctx)
                             now = self._now
                             heap = self._heap
@@ -1173,8 +1292,7 @@ class KernelSimulator(Simulator):
                             idle.append(server)
                             items.appendleft((enq, item))
                             self._now = now
-                            if defer:
-                                flushrec()
+                            fired += settle(entry)
                             pool._dispatch()
                             now = self._now
                             heap = self._heap
@@ -1183,6 +1301,7 @@ class KernelSimulator(Simulator):
                         waited = now - enq
                         done_fn = item[2]
                         dctx = item[3]
+                        push = heappush
                     # ServiceStation._service_time with
                     # _sample_occupancy_us fused in.
                     idle_gap = now - pool.idle_since[server]
@@ -1196,9 +1315,11 @@ class KernelSimulator(Simulator):
                         if skind == 2:
                             base += job.size_kb * sc.sukb
                     else:
+                        if push is heapreplace:
+                            heappop(heap)
+                            push = heappush
                         self._now = now
-                        if defer:
-                            flushrec()
+                        fired += settle(entry)
                         base = sc.sample(sc.rng, job)
                         heap = self._heap
                     base = (base + sc.kstack) * sc.env
@@ -1237,12 +1358,8 @@ class KernelSimulator(Simulator):
                         tick = sc.tick
                         if tick is not None and predicted > tick:
                             predicted = tick
-                        table = sc.ctable
-                        chosen = table[0][1]
-                        for target_residency, spec in table:
-                            if target_residency <= predicted:
-                                chosen = spec
-                        wake = chosen.exit_latency_us
+                        wake = sc.cstates[bisect_right(
+                            sc.cres, predicted)].exit_latency_us
                         if wake > idle_gap:
                             wake = idle_gap
                     occupancy = scaled + wake
@@ -1252,18 +1369,37 @@ class KernelSimulator(Simulator):
                             f"negative service time {occupancy} "
                             f"for job {job!r}")
                     pool.busy_time_us += occupancy
-                    heappush(heap, (now + occupancy, nseq(), sc.finish_cb,
-                                    (server, job, waited, done_fn, dctx)))
+                    push(heap, (now + occupancy, nseq(), sc.finish_cb,
+                                (server, job, waited, done_fn, dctx)))
                     if items and idle:
                         self._now = now
-                        if defer:
-                            flushrec()
+                        fired += settle(entry)
                         pool._dispatch()
                         now = self._now
                         heap = self._heap
+            # Drained: the pending measurements fire last (settled
+            # below), and the clock ends on the last of them.
+            if pend:
+                last = max(pend)[0]
+                if last > now:
+                    now = last
+        except BaseException:
+            # The failing event was consumed, as on the reference loop;
+            # measurements keyed before it fire, and the rest go back
+            # to the heap as the _measured entries they stand for.
+            heap = self._heap
+            if heap and heap[0] is entry:
+                heappop(heap)
+            if pend:
+                fired += self._drain_measured(entry)
+                for time, seq, gc, machine, request, finish in pend:
+                    heappush(heap, (time, seq, gc.measured,
+                                    (machine, request, finish)))
+                del pend[:]
+            raise
         finally:
             self._now = now
-            flushrec()
+            fired += settle(None)
             self._events_processed += fired
             self.kernel_scalar_fallbacks += scalar
         return fired

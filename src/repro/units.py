@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+from repro.errors import InvalidValueError
+
 #: One microsecond (the base time unit).
 US = 1.0
 
@@ -50,17 +52,22 @@ def qps_to_interarrival_us(qps: float) -> float:
     """Mean inter-arrival time in microseconds for a rate in queries/sec.
 
     Raises:
-        ValueError: if *qps* is not strictly positive and finite.
+        InvalidValueError: if *qps* is not strictly positive and finite.
     """
     if not 0.0 < qps < math.inf:
-        raise ValueError(f"qps must be finite and positive, got {qps!r}")
+        raise InvalidValueError(
+            f"qps must be finite and positive, got {qps!r}")
     return SECOND / float(qps)
 
 
 def interarrival_us_to_qps(interarrival_us: float) -> float:
-    """Rate in queries/sec for a mean inter-arrival time in microseconds."""
+    """Rate in queries/sec for a mean inter-arrival time in microseconds.
+
+    Raises:
+        InvalidValueError: if *interarrival_us* is not strictly positive.
+    """
     if interarrival_us <= 0:
-        raise ValueError(
+        raise InvalidValueError(
             f"interarrival_us must be positive, got {interarrival_us!r}"
         )
     return SECOND / float(interarrival_us)
@@ -80,8 +87,8 @@ def work_cycles_us(work_us_at_nominal: float, nominal_ghz: float,
     lower frequency and shorter at a higher one.
 
     Raises:
-        ValueError: if either frequency is not strictly positive.
+        InvalidValueError: if either frequency is not strictly positive.
     """
     if nominal_ghz <= 0 or current_ghz <= 0:
-        raise ValueError("frequencies must be positive")
+        raise InvalidValueError("frequencies must be positive")
     return float(work_us_at_nominal) * (float(nominal_ghz) / float(current_ghz))

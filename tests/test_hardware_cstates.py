@@ -1,11 +1,17 @@
 """Tests for C-state governor behaviour."""
 
+import math
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.presets import HP_CLIENT, LP_CLIENT, SERVER_BASELINE
 from repro.config.presets import server_with_c1e
+from repro.errors import ConfigurationError
 from repro.hardware.cstates import CStateGovernor
-from repro.parameters import cstates_by_name
+from repro.parameters import CStateSpec, SkylakeParameters, cstates_by_name
 
 
 class TestSelection:
@@ -110,3 +116,98 @@ class TestTable:
         governor = CStateGovernor(params, SERVER_BASELINE)
         names = [s.name for s in governor.enabled_states]
         assert names == ["C0", "C1"]
+
+
+# ---------------------------------------------------------------------------
+# The selection rule: bisection over the ascending residencies
+# ---------------------------------------------------------------------------
+_NAMES = ("C0", "C1", "C1E", "C6")
+
+#: Every state enabled, no tick limit: the prediction is the gap.
+_TICKLESS = replace(LP_CLIENT, tickless=True)
+
+
+def _table(residencies, latencies):
+    return tuple(
+        CStateSpec(_NAMES[i % len(_NAMES)], exit_latency_us=latency,
+                   target_residency_us=residency, power_relative=0.5)
+        for i, (residency, latency) in enumerate(zip(residencies,
+                                                     latencies)))
+
+
+def _governor(table):
+    params = type("TableParameters", (SkylakeParameters,),
+                  {"cstate_table": lambda self: table})()
+    return CStateGovernor(params, _TICKLESS)
+
+
+def _scan(table, predicted):
+    """The reference rule: the last state whose target residency is at
+    most the prediction, the first when none is."""
+    chosen = table[0]
+    for spec in table:
+        if spec.target_residency_us <= predicted:
+            chosen = spec
+    return chosen
+
+
+def _probes(residencies):
+    """Every threshold, just below each, between each distinct pair,
+    below the first and above the last."""
+    distinct = sorted(set(residencies))
+    values = [0.0, distinct[0] / 2.0, distinct[-1] + 1.0,
+              distinct[-1] * 2.0 + 7.0]
+    for low, high in zip(distinct, distinct[1:]):
+        values.append((low + high) / 2.0)
+    for residency in distinct:
+        values.append(residency)
+        if residency > 0.0:
+            values.append(math.nextafter(residency, -math.inf))
+    return values
+
+
+_RESIDENCY = st.sampled_from((0.0, 0.5, 2.0, 20.0, 600.0)) | st.floats(
+    0.0, 1e4, allow_nan=False)
+
+
+class TestSelectionRule:
+    @given(residencies=st.lists(_RESIDENCY, min_size=1, max_size=7)
+           .map(sorted),
+           latencies=st.lists(st.floats(0.0, 200.0), min_size=7,
+                              max_size=7))
+    @settings(max_examples=150, deadline=None)
+    def test_bisection_picks_the_scanned_state(self, residencies,
+                                               latencies):
+        """Ties included: bisect_right lands past equal residencies,
+        on the last of them, where the scan ends too."""
+        table = _table(residencies, latencies)
+        governor = _governor(table)
+        for predicted in _probes(residencies):
+            wake, state = governor.wake_and_state(predicted)
+            assert state is _scan(table, predicted)
+            assert wake == min(state.exit_latency_us, predicted)
+
+    def test_skylake_tables_at_every_threshold(self, params):
+        for config in (LP_CLIENT, _TICKLESS, SERVER_BASELINE,
+                       server_with_c1e(True)):
+            for limit in (None, 20.0, 2.0, 0.5):
+                governor = CStateGovernor(params, config,
+                                          latency_limit_us=limit)
+                table = tuple(governor.enabled_states)
+                residencies = [s.target_residency_us for s in table]
+                for predicted in _probes(residencies):
+                    _, state = governor.wake_and_state(predicted)
+                    assert state is _scan(table, min(predicted, 4_000.0)
+                                          if not config.tickless
+                                          else predicted)
+
+    def test_descending_table_rejected(self):
+        table = _table((0.0, 20.0, 2.0), (0.0, 10.0, 2.0))
+        with pytest.raises(ConfigurationError, match="ascending"):
+            _governor(table)
+
+    def test_ties_accepted(self):
+        table = _table((0.0, 2.0, 2.0, 600.0), (0.0, 2.0, 3.0, 133.0))
+        governor = _governor(table)
+        assert governor.wake_and_state(2.0)[1] is table[2]
+        assert governor.wake_and_state(1.0)[1] is table[0]

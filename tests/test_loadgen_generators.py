@@ -100,18 +100,6 @@ class TestOpenLoop:
                 ExponentialInterarrival(10_000), streams.get("arrivals"),
                 time_sensitive=False, num_requests=10)
 
-    def test_on_all_done_fires(self, sim, streams):
-        station, clients, link = make_setup(sim, streams)
-        generator = OpenLoopGenerator(
-            sim, clients, station, link, link,
-            ExponentialInterarrival(10_000), streams.get("arrivals"),
-            time_sensitive=True, num_requests=5)
-        fired = []
-        generator.on_all_done(lambda: fired.append(sim.now))
-        generator.start()
-        sim.run()
-        assert len(fired) == 1
-
     def test_zero_requests_rejected(self, sim, streams):
         station, clients, link = make_setup(sim, streams)
         with pytest.raises(ConfigurationError):

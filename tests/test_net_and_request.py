@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ReproError
 from repro.net.link import US_PER_KB_10GBE, NetworkLink
 from repro.server.request import Request
 
@@ -37,10 +38,14 @@ class TestNetworkLink:
     def test_invalid_mean_rejected(self, params):
         with pytest.raises(ValueError):
             NetworkLink(params, mean_latency_us=0.0)
+        with pytest.raises(ReproError):
+            NetworkLink(params, mean_latency_us=0.0)
 
     @pytest.mark.parametrize("mean_us", [float("nan"), float("inf")])
     def test_non_finite_mean_rejected(self, params, mean_us):
         with pytest.raises(ValueError, match="finite"):
+            NetworkLink(params, mean_latency_us=mean_us)
+        with pytest.raises(ReproError, match="finite"):
             NetworkLink(params, mean_latency_us=mean_us)
 
     def test_negative_payload_ignored(self, params):

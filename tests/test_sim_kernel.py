@@ -40,6 +40,7 @@ from repro.graph.cache import CacheTier
 from repro.graph.resilience import ResilientDispatcher
 from repro.graph.spec import GraphTierSpec, ResiliencePolicy, ServiceGraphSpec
 from repro.graph.testbed import GraphStage, ServiceGraph
+from repro.parallel.runner import run_sharded
 from repro.server.request import Request
 from repro.sim.engine import Simulator, _Train
 from repro.sim.kernel import (
@@ -419,6 +420,22 @@ class TestTrains:
                 if train:
                     assert got[3] == trained
 
+    def test_train_posted_during_a_run_fuses(self):
+        """A generator started from a callback posts its train while
+        the fused loop runs: post_train keys it, so only the starting
+        callback falls back, and the run equals the reference's."""
+        digests = {}
+        for engine in ENGINES:
+            testbed = _memcached_bed(engine, 6, 100_000, 300)
+            sim = testbed.sim
+            sim.post_at(50.0, testbed.generator.start)
+            sim.run()
+            assert testbed.generator.drained
+            digests[engine] = (_column_digest(testbed),
+                               sim.events_processed)
+        assert sim.kernel_scalar_fallbacks == 1
+        assert digests["vectorized"] == digests["reference"]
+
     def test_launch_train_on_an_unadopted_machine(self):
         """A machine the kernel does not adopt (a hot-path method
         wrapped on the instance) launches each member through the
@@ -566,6 +583,232 @@ class TestReferenceFormatHeap:
                                testbed.generator.drained)
         assert results["reference"][2]
         assert results["vectorized"] == results["reference"]
+
+
+# ---------------------------------------------------------------------------
+# Heap discipline: the held root and the pending measurements
+# ---------------------------------------------------------------------------
+def _metrics_bed(engine, num_requests=2_000, qps=100_000, **policy):
+    return (experiment("memcached")
+            .client("LP")
+            .load(qps=qps, num_requests=num_requests)
+            .policy(runs=1, base_seed=4, engine=engine, metrics=True,
+                    **policy)
+            .build()
+            .testbed())
+
+
+def _describe_heap(sim):
+    """Every queued entry's key and what it fires, in key order."""
+    def fires(entry):
+        if len(entry) == 3:
+            return "Event:" + entry[2].callback.__name__
+        return getattr(entry[2], "__name__", type(entry[2]).__name__)
+    return sorted((entry[0], entry[1], fires(entry)) for entry in sim._heap)
+
+
+def _finish_by_steps(testbed):
+    """Finish an aborted run with step() alone, then summarize it (a
+    request whose event raised is lost, on either engine)."""
+    sim = testbed.sim
+    while sim.step():
+        pass
+    generator = testbed.generator
+    completed = generator.completed
+    generator.num_requests = completed
+    generator.start = lambda: None
+    testbed._ran = False
+    return completed, testbed.run()
+
+
+class TestHeapDiscipline:
+    def _abort(self, engine, arm):
+        """Run *engine*'s testbed until *arm*'s fault raises; return
+        the heap, counters and clock left behind, and the testbed."""
+        testbed = _metrics_bed(engine)
+        arm(testbed)
+        with pytest.raises(RuntimeError, match="injected"):
+            testbed.run()
+        sim = testbed.sim
+        return (_describe_heap(sim), sim.events_processed, sim.now,
+                sim.pending_events, sim.live_pending_events), testbed
+
+    def _check(self, arm):
+        left, finished = {}, {}
+        for engine in ENGINES:
+            left[engine], testbed = self._abort(engine, arm)
+            finished[engine] = _finish_by_steps(testbed)
+        heap = left["reference"][0]
+        assert heap and left["vectorized"] == left["reference"]
+        # Undrained measurements went back as _measured entries.
+        assert any(name == "_measured" for _, _, name in heap)
+        completed, metrics = finished["reference"]
+        assert finished["vectorized"][0] == completed
+        assert _without_fallbacks(finished["vectorized"][1]) == metrics
+        return left["reference"]
+
+    def test_abort_inside_a_fused_body_with_the_root_held(self):
+        """A station draw raising inside the fused SUBMIT body, before
+        its push replaced the root: the root is popped, as the
+        reference loop popped it, the measurements keyed before it
+        fire, and the heap, the event count and the rest of the run
+        equal the reference engine's."""
+        state = {}
+
+        def arm(testbed):
+            sim = testbed.sim
+            station = testbed.service
+            stream = station._rng
+            draw = stream.draw_normal
+            calls = [0]
+
+            def faulty():
+                calls[0] += 1
+                if calls[0] == 501:
+                    root = sim._heap[0]
+                    pending = getattr(sim, "_pending", [])
+                    state[type(sim)] = (root[2] == station.submit,
+                                        bool(pending) and pending[0] < root)
+                    raise RuntimeError("injected")
+                return draw()
+
+            stream.draw_normal = faulty
+
+        self._check(arm)
+        # On the kernel the raising event was still the heap's root,
+        # with a measurement keyed before it still pending.
+        assert state[KernelSimulator] == (True, True)
+        assert state[Simulator][0] is False
+
+    def test_cancels_see_the_reference_queue(self, monkeypatch):
+        """The fused response leg cancels a call's timers after firing
+        the measurements keyed before it: every Event.cancel sees the
+        reference engine's queue size and cancellation count."""
+        seen = {}
+        note = Simulator._note_cancelled
+
+        def spy(self):
+            seen[type(self)].append((self.pending_events,
+                                     self._cancelled_in_heap))
+            note(self)
+
+        monkeypatch.setattr(Simulator, "_note_cancelled", spy)
+        for engine in ENGINES:
+            testbed = _graph_testbed(engine)
+            seen[type(testbed.sim)] = []
+            testbed.run()
+        assert len(seen[Simulator]) > 100
+        assert seen[KernelSimulator] == seen[Simulator]
+
+    def test_abort_in_a_raising_event_callback(self):
+        def arm(testbed):
+            def boom():
+                raise RuntimeError("injected")
+            testbed.sim.schedule_at(2_000.0, boom)
+
+        *_, now, _, _ = self._check(arm)
+        assert now == 2_000.0
+
+    def test_pending_events_seen_from_a_foreign_callback(self):
+        """Mid-run, a foreign callback sees the reference engine's
+        queue sizes: the kernel counts its pending measurements."""
+        seen = {}
+        for engine in ENGINES:
+            testbed = _metrics_bed(engine, num_requests=600,
+                                   qps=200_000)
+            sim = testbed.sim
+            log = seen[engine] = []
+
+            def probe(sim=sim, log=log):
+                log.append((sim.now, sim.pending_events,
+                            sim.live_pending_events))
+
+            for at in (5.0, 400.0, 1_234.5, 2_500.0):
+                sim.post_at(at, probe)
+            testbed.run()
+        assert len(seen["reference"]) == 4
+        assert seen["vectorized"] == seen["reference"]
+
+    def test_clear_from_a_callback_drops_pending_measurements(self):
+        """clear() mid-run drops every queued event, the pending
+        measurements among them: the completions recorded and the
+        events fired equal the reference engine's."""
+        seen = {}
+        for engine in ENGINES:
+            testbed = _metrics_bed(engine, num_requests=600,
+                                   qps=200_000)
+            sim = testbed.sim
+            sim.post_at(1_500.0, sim.clear)
+            testbed.generator.start()
+            sim.run()
+            seen[engine] = (testbed.generator.completed,
+                            _column_digest(testbed),
+                            sim.events_processed, sim.pending_events)
+        assert 0 < seen["reference"][0] < 600
+        assert seen["vectorized"] == seen["reference"]
+
+    def test_cancelling_compacts_as_the_reference_heap_does(self):
+        """Heap compaction counts the pending measurements too: a
+        callback that cancels its own events one at a time until the
+        heap compacts needs as many cancels on both engines."""
+        needed = {}
+        measured = []
+        for engine in ENGINES:
+            testbed = _metrics_bed(engine, num_requests=600,
+                                   qps=200_000)
+            sim = testbed.sim
+            count = needed[engine] = []
+
+            def cancel_until_compaction(sim=sim, count=count):
+                if type(sim) is Simulator:
+                    measured.append(sum(
+                        getattr(entry[2], "__name__", "") == "_measured"
+                        for entry in sim._heap))
+                events = [sim.schedule(1e9, int) for _ in range(200)]
+                before = sim.compactions
+                for cancelled, event in enumerate(events, 1):
+                    event.cancel()
+                    if sim.compactions > before:
+                        count.append((cancelled, sim.pending_events))
+                        break
+
+            sim.post_at(1_500.0, cancel_until_compaction)
+            metrics = testbed.run()
+            count.append(_counters(metrics)["engine.heap_compactions"])
+        # Measurements were pending, so a count without them differs.
+        assert measured[0] > 0
+        assert needed["reference"][-1] == 1
+        assert needed["vectorized"] == needed["reference"]
+
+    def test_main_heap_calls_per_request(self, monkeypatch):
+        """A memcached LP request costs the main heap 7 calls (14
+        before the root was held and the measurements left it)."""
+        import heapq
+
+        import repro.sim.engine as engine_module
+        import repro.sim.kernel as kernel_module
+
+        num_requests = 2_000
+        testbed = _metrics_bed("vectorized", num_requests=num_requests,
+                               qps=200_000)
+        sim = testbed.sim
+        calls = [0]
+
+        def counted(function):
+            def call(heap, *args):
+                if heap is sim._heap:
+                    calls[0] += 1
+                return function(heap, *args)
+            return call
+
+        for module in (kernel_module, engine_module):
+            for name in ("heappush", "heappop", "heapreplace"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counted(getattr(heapq, name)))
+        testbed.run()
+        assert testbed.generator.drained
+        assert calls[0] / num_requests <= 7.1
 
 
 # ---------------------------------------------------------------------------
@@ -1175,20 +1418,30 @@ def test_telemetry_columns_bit_identical(workload):
 # ---------------------------------------------------------------------------
 # Component counters: draws served, links, stations, events
 # ---------------------------------------------------------------------------
-#: name -> (workload, client, qps, topology: a ClusterSpec or a graph).
+#: name -> (workload, client, qps, topology: a ClusterSpec or a graph,
+#: extra run policy).
 _COUNTER_PLANS = {
-    "memcached-LP": ("memcached", "LP", 100_000.0, None),
-    "memcached-HP": ("memcached", "HP", 100_000.0, None),
-    "hdsearch": ("hdsearch", "LP", 1_000.0, None),
-    "socialnetwork": ("socialnetwork", "LP", 300.0, None),
-    "synthetic": ("synthetic", "LP", 10_000.0, None),
+    "memcached-LP": ("memcached", "LP", 100_000.0, None, {}),
+    "memcached-HP": ("memcached", "HP", 100_000.0, None, {}),
+    "memcached-LP-streaming": ("memcached", "LP", 100_000.0, None,
+                               {"sink": "streaming"}),
+    # Two striped shard workers, merged (run inline).
+    "memcached-LP-workers2": ("memcached", "LP", 100_000.0, None,
+                              {"workers": 2}),
+    "hdsearch": ("hdsearch", "LP", 1_000.0, None, {}),
+    "socialnetwork": ("socialnetwork", "LP", 300.0, None, {}),
+    "synthetic": ("synthetic", "LP", 10_000.0, None, {}),
     "memcached-cluster": ("memcached", "LP", 100_000.0,
-                          ClusterSpec(nodes=4, lb_policy="power-of-two")),
-    "memcached-cached": ("memcached", "LP", 200_000.0, "memcached-cached"),
+                          ClusterSpec(nodes=4, lb_policy="power-of-two"),
+                          {}),
+    # Hedge timers cancelled mid-run: heap compaction counts too.
+    "memcached-cached": ("memcached", "LP", 200_000.0, "memcached-cached",
+                         {}),
     # Partial fan-out draws, a straggler past the quorum per root, and
     # shards busy enough to queue (the quorum's max queue wait).
     "hdsearch-quorum": ("hdsearch", "LP", 4_000.0, ClusterSpec(
-        nodes=2, shards=4, fanout=2, quorum=1, lb_policy="power-of-two")),
+        nodes=2, shards=4, fanout=2, quorum=1, lb_policy="power-of-two"),
+        {}),
 }
 
 
@@ -1196,24 +1449,30 @@ _COUNTER_PLANS = {
 def test_metrics_counters_match_reference(case):
     """Every fused body draws and tallies as the reference components
     do, so every harvested counter -- link and station tallies, fan-out,
-    cache and resilience tallies, events dispatched, the sampler
-    gauge -- and every telemetry column equals the reference engine's;
-    only the kernel's fallback count is its own."""
-    workload, client, qps, topology = _COUNTER_PLANS[case]
+    cache and resilience tallies, events dispatched, heap compactions,
+    the sampler gauge -- and every telemetry column equals the
+    reference engine's; only the kernel's fallback count is its own."""
+    workload, client, qps, topology, policy = _COUNTER_PLANS[case]
     results, digests = {}, {}
     for engine in ENGINES:
         builder = (experiment(workload)
                    .client(client)
                    .load(qps=qps, num_requests=300)
                    .policy(runs=1, base_seed=3, engine=engine,
-                           metrics=True))
+                           metrics=True, **policy))
         if isinstance(topology, ClusterSpec):
             builder = builder.cluster(topology)
         elif topology is not None:
             builder = builder.graph(topology)
-        testbed = builder.build().testbed()
-        results[engine] = testbed.run()
-        digests[engine] = _column_digest(testbed)
+        plan = builder.build()
+        if policy:
+            # Sharded or streaming: the merged metrics, no columns.
+            (results[engine],) = run_sharded(plan, processes=1).runs
+            digests[engine] = None
+        else:
+            testbed = plan.testbed()
+            results[engine] = testbed.run()
+            digests[engine] = _column_digest(testbed)
     # Non-vacuity: the link tallies the fused SENT and FINISH bodies
     # (and the shard hops) update inline were really counted.
     counters = dict(results["reference"].obs_metrics)
@@ -1227,6 +1486,10 @@ def test_metrics_counters_match_reference(case):
     if case == "memcached-cached":
         assert counters["cache.cache.misses"] > 0
         assert counters["resilience.leaf.hedges"] > 0
+        # Only the hedge timers fall back.
+        assert (_fallbacks(results["vectorized"])
+                == counters["resilience.leaf.hedges"])
+    assert "engine.heap_compactions" in counters
     assert (_without_fallbacks(results["vectorized"])
             == results["reference"])
     # The per-request timings (queue wait, service, departure) too.

@@ -4,6 +4,7 @@
 import pytest
 
 from repro import units
+from repro.errors import ConfigurationError, ReproError
 
 
 class TestTimeHelpers:
@@ -38,15 +39,21 @@ class TestRates:
     def test_zero_qps_rejected(self):
         with pytest.raises(ValueError):
             units.qps_to_interarrival_us(0)
+        with pytest.raises(ReproError):
+            units.qps_to_interarrival_us(0)
 
     @pytest.mark.parametrize("qps", [float("nan"), float("inf")])
     def test_non_finite_qps_rejected(self, qps):
         # NaN used to come back as a NaN gap, infinity as 0.0.
         with pytest.raises(ValueError, match="finite"):
             units.qps_to_interarrival_us(qps)
+        with pytest.raises(ConfigurationError, match="finite"):
+            units.qps_to_interarrival_us(qps)
 
     def test_negative_interarrival_rejected(self):
         with pytest.raises(ValueError):
+            units.interarrival_us_to_qps(-1.0)
+        with pytest.raises(ReproError):
             units.interarrival_us_to_qps(-1.0)
 
 
@@ -65,6 +72,8 @@ class TestWorkScaling:
     def test_zero_frequency_rejected(self):
         with pytest.raises(ValueError):
             units.work_cycles_us(10.0, 2.2, 0.0)
+        with pytest.raises(ReproError):
+            units.work_cycles_us(10.0, 0.0, 2.2)
 
     def test_work_scales_linearly(self):
         one = units.work_cycles_us(1.0, 2.2, 1.1)
