@@ -164,7 +164,7 @@ class Simulator:
         awaiting lazy removal, so it is the right drain check: a run
         has ended cleanly when no *live* work remains.
         """
-        return self.pending_events - self._cancelled_in_heap
+        return len(self._heap) - self._cancelled_in_heap
 
     # ------------------------------------------------------------------
     def post(self, delay: float, callback: Callable[..., Any],
@@ -256,9 +256,8 @@ class Simulator:
         """Account one newly-cancelled in-heap event; compact lazily."""
         self._cancelled_in_heap += 1
         heap = self._heap
-        pending = self.pending_events
-        if (pending >= _COMPACT_MIN_HEAP
-                and self._cancelled_in_heap * 2 > pending):
+        if (len(heap) >= _COMPACT_MIN_HEAP
+                and self._cancelled_in_heap * 2 > len(heap)):
             self._heap = [entry for entry in heap
                           if len(entry) == 4 or not entry[2].cancelled]
             heapify(self._heap)

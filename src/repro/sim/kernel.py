@@ -39,23 +39,9 @@ run is under way): its ``_OP_LAUNCH`` replaces the train's entry with
 the next member's, under that member's reserved sequence number, then
 builds the member's args with the train's ``make_args``.
 
-**Pending measurements.**  A stock ``_measured`` without an
-``_after_completion`` hook leaves the event heap: the AT_NIC body
-files ``(time, seq, context, machine, request, finish)``, keyed as its
-``_measured`` entry would be, on a small pending-measurement heap.
-Its entries fire in key order, each doing exactly what ``_measured``
-does and counting as one dispatched event: at each AT_NIC and before
-every foreign call or ``Event.cancel`` (those keyed before the
-current event), and when the event heap drains (all of them, the
-clock ending on the last).  ``pending_events``,
-``live_pending_events`` and the cancel accounting count them, so
-heap compaction happens when it does on the reference engine; an
-aborted run puts them back on the heap as the ``_measured`` entries
-they stand for.
-
 **Deferred recording.**  With the stock
-:class:`~repro.loadgen.measurement.RunSamples` behind them, those
-measurements are buffered and written
+:class:`~repro.loadgen.measurement.RunSamples` and no completion
+hook, completed requests are buffered and written
 :data:`~repro.loadgen.measurement.RECORD_CHUNK` at a time through
 ``RunSamples.record_batch``, flushed before every foreign call so
 code outside the fused loop always sees every record, in order.
@@ -242,7 +228,7 @@ class _GC:
     """Per-:class:`LoadGenerator` context."""
 
     __slots__ = ("gen", "sent", "served", "at_nic", "measured", "record",
-                 "after", "fold", "submit_cb", "link_s", "rs", "rbuf")
+                 "after", "submit_cb", "link_s", "rs", "rbuf")
 
     def __init__(self, gen: Any,
                  after: Optional[Callable[..., None]]) -> None:
@@ -253,17 +239,12 @@ class _GC:
         self.measured = gen._measured
         self.record = gen.samples.record
         self.after = after
-        # Pending measurements (dispatch build enables them for a stock
-        # _measured without a completion hook): AT_NIC files the
-        # completion on the kernel's pending-measurement heap instead
-        # of pushing a _measured entry.
-        self.fold = False
         self.submit_cb = gen.service.submit
         self.link_s = _link_consts(gen._link_to_server)
-        # Deferred recording (dispatch build enables it for a folded
-        # generator with the stock RunSamples/SampleColumns pair):
-        # completed requests buffer in rbuf and flush in order through
-        # rs.record_batch.
+        # Deferred recording (dispatch build enables it when the stock
+        # RunSamples/SampleColumns pair is in place and there is no
+        # completion hook): completed requests buffer in rbuf and
+        # flush in order through rs.record_batch.
         self.rs: Any = None
         self.rbuf: Any = None
 
@@ -412,21 +393,6 @@ class KernelSimulator(Simulator):
         self._minfo: Dict[Any, _MC] = {}
         self._completions: Dict[Any, Tuple[int, Any]] = {}
         self._rec_gcs: list = []
-        #: The pending-measurement heap: ``(time, seq, generator
-        #: context, machine, request, finish)`` per folded completion,
-        #: keyed as its ``_measured`` entry would be.  Non-empty only
-        #: inside the fused loop.
-        self._pending: list = []
-
-    @property
-    def pending_events(self) -> int:
-        """Number of entries in the queue, including cancelled ones
-        and the fused loop's pending measurements."""
-        return len(self._heap) + len(self._pending)
-
-    def clear(self) -> None:
-        super().clear()
-        del self._pending[:]
 
     def post_train(self, times: Sequence[float],
                    callback: Callable[..., Any],
@@ -446,41 +412,18 @@ class KernelSimulator(Simulator):
                 if handler is not None and handler[0] == _OP_LAUNCH:
                     dispatch[train] = handler
 
-    def _drain_measured(self, bound: Any) -> int:
-        """Fire the pending measurements keyed before *bound* (a heap
-        entry; all of them when None), in key order, each exactly as
-        ``LoadGenerator._measured`` would; return how many fired."""
-        pend = self._pending
-        fired = 0
-        while pend and (bound is None or pend[0] < bound):
-            _, _, gc, _, request, finish = heappop(pend)
-            request.measured_complete_us = finish
-            buf = gc.rbuf
-            if buf is None:
-                gc.record(request)
-            else:
-                buf.append(request)
-                if len(buf) >= RECORD_CHUNK:
-                    gc.rs.record_batch(buf)
-                    del buf[:]
-            gc.gen.completed += 1
-            fired += 1
-        return fired
+    def _flush_records(self) -> None:
+        """Drain deferred completion records into their RunSamples.
 
-    def _settle(self, bound: Any) -> int:
-        """Bring what code outside the fused loop can observe up to the
-        event *bound* (the end of the run when None): fire the pending
-        measurements keyed before it, then write the deferred records
-        through ``RunSamples.record_batch``, so that code sees every
-        completion recorded, in order.  Called before every foreign
-        call and at kernel exit; returns the measurements fired."""
-        fired = self._drain_measured(bound) if self._pending else 0
+        Called before every foreign call of a run that defers records,
+        and at kernel exit, so that code outside the fused loop always
+        observes fully recorded samples, in exact completion order.
+        """
         for gc in self._rec_gcs:
             buf = gc.rbuf
             if buf:
                 gc.rs.record_batch(buf)
                 del buf[:]
-        return fired
 
     # ------------------------------------------------------------ adoption
     def adopt_generator(self, generator: Any) -> None:
@@ -665,18 +608,15 @@ class KernelSimulator(Simulator):
             if _stock(gen, "_at_client_nic", LoadGenerator):
                 dispatch[gc.at_nic] = (_OP_AT_NIC, gc)
             if _stock(gen, "_measured", LoadGenerator):
-                if after is not None:
-                    dispatch[gc.measured] = (_OP_MEASURED, gc)
-                else:
-                    # No hook: the measurement leaves the event heap.
-                    gc.fold = True
-                    samples = gen.samples
-                    if (type(samples) is RunSamples
-                            and _stock(samples, "record", RunSamples)
-                            and type(samples._columns) is SampleColumns):
-                        gc.rs = samples
-                        gc.rbuf = []
-                        rec_gcs.append(gc)
+                dispatch[gc.measured] = (_OP_MEASURED, gc)
+                samples = gen.samples
+                if (after is None
+                        and type(samples) is RunSamples
+                        and _stock(samples, "record", RunSamples)
+                        and type(samples._columns) is SampleColumns):
+                    gc.rs = samples
+                    gc.rbuf = []
+                    rec_gcs.append(gc)
             if _stock(gen, "_served", LoadGenerator):
                 completions[gc.served] = (_C_CLIENT, (
                     gc.at_nic, _link_consts(gen._link_to_client)))
@@ -761,8 +701,10 @@ class KernelSimulator(Simulator):
         minfo_get = self._minfo.get
         dispatch_get = dispatch.get
         completion_get = self._completions.get
-        settle = self._settle
-        pend = self._pending
+        flushrec = self._flush_records
+        # Only deferred records need flushing before a foreign call;
+        # runs without them (streaming sink, hooks) skip every flush.
+        defer = bool(self._rec_gcs)
         Tt = _Train
 
         heap = self._heap
@@ -793,7 +735,8 @@ class KernelSimulator(Simulator):
                     # An Event, or a callback the table does not fuse.
                     scalar += 1
                     self._now = now
-                    fired += settle(entry)
+                    if defer:
+                        flushrec()
                     if len(entry) == 3:
                         h.callback(*h.args)
                     else:
@@ -821,7 +764,8 @@ class KernelSimulator(Simulator):
                             heappop(heap)
                             scalar += 1
                             self._now = now
-                            fired += settle(entry)
+                            if defer:
+                                flushrec()
                             h(*args)
                             now = self._now
                             heap = self._heap
@@ -900,28 +844,6 @@ class KernelSimulator(Simulator):
                         mc.machine.requests_sent += 1
                         heapreplace(heap, (now + (finish - now), nseq(),
                                            args[1], args[2] + (finish,)))
-                    elif data.fold:
-                        # The measurement leaves the event heap: fire
-                        # the pending ones keyed before this event
-                        # (as _drain_measured does), then file this one
-                        # under its _measured entry's key.
-                        mc.machine.responses_handled += 1
-                        heappop(heap)
-                        while pend and pend[0] < entry:
-                            _, _, gcm, _, request, done = heappop(pend)
-                            request.measured_complete_us = done
-                            rb = gcm.rbuf
-                            if rb is None:
-                                gcm.record(request)
-                            else:
-                                rb.append(request)
-                                if len(rb) >= RECORD_CHUNK:
-                                    gcm.rs.record_batch(rb)
-                                    del rb[:]
-                            gcm.gen.completed += 1
-                            fired += 1
-                        heappush(pend, (now + (finish - now), nseq(), data,
-                                        args[0], args[1], finish))
                     else:
                         mc.machine.responses_handled += 1
                         heapreplace(heap, (now + (finish - now), nseq(),
@@ -972,7 +894,8 @@ class KernelSimulator(Simulator):
                             heappop(heap)
                         scalar += 1
                         self._now = now
-                        fired += settle(entry)
+                        if defer:
+                            flushrec()
                         cbx = h.callback if type(h) is Tt else h
                         cbx(*args)
                         now = self._now
@@ -998,18 +921,32 @@ class KernelSimulator(Simulator):
                                 f"cannot schedule in the past: {delay!r}")
                         push(heap, (now + delay, nseq(), mc.do_send,
                                     (False, gcl.sent, (machine, request))))
-                elif op == 6:  # _OP_MEASURED, with a completion hook
+                elif op == 6:  # _OP_MEASURED
                     heappop(heap)
-                    self._now = now
-                    fired += settle(entry)
                     gcm = data
                     request = args[1]
                     request.measured_complete_us = args[2]
-                    gcm.record(request)
+                    self._now = now
+                    rb = gcm.rbuf
+                    if rb is not None:
+                        # Deferred columnar recording: buffered here,
+                        # flushed in completion order before any
+                        # foreign call can observe the samples, and
+                        # every RECORD_CHUNK completions so a fused
+                        # run never holds its finished requests.
+                        rb.append(request)
+                        if len(rb) >= RECORD_CHUNK:
+                            gcm.rs.record_batch(rb)
+                            del rb[:]
+                    else:
+                        gcm.record(request)
                     gcm.gen.completed += 1
-                    gcm.after(args[0], request)
-                    now = self._now
-                    heap = self._heap
+                    if gcm.after is not None:
+                        if defer:
+                            flushrec()
+                        gcm.after(args[0], request)
+                        now = self._now
+                        heap = self._heap
                 else:
                     # The station (SUBMIT / STAGE / FINISH) and the
                     # graph's completions (AT_ROOT / CACHE_DONE).
@@ -1043,7 +980,8 @@ class KernelSimulator(Simulator):
                             heappop(heap)
                             scalar += 1
                             self._now = now
-                            fired += settle(entry)
+                            if defer:
+                                flushrec()
                             sc.station.submit(*args)
                             now = self._now
                             heap = self._heap
@@ -1151,7 +1089,8 @@ class KernelSimulator(Simulator):
                                 heappop(heap)
                                 cache.misses += 1
                                 self._now = now
-                                fired += settle(entry)
+                                if defer:
+                                    flushrec()
                                 cache.downstream.submit(
                                     cjob, lc.filled, cctx[0], now,
                                     *cctx[1:])
@@ -1233,11 +1172,6 @@ class KernelSimulator(Simulator):
                             state = cctx[0]
                             if not state.completed:
                                 state.completed = True
-                                # Event.cancel counts the pending
-                                # measurements (and may compact, rebinding
-                                # the heap): fire those keyed before.
-                                if pend:
-                                    fired += self._drain_measured(entry)
                                 ev = state.timeout_event
                                 if ev is not None:
                                     ev.cancel()
@@ -1246,6 +1180,7 @@ class KernelSimulator(Simulator):
                                 if ev is not None:
                                     ev.cancel()
                                     state.hedge_event = None
+                                # A cancel may compact (rebind) the heap.
                                 heap = self._heap
                                 root = state.root
                                 root.service_us += cjob.service_us
@@ -1261,7 +1196,8 @@ class KernelSimulator(Simulator):
                                         (root,) + state.ctx))
                                 else:
                                     self._now = now
-                                    fired += settle(entry)
+                                    if defer:
+                                        flushrec()
                                     state.done_fn(root, *state.ctx)
                                     now = self._now
                                     heap = self._heap
@@ -1270,7 +1206,8 @@ class KernelSimulator(Simulator):
                             # called as it is.
                             heappop(heap)
                             self._now = now
-                            fired += settle(entry)
+                            if defer:
+                                flushrec()
                             cfn(cjob, *cctx)
                             now = self._now
                             heap = self._heap
@@ -1292,7 +1229,8 @@ class KernelSimulator(Simulator):
                             idle.append(server)
                             items.appendleft((enq, item))
                             self._now = now
-                            fired += settle(entry)
+                            if defer:
+                                flushrec()
                             pool._dispatch()
                             now = self._now
                             heap = self._heap
@@ -1319,7 +1257,8 @@ class KernelSimulator(Simulator):
                             heappop(heap)
                             push = heappush
                         self._now = now
-                        fired += settle(entry)
+                        if defer:
+                            flushrec()
                         base = sc.sample(sc.rng, job)
                         heap = self._heap
                     base = (base + sc.kstack) * sc.env
@@ -1373,33 +1312,19 @@ class KernelSimulator(Simulator):
                                 (server, job, waited, done_fn, dctx)))
                     if items and idle:
                         self._now = now
-                        fired += settle(entry)
+                        if defer:
+                            flushrec()
                         pool._dispatch()
                         now = self._now
                         heap = self._heap
-            # Drained: the pending measurements fire last (settled
-            # below), and the clock ends on the last of them.
-            if pend:
-                last = max(pend)[0]
-                if last > now:
-                    now = last
-        except BaseException:
-            # The failing event was consumed, as on the reference loop;
-            # measurements keyed before it fire, and the rest go back
-            # to the heap as the _measured entries they stand for.
+        finally:
+            # A raising body may leave its event held: it was consumed,
+            # as on the reference loop.
             heap = self._heap
             if heap and heap[0] is entry:
                 heappop(heap)
-            if pend:
-                fired += self._drain_measured(entry)
-                for time, seq, gc, machine, request, finish in pend:
-                    heappush(heap, (time, seq, gc.measured,
-                                    (machine, request, finish)))
-                del pend[:]
-            raise
-        finally:
             self._now = now
-            fired += settle(None)
+            flushrec()
             self._events_processed += fired
             self.kernel_scalar_fallbacks += scalar
         return fired

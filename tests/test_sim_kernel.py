@@ -586,7 +586,7 @@ class TestReferenceFormatHeap:
 
 
 # ---------------------------------------------------------------------------
-# Heap discipline: the held root and the pending measurements
+# Heap discipline: the held root
 # ---------------------------------------------------------------------------
 def _metrics_bed(engine, num_requests=2_000, qps=100_000, **policy):
     return (experiment("memcached")
@@ -640,7 +640,7 @@ class TestHeapDiscipline:
             finished[engine] = _finish_by_steps(testbed)
         heap = left["reference"][0]
         assert heap and left["vectorized"] == left["reference"]
-        # Undrained measurements went back as _measured entries.
+        # Measurements were queued when the run aborted.
         assert any(name == "_measured" for _, _, name in heap)
         completed, metrics = finished["reference"]
         assert finished["vectorized"][0] == completed
@@ -650,9 +650,8 @@ class TestHeapDiscipline:
     def test_abort_inside_a_fused_body_with_the_root_held(self):
         """A station draw raising inside the fused SUBMIT body, before
         its push replaced the root: the root is popped, as the
-        reference loop popped it, the measurements keyed before it
-        fire, and the heap, the event count and the rest of the run
-        equal the reference engine's."""
+        reference loop popped it, and the heap, the event count and
+        the rest of the run equal the reference engine's."""
         state = {}
 
         def arm(testbed):
@@ -665,25 +664,21 @@ class TestHeapDiscipline:
             def faulty():
                 calls[0] += 1
                 if calls[0] == 501:
-                    root = sim._heap[0]
-                    pending = getattr(sim, "_pending", [])
-                    state[type(sim)] = (root[2] == station.submit,
-                                        bool(pending) and pending[0] < root)
+                    state[type(sim)] = sim._heap[0][2] == station.submit
                     raise RuntimeError("injected")
                 return draw()
 
             stream.draw_normal = faulty
 
         self._check(arm)
-        # On the kernel the raising event was still the heap's root,
-        # with a measurement keyed before it still pending.
-        assert state[KernelSimulator] == (True, True)
-        assert state[Simulator][0] is False
+        # On the kernel the raising event was still the heap's root.
+        assert state[KernelSimulator] is True
+        assert state[Simulator] is False
 
     def test_cancels_see_the_reference_queue(self, monkeypatch):
-        """The fused response leg cancels a call's timers after firing
-        the measurements keyed before it: every Event.cancel sees the
-        reference engine's queue size and cancellation count."""
+        """The fused response leg pops its event before it cancels a
+        call's timers: every Event.cancel sees the reference engine's
+        queue size and cancellation count."""
         seen = {}
         note = Simulator._note_cancelled
 
@@ -711,7 +706,7 @@ class TestHeapDiscipline:
 
     def test_pending_events_seen_from_a_foreign_callback(self):
         """Mid-run, a foreign callback sees the reference engine's
-        queue sizes: the kernel counts its pending measurements."""
+        queue sizes: no root is held across a foreign call."""
         seen = {}
         for engine in ENGINES:
             testbed = _metrics_bed(engine, num_requests=600,
@@ -729,10 +724,9 @@ class TestHeapDiscipline:
         assert len(seen["reference"]) == 4
         assert seen["vectorized"] == seen["reference"]
 
-    def test_clear_from_a_callback_drops_pending_measurements(self):
-        """clear() mid-run drops every queued event, the pending
-        measurements among them: the completions recorded and the
-        events fired equal the reference engine's."""
+    def test_clear_from_a_callback_matches_the_reference(self):
+        """clear() mid-run drops every queued event: the completions
+        recorded and the events fired equal the reference engine's."""
         seen = {}
         for engine in ENGINES:
             testbed = _metrics_bed(engine, num_requests=600,
@@ -748,11 +742,9 @@ class TestHeapDiscipline:
         assert seen["vectorized"] == seen["reference"]
 
     def test_cancelling_compacts_as_the_reference_heap_does(self):
-        """Heap compaction counts the pending measurements too: a
-        callback that cancels its own events one at a time until the
-        heap compacts needs as many cancels on both engines."""
+        """A callback that cancels its own events one at a time until
+        the heap compacts needs as many cancels on both engines."""
         needed = {}
-        measured = []
         for engine in ENGINES:
             testbed = _metrics_bed(engine, num_requests=600,
                                    qps=200_000)
@@ -760,10 +752,6 @@ class TestHeapDiscipline:
             count = needed[engine] = []
 
             def cancel_until_compaction(sim=sim, count=count):
-                if type(sim) is Simulator:
-                    measured.append(sum(
-                        getattr(entry[2], "__name__", "") == "_measured"
-                        for entry in sim._heap))
                 events = [sim.schedule(1e9, int) for _ in range(200)]
                 before = sim.compactions
                 for cancelled, event in enumerate(events, 1):
@@ -775,14 +763,13 @@ class TestHeapDiscipline:
             sim.post_at(1_500.0, cancel_until_compaction)
             metrics = testbed.run()
             count.append(_counters(metrics)["engine.heap_compactions"])
-        # Measurements were pending, so a count without them differs.
-        assert measured[0] > 0
         assert needed["reference"][-1] == 1
         assert needed["vectorized"] == needed["reference"]
 
     def test_main_heap_calls_per_request(self, monkeypatch):
-        """A memcached LP request costs the main heap 7 calls (14
-        before the root was held and the measurements left it)."""
+        """A memcached LP request costs the main heap 8 calls (14
+        before the root was held and launch trains became dispatch
+        keys)."""
         import heapq
 
         import repro.sim.engine as engine_module
@@ -808,7 +795,7 @@ class TestHeapDiscipline:
                                         counted(getattr(heapq, name)))
         testbed.run()
         assert testbed.generator.drained
-        assert calls[0] / num_requests <= 7.1
+        assert calls[0] / num_requests <= 8.1
 
 
 # ---------------------------------------------------------------------------
